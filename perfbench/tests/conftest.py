@@ -1,0 +1,14 @@
+"""Make the benchmark package and the program importable from these tests.
+
+Run with ``python3 -m pytest perfbench/tests`` from the checkout root.
+"""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(BENCH)
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
