@@ -23,7 +23,7 @@ Run:  python examples/chaos_recovery.py
 """
 
 from repro.faults import BackoffPolicy, FaultInjector, FaultKind, FaultSpec
-from repro.sim.scenarios import ChaosConfig, chaos_sweep, run_chaos
+from repro.experiments import ChaosConfig, chaos_sweep, run_chaos
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 from repro.net.topology import esnet_like
 

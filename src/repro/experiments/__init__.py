@@ -3,10 +3,12 @@
 The unit of work is an :class:`~repro.experiments.spec.ExperimentSpec` —
 a scenario name, fixed parameters, and sweep axes, loadable from
 TOML/JSON.  A :class:`~repro.experiments.runner.Runner` expands it into
-deterministically seeded cells, executes them serially or across worker
-processes, quarantines failures, and (optionally) settles results
-through a content-addressed :class:`~repro.experiments.cache.ResultCache`
-so re-running a sweep only computes changed cells.  With a
+deterministically seeded cells and runs them on one ready-set scheduler,
+whose executor ``jobs`` picks: in-process for ``jobs=1`` (no per-cell
+timeout), a worker-process pool above.  It quarantines failures and
+(optionally) settles results through a content-addressed
+:class:`~repro.experiments.cache.ResultCache` so re-running a sweep only
+computes changed cells.  With a
 :class:`~repro.experiments.checkpoint.CampaignCheckpoint` journal the
 campaign is also crash-safe: a killed ``--jobs N`` run resumes mid-batch
 and executes only cells that never finished.

@@ -9,16 +9,21 @@ mechanistic, SNMP, managed-service, synth) through the same pipeline:
    :class:`~repro.experiments.cache.ResultCache` and, on a resumed run,
    from the :class:`~repro.experiments.checkpoint.CampaignCheckpoint`
    journal (which restores quarantined cells the cache never stores);
-3. execute the rest through a pluggable executor — serial in-process, or
-   a ``ProcessPoolExecutor`` (``jobs > 1``) with chunked submission and a
-   per-cell wall-clock timeout measured from *observed execution start*
-   (workers stamp a shared start-time map), so a cell that merely queued
-   behind a slow batch never burns its budget waiting;
+3. execute the rest: one **ready-set scheduler** cuts batches of cells
+   and hands each to one of two executors, picked by ``jobs``:
+
+   * ``jobs == 1`` — *in-process*: each cell runs in the parent, one at
+     a time; nothing supervises it, so no per-cell timeout applies;
+   * ``jobs > 1`` — a *process pool* with chunked submission and a
+     per-cell wall-clock timeout measured from *observed execution
+     start* (workers stamp a shared start-time map), so a cell that
+     merely queued behind a slow batch never burns its budget waiting;
+
 4. quarantine failed cells (exception or timeout) as
    :class:`CellResult` errors instead of aborting the campaign, so one
    pathological grid point cannot cost you the other 99.  A timed-out
    cell's worker cannot be cancelled (``Future.cancel`` is a no-op once
-   running), so the pool is recycled — hung workers are terminated and
+   running), so the pool is recycled — its workers are killed and
    replaced — rather than letting one wedged cell serialize the
    remaining batches.  Cells a batch could not execute at all (the pool
    broke under them, or every worker slot wedged past budget before the
@@ -26,41 +31,38 @@ mechanistic, SNMP, managed-service, synth) through the same pipeline:
    a retry cap so a cell that keeps killing its workers is eventually
    quarantined instead of looping forever — every cell always settles.
 
+A flat spec is a one-stage plan; :meth:`Runner.run_pipeline` runs a
+:class:`~repro.experiments.spec.PipelineSpec` as a plan with one row per
+stage.  Each stage's ``needs`` resolve to the upstream stages' (or
+external specs') :class:`~repro.experiments.artifacts.ArtifactSet`
+objects, whose digests fold into the stage's cell keys and checkpoint
+fingerprint — so a warm re-run short-circuits entire stages through the
+cache, an upstream edit re-keys (and therefore re-runs) exactly the
+stages downstream of it, and a kill mid-stage resumes from that stage's
+own journal.  A stage becomes runnable the moment the artifact digests
+of everything it ``needs`` settle, and a batch mixes cells from every
+runnable stage, so on a pool the two middle stages of a diamond execute
+side by side.  Scheduling order never leaks into results: cell keys,
+fingerprints, and artifacts are pure functions of the specs and
+upstream digests, so any legal interleaving, on either executor,
+produces byte-identical artifacts.  A stage that settles with
+quarantined cells *cancels* its artifact-consuming dependents
+(transitively) — their cells settle with a one-line ``cancelled:``
+reason instead of the scheduler raising mid-flight, and stages that
+never needed the broken grid still run to completion.
+
 SIGINT/SIGTERM are handled gracefully while a campaign runs: the first
-signal stops new submissions, cancels not-yet-started futures, drains
-the in-flight cells, flushes the checkpoint, and raises
+signal stops new dispatches (the in-process executor checks before
+every cell; the pool cancels not-yet-started futures and drains the
+in-flight ones), flushes every open stage's checkpoint, and raises
 :class:`CampaignInterrupted` (the CLI maps it to exit code 75,
 ``EX_TEMPFAIL`` — "try again").  A second signal aborts immediately.
+Pool workers ignore both signals: the parent owns draining.
 
 Every cell result uniformly carries its wall-clock seconds; scenarios
 that run the fluid simulator embed their
 :class:`~repro.sim.probe.SimProbe` counters in the result payload, so
 engine instrumentation flows into campaign reports for free.
-
-Multi-stage pipelines ride the same machinery.  :meth:`Runner.run_pipeline`
-executes a :class:`~repro.experiments.spec.PipelineSpec`: each stage's
-``needs`` resolve to the upstream stages' (or external specs')
-:class:`~repro.experiments.artifacts.ArtifactSet` objects, whose digests
-fold into the stage's cell keys and checkpoint fingerprint — so a warm
-re-run short-circuits entire stages through the cache, an upstream edit
-re-keys (and therefore re-runs) exactly the stages downstream of it, and
-a kill mid-stage resumes from that stage's own journal.
-
-Under ``jobs > 1`` the pipeline runs on a **ready-set DAG scheduler**:
-one worker pool serves the whole pipeline, and a stage becomes runnable
-the moment the artifact digests of everything it ``needs`` settle — so
-the two middle stages of a diamond execute their cells side by side in
-shared batches instead of serializing stage by stage.  Scheduling order
-never leaks into results: cell keys, fingerprints, and artifacts are
-pure functions of the specs and upstream digests, so any legal
-interleaving produces byte-identical artifacts to the ``jobs=1`` serial
-stage loop (which is preserved verbatim as the ``jobs == 1`` path).
-Per-stage checkpoints journal exactly as before; a drain signal flushes
-every open stage's journal and exits resumable.  A stage that settles
-with quarantined cells *cancels* its artifact-consuming dependents
-(transitively) — their cells settle with a one-line ``cancelled:``
-reason instead of the scheduler raising mid-flight, and stages that
-never needed the broken grid still run to completion.
 
 :meth:`Runner.dry_run` walks the same plan without executing anything;
 :func:`plan_dag_summary` reduces a dry-run plan to the stage DAG's
@@ -71,6 +73,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import itertools
 import multiprocessing
 import os
 import signal
@@ -78,8 +81,9 @@ import threading
 import time
 import traceback
 import warnings
+from collections.abc import Callable
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any
+from typing import Any, NamedTuple
 
 from .artifacts import Artifact, ArtifactSet, keys_digest
 from .cache import _CACHE_VERSION, ResultCache, cell_key
@@ -98,7 +102,7 @@ __all__ = [
     "Runner",
 ]
 
-#: supervisor poll interval while watching a parallel batch
+#: supervisor poll interval while watching a pool batch
 _POLL_S = 0.05
 
 #: times a cell is resubmitted after a broken pool before assuming the
@@ -107,12 +111,24 @@ _MAX_POOL_RETRIES = 2
 
 
 def _worker_init() -> None:
-    """Worker processes ignore SIGINT so a Ctrl-C (delivered to the whole
-    process group) leaves in-flight cells drainable by the parent."""
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+    """Pool workers ignore SIGINT and SIGTERM: the parent owns draining.
+
+    A Ctrl-C or a ``timeout -s TERM`` reaches the whole process group;
+    the workers finish their in-flight cells while the parent drains.
+    They fork inside the parent's :class:`_SignalDrain`, so without this
+    a SIGTERM would only set a flag in their copy of it — the runner
+    stops workers with SIGKILL instead (:meth:`_PoolExecutor._kill_pool`).
+    """
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(sig, signal.SIG_IGN)
+        except (ValueError, OSError):  # pragma: no cover - non-main thread
+            pass
+
+
+def _quarantine_reason(exc: BaseException) -> str:
+    """The one-line reason a failed cell is quarantined with."""
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
 
 
 def _execute_cell(
@@ -120,20 +136,21 @@ def _execute_cell(
     params: dict[str, Any],
     seed: int,
     start_times: Any = None,
-    index: int | None = None,
+    token: int | None = None,
     artifacts: dict[str, ArtifactSet] | None = None,
 ) -> tuple[Any, float]:
     """Run one cell; module-level so it pickles into worker processes.
 
     ``start_times`` is an optional shared mapping the worker stamps with
-    ``time.monotonic()`` at execution start — the supervisor's timeout
-    clock starts there, not at submission.  ``artifacts`` are the
-    resolved upstream sets an analysis scenario receives as its third
-    argument (plain frozen dataclasses, so they pickle into workers).
+    ``time.monotonic()`` under the submission's ``token`` at execution
+    start — the supervisor's timeout clock starts there, not at
+    submission.  ``artifacts`` are the resolved upstream sets an
+    analysis scenario receives as its third argument (plain frozen
+    dataclasses, so they pickle into workers).
     """
-    if start_times is not None and index is not None:
+    if start_times is not None and token is not None:
         try:
-            start_times[index] = time.monotonic()
+            start_times[token] = time.monotonic()
         except Exception:  # a dead manager must not fail the cell
             pass
     fn = get_scenario(scenario)
@@ -547,94 +564,387 @@ def _summarize(result: Any, limit: int = 4) -> str:
     return " ".join(parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class _RunContext:
-    """Everything one campaign's executors need beyond the cell itself.
-
-    Bundles the spec with the pipeline-era extras — upstream artifact
-    sets (for analysis scenarios), their digests (folded into cell keys
-    and stored with each artifact), and the inputs-aware fingerprint
-    (the provenance header) — so the executor plumbing stays one
-    argument wide.
-    """
-
-    spec: ExperimentSpec
-    #: dependency name -> resolved upstream set (analysis scenarios only)
-    artifacts: dict[str, ArtifactSet] | None = None
-    #: dependency name -> upstream set digest (participates in cell keys)
-    digests: dict[str, str] | None = None
-    fingerprint: str | None = None
-
-
 @dataclasses.dataclass
-class _Task:
-    """One dispatchable cell bound to its stage's context.
+class _Stage:
+    """Mutable state of one plan row inside the scheduler.
 
-    The parallel executors work on tasks, not bare cells, so a single
-    worker-pool batch can mix cells from several pipeline stages: each
-    task carries its stage's context, its settle target, and its
-    checkpoint journal.  ``token`` is unique across the whole run — the
-    worker stamps execution start under it in the shared map, so equal
-    cell indices from sibling stages can never collide.
+    A flat campaign is a one-row plan; a pipeline has one row per stage,
+    external specs first.  Everything below ``needs`` is fixed when the
+    stage opens, i.e. once every stage it needs has settled.
     """
-
-    ctx: _RunContext
-    cell: Cell
-    key: str | None
-    settled: dict[int, CellResult]
-    ckpt: CampaignCheckpoint | None
-    token: int
-    #: resolution key of the owning stage (None for flat campaigns)
-    stage: str | None = None
-
-
-@dataclasses.dataclass
-class _StageRun:
-    """Mutable per-stage state inside the DAG scheduler."""
 
     key: str
     spec: ExperimentSpec
     needs: tuple[str, ...]
-    external: bool
-    #: set once the stage's needs settled and its cells were resolved
-    ctx: _RunContext | None = None
+    #: dependency name -> resolved upstream set (analysis scenarios only)
+    artifacts: dict[str, ArtifactSet] | None = None
+    #: dependency name -> upstream set digest (participates in cell keys)
+    digests: dict[str, str] | None = None
+    #: inputs-aware fingerprint (checkpoint/provenance identity)
+    fingerprint: str | None = None
     ckpt: CampaignCheckpoint | None = None
     cells: list[Cell] = dataclasses.field(default_factory=list)
     settled: dict[int, CellResult] = dataclasses.field(default_factory=dict)
-    #: resolved cells not yet dispatched, in grid order
-    pending: list[tuple[Cell, str | None]] = dataclasses.field(default_factory=list)
+    #: cell index -> resolved cell not yet dispatched, in dispatch order
+    pending: dict[int, tuple[Cell, str | None]] = dataclasses.field(
+        default_factory=dict
+    )
     t0: float = 0.0
     opened: bool = False
     #: final result; also set (with all-cancelled cells) on cancellation
     campaign: CampaignResult | None = None
-    cancelled: bool = False
 
     @property
     def finished(self) -> bool:
         return self.campaign is not None
 
+    @property
+    def running(self) -> bool:
+        return self.opened and self.campaign is None
+
+
+class _Task(NamedTuple):
+    """One dispatchable cell bound to its stage.
+
+    A batch may mix cells from several stages; each settles into its own
+    stage's result map and checkpoint journal.
+    """
+
+    stage: _Stage
+    cell: Cell
+    key: str | None
+
+
+#: how an executor reports one cell: ``settle(task, result, wall_s, error)``
+_Settle = Callable[[_Task, Any, float, "str | None"], None]
+
+
+class _InProcessExecutor:
+    """``jobs == 1``: each cell runs in the parent, one at a time.
+
+    The executor seam is ``batch_size``, ``run(tasks, drain)`` — which
+    settles what it executes and returns the tasks to dispatch again —
+    and ``close()``.  Nothing supervises an in-process cell, so no
+    timeout applies.  The drain flag is checked before every cell; cells
+    left unrun stay unsettled, journaled for a resume.
+    """
+
+    batch_size = 1
+
+    def __init__(self, settle: _Settle) -> None:
+        self._settle = settle
+
+    def run(self, tasks: list[_Task], drain: _SignalDrain) -> list[_Task]:
+        for task in tasks:
+            if drain.triggered:
+                break
+            t0 = time.perf_counter()
+            try:
+                result, wall = _execute_cell(
+                    task.stage.spec.scenario,
+                    task.cell.params,
+                    task.cell.seed,
+                    artifacts=task.stage.artifacts,
+                )
+                error = None
+            except Exception as exc:  # quarantine, keep the campaign alive
+                result, wall = None, time.perf_counter() - t0
+                error = _quarantine_reason(exc)
+            self._settle(task, result, wall, error)
+        return []
+
+    def close(self) -> None:
+        pass
+
+
+class _PoolExecutor:
+    """``jobs > 1``: cells run on a recyclable ``ProcessPoolExecutor``.
+
+    The pool (and, with a timeout, the start-time manager) starts with
+    the first batch.  After a batch that left a hung worker or broke the
+    pool, the pool is killed; the next batch starts a fresh one.
+    """
+
+    def __init__(
+        self,
+        settle: _Settle,
+        workers: int,
+        chunk_size: int,
+        cell_timeout_s: float | None,
+    ) -> None:
+        self._settle = settle
+        self.workers = workers
+        self.batch_size = workers * chunk_size
+        self.cell_timeout_s = cell_timeout_s
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
+        self._manager: Any = None
+        #: submission token -> the worker's ``time.monotonic()`` at start
+        self._start_times: Any = None
+        self._next_token = 0
+        #: (stage key, cell index) -> times the pool broke under it
+        self._retries: dict[tuple[str, int], int] = {}
+
+    def run(self, tasks: list[_Task], drain: _SignalDrain) -> list[_Task]:
+        """Execute one batch; return the cells to resubmit."""
+        if self._pool is None:
+            self._pool = self._new_pool()
+        if self.cell_timeout_s is not None and self._manager is None:
+            # workers stamp execution start here; the supervisor's
+            # timeout clock starts at the stamp, not at submission
+            self._manager = multiprocessing.Manager()
+            self._start_times = self._manager.dict()
+        hung, broken, unfinished = self._drain_batch(tasks, drain)
+        if drain.triggered:
+            return []  # unfinished cells stay journaled for resume
+        if hung or broken:
+            # Future.cancel() is a no-op once running: a hung cell would
+            # silently hold its pool slot for the rest of the campaign
+            self._kill_pool(self._pool)
+            self._pool = None
+        return self._requeue(unfinished, broken)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._kill_pool(self._pool)
+            self._pool = None
+        if self._manager is not None:
+            self._manager.shutdown()
+            self._manager = None
+
+    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        return concurrent.futures.ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_worker_init
+        )
+
+    @staticmethod
+    def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+        """Shut the pool down without waiting for wedged workers.
+
+        ``shutdown(wait=True)`` would block until a hung cell returns —
+        exactly the leak this avoids.  Workers ignore SIGTERM, so they
+        are SIGKILLed outright: every settled result has already been
+        fetched, and abandoned cells are quarantined or journaled for
+        resume.
+        """
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for proc in procs:
+            try:
+                proc.kill()
+            except Exception:  # pragma: no cover - already gone
+                pass
+        for proc in procs:
+            try:
+                proc.join(timeout=5.0)
+            except Exception:  # pragma: no cover - already gone
+                pass
+
+    def _started(self, token: int) -> float | None:
+        """When the worker stamped this submission's execution start."""
+        if self._start_times is None:
+            return None
+        try:
+            return self._start_times.get(token)
+        except Exception:  # pragma: no cover - dead manager
+            return None
+
+    def _requeue(self, unfinished: list[_Task], broken: bool) -> list[_Task]:
+        """Decide each unexecuted task's fate: retry or quarantine.
+
+        Cells the batch could not execute (pool broke under them, or
+        every worker slot was wedged) go back for the recycled pool —
+        capped per cell, so one that keeps killing its workers is
+        quarantined instead of looping forever.
+        """
+        retry: list[_Task] = []
+        for task in unfinished:
+            rid = (task.stage.key, task.cell.index)
+            if broken:
+                self._retries[rid] = self._retries.get(rid, 0) + 1
+            if self._retries.get(rid, 0) > _MAX_POOL_RETRIES:
+                self._settle(
+                    task,
+                    None,
+                    0.0,
+                    "BrokenProcessPool: worker pool broke "
+                    f"{self._retries[rid]} times with this "
+                    "cell in flight (does the scenario kill or "
+                    "exit its worker process?)",
+                )
+            else:
+                retry.append(task)
+        return retry
+
+    def _drain_batch(
+        self, tasks: list[_Task], drain: _SignalDrain
+    ) -> tuple[list[concurrent.futures.Future], bool, list[_Task]]:
+        """Submit one batch of tasks and settle every future.
+
+        Returns ``(hung, broken, unfinished)``: futures abandoned past
+        their budget with the worker still running; whether the pool
+        itself broke; and tasks this batch could not execute — the pool
+        broke before/under them, or every worker slot was wedged past
+        budget so a queued cell could never start.  A drain signal
+        mid-batch cancels not-yet-started futures (they stay unfinished,
+        for resume) and waits out the running ones.
+        """
+        futmap: dict[concurrent.futures.Future, tuple[_Task, int, float]] = {}
+        unfinished: list[_Task] = []
+        try:
+            for task in tasks:
+                # a fresh token per submission: a resubmitted cell's
+                # start stamp can never be mistaken for its broken first
+                # attempt's
+                self._next_token += 1
+                fut = self._pool.submit(
+                    _execute_cell,
+                    task.stage.spec.scenario,
+                    task.cell.params,
+                    task.cell.seed,
+                    self._start_times,
+                    self._next_token,
+                    task.stage.artifacts,
+                )
+                futmap[fut] = (task, self._next_token, time.perf_counter())
+        except BrokenProcessPool:
+            # the pool died mid-submission: salvage futures that still
+            # settled, hand everything else back for resubmission
+            unfinished.extend(tasks[len(futmap):])
+            self._salvage(futmap, unfinished)
+            return [], True, unfinished
+
+        pending_futs = set(futmap)
+        hung: list[concurrent.futures.Future] = []
+        broken = False
+        drained = False
+        while pending_futs:
+            if drain.triggered and not drained:
+                drained = True
+                for fut in list(pending_futs):
+                    if fut.cancel():  # never started: leave unfinished
+                        pending_futs.discard(fut)
+            done, pending_futs = concurrent.futures.wait(
+                pending_futs,
+                timeout=_POLL_S,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            for fut in done:
+                task, _, submitted = futmap[fut]
+                try:
+                    result, wall = fut.result()
+                    error = None
+                except concurrent.futures.CancelledError:
+                    continue
+                except BrokenProcessPool:
+                    broken = True
+                    if drain.triggered:
+                        # the signal (e.g. group-delivered SIGINT) took
+                        # the workers down; the cell never finished —
+                        # leave it unsettled so a resume re-runs it
+                        continue
+                    # the cell may be innocent (a batch-mate killed the
+                    # pool): resubmit on the recycled pool rather than
+                    # quarantining it outright; the retry cap catches
+                    # the actual worker-killer
+                    unfinished.append(task)
+                    continue
+                except Exception as exc:
+                    result, wall = None, time.perf_counter() - submitted
+                    error = _quarantine_reason(exc)
+                self._settle(task, result, wall, error)
+            if self.cell_timeout_s is not None and pending_futs:
+                now = time.monotonic()
+                for fut in list(pending_futs):
+                    task, token, _ = futmap[fut]
+                    begun = self._started(token)
+                    if begun is not None and now - begun > self.cell_timeout_s:
+                        pending_futs.discard(fut)
+                        hung.append(fut)
+                        self._settle(
+                            task,
+                            None,
+                            self.cell_timeout_s,
+                            f"TimeoutError: cell exceeded "
+                            f"{self.cell_timeout_s:.1f} s budget",
+                        )
+                if pending_futs and sum(
+                    1 for f in hung if f.running()
+                ) >= self.workers:
+                    # every worker slot is wedged past budget: a queued
+                    # future can never start, never stamp, and never
+                    # time out — this drain would spin forever (or wait
+                    # out the hung sleeps).  Pull every cell that has
+                    # not stamped an execution start back for the
+                    # recycled pool; cancel() alone is not enough, the
+                    # pool marks call-queue-buffered futures RUNNING
+                    # even though no worker will ever pick them up.
+                    for fut in list(pending_futs):
+                        task, token, _ = futmap[fut]
+                        if self._started(token) is None:
+                            fut.cancel()  # best effort; pool dies anyway
+                            pending_futs.discard(fut)
+                            unfinished.append(task)
+        return [f for f in hung if f.running()], broken, unfinished
+
+    def _salvage(
+        self,
+        futmap: dict[concurrent.futures.Future, tuple[_Task, int, float]],
+        unfinished: list[_Task],
+    ) -> None:
+        """After a pool break, settle what finished; queue the rest.
+
+        A future that completed before the break still holds its result
+        (or its genuine scenario exception, which quarantines as usual);
+        anything cancelled, failed-by-the-break, or still nominally
+        pending is appended to ``unfinished`` for resubmission.
+        """
+        for fut, (task, _, submitted) in futmap.items():
+            if not fut.done():
+                unfinished.append(task)
+                continue
+            try:
+                result, wall = fut.result(timeout=0)
+                error = None
+            except (
+                concurrent.futures.CancelledError,
+                concurrent.futures.TimeoutError,
+                BrokenProcessPool,
+            ):
+                unfinished.append(task)
+                continue
+            except Exception as exc:
+                result, wall = None, time.perf_counter() - submitted
+                error = _quarantine_reason(exc)
+            self._settle(task, result, wall, error)
+
+
+#: one plan row: (resolution key, spec, needs, external)
+_PlanRow = tuple[str, ExperimentSpec, tuple[str, ...], bool]
+
 
 class Runner:
-    """Execute campaigns: serial or process-parallel, cached, resumable.
+    """Execute campaigns: cached, resumable, in-process or on a pool.
+
+    Flat specs and pipelines run on one ready-set scheduler; ``jobs``
+    alone picks the executor it hands batches of cells to.
 
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` (default) runs serially in-process.
-        For pipelines the pool is *pipeline-wide*: cells from every
-        runnable stage share it, so sibling stages of a diamond run
-        side by side.
+        ``1`` (default) runs every cell in-process, one at a time.
+        ``> 1`` runs cells on a pool of that many worker processes; for
+        pipelines the pool is *pipeline-wide*: cells from every runnable
+        stage share it, so sibling stages of a diamond run side by side.
     cache:
         A :class:`ResultCache` to consult before and fill after each
         cell; ``None`` disables caching.
     cell_timeout_s:
-        Per-cell wall-clock budget (parallel mode only — a serial run
-        has no supervisor to interrupt the cell), measured from the
-        cell's observed execution start, not its submission; overruns
-        quarantine the cell and the wedged worker is terminated when
-        the pool recycles.
+        Per-cell wall-clock budget (pool only — nothing supervises an
+        in-process cell), measured from the cell's observed execution
+        start, not its submission; overruns quarantine the cell and the
+        wedged worker is killed when the pool recycles.
     chunk_size:
-        Cells submitted per worker per batch in parallel mode.  Batches
+        Cells submitted per worker per batch on the pool.  Batches
         bound how much work is in flight, so a campaign killed mid-run
         has cached everything completed rather than nothing.
     checkpoint_dir:
@@ -662,578 +972,23 @@ class Runner:
         self.cell_timeout_s = cell_timeout_s
         self.chunk_size = chunk_size
         self.checkpoint_dir = checkpoint_dir
-        #: optional scheduling-order hook for the DAG scheduler: called
-        #: with the candidate list of ``(stage_key, cell_index)`` pairs
-        #: (plan order) before each batch is cut; returns the pairs in
-        #: the order to dispatch.  Exists so tests can force arbitrary
-        #: legal interleavings and pin that results never depend on one.
+        #: optional scheduling-order hook: called with the candidate
+        #: list of ``(stage_key, cell_index)`` pairs (plan order) before
+        #: each batch is cut; returns the pairs in the order to
+        #: dispatch.  Exists so tests can force arbitrary legal
+        #: interleavings and pin that results never depend on one.
         self.schedule_hook = None
-        #: monotonically increasing task token source (uniqueness only)
-        self._next_token = 0
 
-    def run(
-        self,
-        spec: ExperimentSpec,
-        force: bool = False,
-        inputs: dict[str, ArtifactSet] | None = None,
-    ) -> CampaignResult:
+    def run(self, spec: ExperimentSpec, force: bool = False) -> CampaignResult:
         """Expand ``spec`` and settle every cell; never raises per-cell.
 
+        The spec runs as a one-stage plan on the pipeline scheduler.
         ``force=True`` skips cache lookups and checkpoint restore
-        (results still get stored).  ``inputs`` are the resolved
-        upstream artifact sets an analysis scenario consumes (dependency
-        name -> :class:`ArtifactSet`); their digests fold into every
-        cell key and into the campaign's fingerprint, so changing
-        anything upstream re-keys (and re-runs) this campaign while a
-        byte-identical upstream resolves straight from the cache.
-        Raises :class:`CampaignInterrupted` if a SIGINT/SIGTERM arrived;
-        everything settled up to that point is journaled/cached for
-        resume.
+        (results still get stored).  Raises :class:`CampaignInterrupted`
+        if a SIGINT/SIGTERM arrived; everything settled up to that point
+        is journaled/cached for resume.
         """
-        t0 = time.perf_counter()
-        ctx, cells, ckpt, settled, pending = self._prepare(spec, force, inputs)
-        if pending:
-            with _SignalDrain() as drain:
-                if self.jobs == 1:
-                    self._run_serial(ctx, pending, settled, ckpt, drain)
-                else:
-                    self._run_parallel(ctx, pending, settled, ckpt, drain)
-                if drain.triggered:
-                    if ckpt is not None:
-                        ckpt.flush()
-                    raise self._interrupted(spec, drain.signum, cells, settled, ckpt)
-        return self._finish(ctx, cells, ckpt, settled, t0)
-
-    def _prepare(
-        self,
-        spec: ExperimentSpec,
-        force: bool,
-        inputs: dict[str, ArtifactSet] | None,
-    ) -> tuple[
-        _RunContext,
-        list[Cell],
-        CampaignCheckpoint | None,
-        dict[int, CellResult],
-        list[tuple[Cell, str | None]],
-    ]:
-        """Resolve one campaign up to (but not into) execution.
-
-        Validates the scenario signature, folds upstream digests into
-        the context, loads/restores the checkpoint journal, satisfies
-        cache hits, and returns the still-pending cells.  Shared by
-        :meth:`run` and the DAG scheduler's stage-open step.
-        """
-        get_scenario(spec.scenario)  # fail fast on unknown scenarios
-        if scenario_needs_artifacts(spec.scenario):
-            if inputs is None:
-                raise ValueError(
-                    f"scenario {spec.scenario!r} consumes upstream artifacts; "
-                    "run it as a pipeline stage with needs=[...] (or pass "
-                    "inputs= explicitly)"
-                )
-        elif inputs is not None:
-            raise ValueError(
-                f"scenario {spec.scenario!r} takes no upstream artifacts "
-                "but inputs were supplied; register it with "
-                "needs_artifacts=True or drop the stage's needs"
-            )
-        digests = (
-            {name: aset.digest for name, aset in sorted(inputs.items())}
-            if inputs
-            else None
-        )
-        fingerprint = spec_fingerprint(spec, inputs=digests)
-        ctx = _RunContext(
-            spec=spec,
-            artifacts=dict(inputs) if inputs else None,
-            digests=digests,
-            fingerprint=fingerprint,
-        )
-        cells = spec.cells()
-        ckpt: CampaignCheckpoint | None = None
-        if self.checkpoint_dir is not None:
-            ckpt = CampaignCheckpoint.for_spec(
-                self.checkpoint_dir, spec, inputs=digests
-            )
-            if not force:
-                ckpt.load()
-        settled: dict[int, CellResult] = {}
-        pending: list[tuple[Cell, str | None]] = []
-        for cell in cells:
-            key = self._key_for(ctx, cell)
-            if not force and ckpt is not None:
-                entry = ckpt.settled.get(cell.index)
-                if entry is not None and entry.error is not None:
-                    # quarantined cells are never cached; restore them
-                    # verbatim so the resumed campaign reports exactly
-                    # what the uninterrupted one would
-                    settled[cell.index] = CellResult(
-                        index=cell.index,
-                        coords=cell.coords,
-                        params=cell.params,
-                        seed=cell.seed,
-                        result=None,
-                        wall_s=entry.wall_s,
-                        error=entry.error,
-                        key=key,
-                    )
-                    continue
-            hit = (
-                self.cache.get(key)
-                if (self.cache is not None and key is not None and not force)
-                else None
-            )
-            if hit is not None:
-                settled[cell.index] = CellResult(
-                    index=cell.index,
-                    coords=cell.coords,
-                    params=cell.params,
-                    seed=cell.seed,
-                    result=hit["result"],
-                    wall_s=float(hit["wall_s"]),
-                    cached=True,
-                    key=key,
-                )
-            else:
-                pending.append((cell, key))
-        return ctx, cells, ckpt, settled, pending
-
-    @staticmethod
-    def _interrupted(
-        spec: ExperimentSpec,
-        signum: int,
-        cells: list[Cell],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-    ) -> CampaignInterrupted:
-        return CampaignInterrupted(
-            spec,
-            signum,
-            n_cells=len(cells),
-            n_settled=len(settled),
-            n_executed=sum(1 for c in settled.values() if c.ok and not c.cached),
-            n_cached=sum(1 for c in settled.values() if c.cached),
-            n_failed=sum(1 for c in settled.values() if not c.ok),
-            checkpoint_path=ckpt.path if ckpt is not None else None,
-        )
-
-    def _finish(
-        self,
-        ctx: _RunContext,
-        cells: list[Cell],
-        ckpt: CampaignCheckpoint | None,
-        settled: dict[int, CellResult],
-        t0: float,
-    ) -> CampaignResult:
-        missing = [c.index for c in cells if c.index not in settled]
-        if missing:  # invariant: every non-drained path settles its cell
-            raise RuntimeError(
-                f"internal error: {len(missing)} cell(s) never settled "
-                f"(first: {missing[0]}); the checkpoint journal was kept "
-                "so the run stays resumable"
-            )
-        if ckpt is not None:
-            ckpt.complete()
-        ordered = tuple(settled[c.index] for c in cells)
-        return CampaignResult(
-            spec=ctx.spec,
-            cells=ordered,
-            wall_s=time.perf_counter() - t0,
-            fingerprint=ctx.fingerprint,
-        )
-
-    def _key_for(self, ctx: _RunContext, cell: Cell) -> str | None:
-        """The cell's content address, or None when it has no identity.
-
-        With a cache attached the key *must* compute — a spec whose
-        params cannot be content-addressed cannot be cached, and the
-        historical behaviour is to raise.  Without a cache the key is
-        still computed when possible (downstream digests need it), but a
-        programmatic spec with non-JSON-safe params degrades to None
-        instead of failing a run that never asked for caching.
-        """
-        if self.cache is not None:
-            return cell_key(
-                ctx.spec.scenario, cell.params, cell.seed, inputs=ctx.digests
-            )
-        try:
-            return cell_key(
-                ctx.spec.scenario, cell.params, cell.seed, inputs=ctx.digests
-            )
-        except (TypeError, ValueError):
-            return None
-
-    # -- executors ---------------------------------------------------------
-
-    def _settle(
-        self,
-        ctx: _RunContext,
-        cell: Cell,
-        key: str | None,
-        settled: dict[int, CellResult],
-        result: Any,
-        wall_s: float,
-        error: str | None,
-        ckpt: CampaignCheckpoint | None = None,
-    ) -> None:
-        if error is None and key is not None and self.cache is not None:
-            try:
-                self.cache.put(
-                    key,
-                    ctx.spec.scenario,
-                    cell.params,
-                    cell.seed,
-                    result,
-                    wall_s,
-                    inputs=ctx.digests,
-                    provenance={
-                        "spec_fingerprint": ctx.fingerprint,
-                        "spec_name": ctx.spec.name,
-                        "index": cell.index,
-                        "coords": cell.coords,
-                    },
-                )
-            except (ValueError, OSError) as exc:
-                # an uncacheable result (non-finite floats, or the tmp
-                # file lost to a concurrent prune/full disk) is still a
-                # valid in-memory result; warn and carry on uncached
-                warnings.warn(
-                    f"cell {cell.index} not cached: {exc}",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-        settled[cell.index] = CellResult(
-            index=cell.index,
-            coords=cell.coords,
-            params=cell.params,
-            seed=cell.seed,
-            result=result,
-            wall_s=wall_s,
-            error=error,
-            key=key,
-        )
-        if ckpt is not None:
-            ckpt.record(cell.index, key, error, wall_s)
-
-    def _run_serial(
-        self,
-        ctx: _RunContext,
-        pending: list[tuple[Cell, str | None]],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        drain: _SignalDrain,
-    ) -> None:
-        for cell, key in pending:
-            if drain.triggered:
-                return
-            if ckpt is not None:
-                ckpt.begin_batch([cell.index])
-            t0 = time.perf_counter()
-            try:
-                result, wall = _execute_cell(
-                    ctx.spec.scenario,
-                    cell.params,
-                    cell.seed,
-                    artifacts=ctx.artifacts,
-                )
-                error = None
-            except Exception as exc:  # quarantine, keep the campaign alive
-                result, wall = None, time.perf_counter() - t0
-                error = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
-            self._settle(ctx, cell, key, settled, result, wall, error, ckpt)
-
-    def _task(
-        self,
-        ctx: _RunContext,
-        cell: Cell,
-        key: str | None,
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        stage: str | None = None,
-    ) -> _Task:
-        """Bind one cell to its stage context under a fresh token.
-
-        Tokens are never reused — a resubmitted cell gets a new task, so
-        a stale execution-start stamp from a broken first attempt can
-        never be mistaken for the retry's start.
-        """
-        self._next_token += 1
-        return _Task(
-            ctx=ctx,
-            cell=cell,
-            key=key,
-            settled=settled,
-            ckpt=ckpt,
-            token=self._next_token,
-            stage=stage,
-        )
-
-    def _run_parallel(
-        self,
-        ctx: _RunContext,
-        pending: list[tuple[Cell, str | None]],
-        settled: dict[int, CellResult],
-        ckpt: CampaignCheckpoint | None,
-        drain: _SignalDrain,
-    ) -> None:
-        batch_size = self.jobs * self.chunk_size
-        manager = None
-        start_times = None
-        if self.cell_timeout_s is not None:
-            # workers stamp execution start here; the supervisor's
-            # timeout clock starts at the stamp, not at submission
-            manager = multiprocessing.Manager()
-            start_times = manager.dict()
-        queue = list(pending)
-        pool_retries: dict[tuple[str | None, int], int] = {}
-        pool = self._new_pool()
-        try:
-            while queue:
-                if drain.triggered:
-                    return
-                batch, queue = queue[:batch_size], queue[batch_size:]
-                tasks = [
-                    self._task(ctx, cell, key, settled, ckpt)
-                    for cell, key in batch
-                ]
-                if ckpt is not None:
-                    ckpt.begin_batch([t.cell.index for t in tasks])
-                hung, broken, unfinished = self._drain_batch(
-                    pool, tasks, drain, start_times
-                )
-                if drain.triggered:
-                    # unfinished cells stay journaled for resume
-                    return
-                requeue = self._requeue(unfinished, broken, pool_retries)
-                queue = [(t.cell, t.key) for t in requeue] + queue
-                if (hung or broken) and queue:
-                    # Future.cancel() is a no-op once running: a hung
-                    # cell would silently hold its pool slot for the
-                    # rest of the campaign.  Recycle instead.
-                    self._kill_pool(pool)
-                    pool = self._new_pool()
-        finally:
-            self._kill_pool(pool)
-            if manager is not None:
-                manager.shutdown()
-
-    def _requeue(
-        self,
-        unfinished: list[_Task],
-        broken: bool,
-        pool_retries: dict[tuple[str | None, int], int],
-    ) -> list[_Task]:
-        """Decide each unexecuted task's fate: retry or quarantine.
-
-        Cells the batch could not execute (pool broke under them, or
-        every worker slot was wedged) go back for the recycled pool —
-        capped per cell, so one that keeps killing its workers is
-        quarantined instead of looping forever.  Retries are counted
-        per ``(stage, index)``, which stays stable across the fresh
-        tokens each resubmission mints.
-        """
-        retry: list[_Task] = []
-        for task in unfinished:
-            rid = (task.stage, task.cell.index)
-            if broken:
-                pool_retries[rid] = pool_retries.get(rid, 0) + 1
-            if pool_retries.get(rid, 0) > _MAX_POOL_RETRIES:
-                self._settle(
-                    task.ctx,
-                    task.cell,
-                    task.key,
-                    task.settled,
-                    None,
-                    0.0,
-                    "BrokenProcessPool: worker pool broke "
-                    f"{pool_retries[rid]} times with this "
-                    "cell in flight (does the scenario kill or "
-                    "exit its worker process?)",
-                    task.ckpt,
-                )
-            else:
-                retry.append(task)
-        return retry
-
-    def _drain_batch(
-        self,
-        pool: concurrent.futures.ProcessPoolExecutor,
-        tasks: list[_Task],
-        drain: _SignalDrain,
-        start_times: Any,
-    ) -> tuple[
-        list[concurrent.futures.Future],
-        bool,
-        list[_Task],
-    ]:
-        """Submit one batch of tasks and settle every future.
-
-        Tasks may come from several pipeline stages — each settles into
-        its own stage's result map and checkpoint journal.  Returns
-        ``(hung, broken, unfinished)``: futures abandoned past their
-        budget with the worker still running; whether the pool itself
-        broke; and tasks this batch could not execute — the pool broke
-        before/under them, or every worker slot was wedged past budget
-        so a queued cell could never start.  The caller resubmits
-        unfinished tasks on a recycled pool (every cell is eventually
-        settled — ``run()`` relies on that to build the ordered result).
-        A drain signal mid-batch cancels not-yet-started futures (they
-        stay unfinished, for resume) and waits out the running ones.
-        """
-        futmap: dict[concurrent.futures.Future, tuple[_Task, float]] = {}
-        unfinished: list[_Task] = []
-        try:
-            for task in tasks:
-                fut = pool.submit(
-                    _execute_cell,
-                    task.ctx.spec.scenario,
-                    task.cell.params,
-                    task.cell.seed,
-                    start_times,
-                    task.token,
-                    task.ctx.artifacts,
-                )
-                futmap[fut] = (task, time.perf_counter())
-        except BrokenProcessPool:
-            # the pool died mid-submission: salvage futures that still
-            # settled, hand everything else back for resubmission
-            submitted = {task.token for task, _ in futmap.values()}
-            unfinished.extend(t for t in tasks if t.token not in submitted)
-            self._salvage(futmap, unfinished)
-            return [], True, unfinished
-
-        pending_futs = set(futmap)
-        hung: list[concurrent.futures.Future] = []
-        broken = False
-        drained = False
-        while pending_futs:
-            if drain.triggered and not drained:
-                drained = True
-                for fut in list(pending_futs):
-                    if fut.cancel():  # never started: leave unfinished
-                        pending_futs.discard(fut)
-            done, pending_futs = concurrent.futures.wait(
-                pending_futs,
-                timeout=_POLL_S,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for fut in done:
-                task, submitted = futmap[fut]
-                try:
-                    result, wall = fut.result()
-                    error = None
-                except concurrent.futures.CancelledError:
-                    continue
-                except BrokenProcessPool:
-                    broken = True
-                    if drain.triggered:
-                        # the signal (e.g. group-delivered SIGINT) took
-                        # the workers down; the cell never finished —
-                        # leave it unsettled so a resume re-runs it
-                        continue
-                    # the cell may be innocent (a batch-mate killed the
-                    # pool): resubmit on the recycled pool rather than
-                    # quarantining it outright; the caller's retry cap
-                    # catches the actual worker-killer
-                    unfinished.append(task)
-                    continue
-                except Exception as exc:
-                    result, wall = None, time.perf_counter() - submitted
-                    error = "".join(
-                        traceback.format_exception_only(type(exc), exc)
-                    ).strip()
-                self._settle(
-                    task.ctx, task.cell, task.key, task.settled,
-                    result, wall, error, task.ckpt,
-                )
-            if self.cell_timeout_s is not None and pending_futs:
-                now = time.monotonic()
-                for fut in list(pending_futs):
-                    task, _ = futmap[fut]
-                    begun = None
-                    if start_times is not None:
-                        try:
-                            begun = start_times.get(task.token)
-                        except Exception:  # pragma: no cover - dead manager
-                            begun = None
-                    if begun is not None and now - begun > self.cell_timeout_s:
-                        pending_futs.discard(fut)
-                        hung.append(fut)
-                        self._settle(
-                            task.ctx,
-                            task.cell,
-                            task.key,
-                            task.settled,
-                            None,
-                            self.cell_timeout_s,
-                            f"TimeoutError: cell exceeded "
-                            f"{self.cell_timeout_s:.1f} s budget",
-                            task.ckpt,
-                        )
-                if pending_futs and sum(
-                    1 for f in hung if f.running()
-                ) >= self.jobs:
-                    # every worker slot is wedged past budget: a queued
-                    # future can never start, never stamp, and never
-                    # time out — this drain would spin forever (or wait
-                    # out the hung sleeps).  Pull every cell that has
-                    # not stamped an execution start back for the
-                    # recycled pool; cancel() alone is not enough, the
-                    # pool marks call-queue-buffered futures RUNNING
-                    # even though no worker will ever pick them up.
-                    for fut in list(pending_futs):
-                        task, _ = futmap[fut]
-                        begun = None
-                        if start_times is not None:
-                            try:
-                                begun = start_times.get(task.token)
-                            except Exception:  # pragma: no cover
-                                begun = None
-                        if begun is None:
-                            fut.cancel()  # best effort; pool dies anyway
-                            pending_futs.discard(fut)
-                            unfinished.append(task)
-        return [f for f in hung if f.running()], broken, unfinished
-
-    def _salvage(
-        self,
-        futmap: dict[concurrent.futures.Future, tuple[_Task, float]],
-        unfinished: list[_Task],
-    ) -> None:
-        """After a pool break, settle what finished; queue the rest.
-
-        A future that completed before the break still holds its result
-        (or its genuine scenario exception, which quarantines as usual);
-        anything cancelled, failed-by-the-break, or still nominally
-        pending is appended to ``unfinished`` for resubmission.
-        """
-        for fut, (task, submitted) in futmap.items():
-            if not fut.done():
-                unfinished.append(task)
-                continue
-            try:
-                result, wall = fut.result(timeout=0)
-                error = None
-            except (
-                concurrent.futures.CancelledError,
-                concurrent.futures.TimeoutError,
-                BrokenProcessPool,
-            ):
-                unfinished.append(task)
-                continue
-            except Exception as exc:
-                result, wall = None, time.perf_counter() - submitted
-                error = "".join(
-                    traceback.format_exception_only(type(exc), exc)
-                ).strip()
-            self._settle(
-                task.ctx, task.cell, task.key, task.settled,
-                result, wall, error, task.ckpt,
-            )
-
-    # -- pipelines ---------------------------------------------------------
+        return self._schedule([(spec.name, spec, (), False)], force)[spec.name]
 
     def run_pipeline(
         self, pipeline: PipelineSpec, force: bool = False
@@ -1248,12 +1003,11 @@ class Runner:
         through the cache independently; a stage whose upstream is
         unchanged and whose own cells are cached executes nothing.
 
-        With ``jobs == 1`` stages run one after another in topological
-        order.  With ``jobs > 1`` the ready-set DAG scheduler dispatches
-        cells from *every* runnable stage into one shared worker pool —
-        sibling stages execute side by side, and a stage opens the
-        moment the artifact digests it needs settle.  Both paths produce
-        byte-identical cell keys, fingerprints, and artifacts.
+        A stage opens the moment the artifact digests it needs settle,
+        and every batch draws cells from *every* open stage — with
+        ``jobs > 1`` sibling stages execute side by side on one shared
+        pool.  Either executor produces byte-identical cell keys,
+        fingerprints, and artifacts.
 
         A stage that settles with quarantined cells *cancels* its
         artifact-consuming dependents (transitively): their cells settle
@@ -1266,16 +1020,313 @@ class Runner:
         stages come back as hits).
         """
         t0 = time.perf_counter()
-        plan = self._pipeline_plan(pipeline)
-        if self.jobs == 1:
-            stages = self._run_pipeline_serial(pipeline, plan, force)
-        else:
-            stages = self._run_pipeline_dag(pipeline, plan, force)
+        stages = self._schedule(self._pipeline_plan(pipeline), force)
         return PipelineResult(
             pipeline=pipeline,
             stages=stages,
             wall_s=time.perf_counter() - t0,
         )
+
+    # -- the scheduler -----------------------------------------------------
+
+    def _executor(self) -> _InProcessExecutor | _PoolExecutor:
+        if self.jobs == 1:
+            return _InProcessExecutor(self._settle)
+        return _PoolExecutor(
+            self._settle, self.jobs, self.chunk_size, self.cell_timeout_s
+        )
+
+    def _schedule(
+        self, plan: list[_PlanRow], force: bool
+    ) -> dict[str, CampaignResult]:
+        """Run a plan to completion: the Runner's one scheduling loop.
+
+        Every iteration seals settled stages and opens runnable ones,
+        cuts one batch from the pending cells of every open stage, and
+        hands it to the executor.  Stage completion, cancellation, and
+        requeueing all happen between batches, so the scheduler state is
+        single-threaded and easy to reason about.  Returns each row's
+        campaign in plan order.
+        """
+        stages = {
+            key: _Stage(key=key, spec=spec, needs=needs)
+            for key, spec, needs, _external in plan
+        }
+        #: stages whose artifacts an artifact-consuming stage reads
+        needed = {
+            need
+            for stage in stages.values()
+            if scenario_needs_artifacts(stage.spec.scenario)
+            for need in stage.needs
+        }
+        sets: dict[str, ArtifactSet] = {}
+        #: stage key -> why consumers of it must cancel
+        failed: dict[str, str] = {}
+        executor = self._executor()
+        try:
+            with _SignalDrain() as drain:
+                while True:
+                    self._advance(stages, needed, sets, failed, force)
+                    if all(stage.finished for stage in stages.values()):
+                        break
+                    if drain.triggered:
+                        raise self._interrupted(stages, drain.signum)
+                    batch = self._next_batch(stages, executor.batch_size)
+                    retry = executor.run(batch, drain)
+                    if drain.triggered:
+                        raise self._interrupted(stages, drain.signum)
+                    for task in retry:  # back to the front of its queue
+                        task.stage.pending = {
+                            task.cell.index: (task.cell, task.key),
+                            **task.stage.pending,
+                        }
+        finally:
+            executor.close()
+        return {key: stage.campaign for key, stage in stages.items()}
+
+    def _advance(
+        self,
+        stages: dict[str, _Stage],
+        needed: set[str],
+        sets: dict[str, ArtifactSet],
+        failed: dict[str, str],
+        force: bool,
+    ) -> None:
+        """Seal settled stages, cancel doomed ones, open runnable ones.
+
+        Runs to a fixpoint: sealing a stage (or opening a fully cached
+        one) may unblock or doom further stages in the same pass.  A
+        consumer cancels as soon as *any* needed stage is in ``failed``
+        — it never waits for its other needs, so a broken grid
+        propagates promptly instead of starving dependents.
+        """
+        progressed = True
+        while progressed:
+            progressed = False
+            for stage in stages.values():
+                if stage.finished:
+                    continue
+                if stage.opened:
+                    if len(stage.settled) == len(stage.cells):
+                        self._seal(stage, needed, sets, failed)
+                        progressed = True
+                    continue
+                # needs on a plain scenario only order the stage; the
+                # sets (and the digest folding) are for artifact consumers
+                consumes = scenario_needs_artifacts(stage.spec.scenario)
+                blocker = (
+                    next((n for n in stage.needs if n in failed), None)
+                    if consumes
+                    else None
+                )
+                if blocker is not None:
+                    stage.campaign = self._cancelled_campaign(
+                        stage.spec, blocker, failed[blocker]
+                    )
+                    failed[stage.key] = "was cancelled"
+                    progressed = True
+                elif all(stages[n].finished for n in stage.needs):
+                    inputs = (
+                        {n: sets[n] for n in stage.needs}
+                        if stage.needs and consumes
+                        else None
+                    )
+                    self._open(stage, force, inputs)
+                    progressed = True
+
+    def _next_batch(self, stages: dict[str, _Stage], size: int) -> list[_Task]:
+        """Cut the next batch from the pending cells of every open stage.
+
+        Candidates come in plan order; ``schedule_hook`` may permute the
+        whole candidate list first.  Taken cells leave their stage's
+        queue and enter its journal frontier.
+        """
+        candidates = (
+            (stage.key, index)
+            for stage in stages.values()
+            if stage.running
+            for index in stage.pending
+        )
+        if self.schedule_hook is None:
+            order = list(itertools.islice(candidates, size))
+        else:
+            hooked = self.schedule_hook(list(candidates))
+            order = [tuple(pair) for pair in hooked][:size]
+        if not order:
+            raise RuntimeError(
+                "internal error: scheduler stalled with unfinished "
+                "stages and no dispatchable cells"
+            )
+        batch: list[_Task] = []
+        taken: dict[str, list[int]] = {}
+        for key, index in order:
+            stage = stages[key]
+            cell, cell_key = stage.pending.pop(index)
+            batch.append(_Task(stage, cell, cell_key))
+            taken.setdefault(key, []).append(index)
+        for key, indices in taken.items():
+            if stages[key].ckpt is not None:
+                stages[key].ckpt.begin_batch(sorted(indices))
+        return batch
+
+    def _open(
+        self,
+        stage: _Stage,
+        force: bool,
+        inputs: dict[str, ArtifactSet] | None,
+    ) -> None:
+        """Resolve a stage up to (but not into) execution.
+
+        Validates the scenario signature, folds upstream digests into
+        the stage's keys and fingerprint, loads/restores the checkpoint
+        journal, satisfies cache hits, and queues the rest.
+        """
+        spec = stage.spec
+        get_scenario(spec.scenario)  # fail fast on unknown scenarios
+        if scenario_needs_artifacts(spec.scenario) and inputs is None:
+            raise ValueError(
+                f"scenario {spec.scenario!r} consumes upstream artifacts; "
+                "run it as a pipeline stage with needs=[...]"
+            )
+        stage.t0 = time.perf_counter()
+        stage.opened = True
+        if inputs:
+            stage.artifacts = dict(inputs)
+            stage.digests = {
+                name: aset.digest for name, aset in sorted(inputs.items())
+            }
+        stage.fingerprint = spec_fingerprint(spec, inputs=stage.digests)
+        stage.cells = spec.cells()
+        restored = {}
+        if self.checkpoint_dir is not None:
+            stage.ckpt = CampaignCheckpoint.for_spec(
+                self.checkpoint_dir, spec, inputs=stage.digests
+            )
+            if not force:
+                stage.ckpt.load()
+                restored = stage.ckpt.settled
+        for cell in stage.cells:
+            key = self._key_for(stage, cell)
+            entry = restored.get(cell.index)
+            if entry is not None and entry.error is not None:
+                # quarantined cells are never cached; restore them
+                # verbatim so the resumed campaign reports exactly
+                # what the uninterrupted one would
+                stage.settled[cell.index] = CellResult(
+                    index=cell.index,
+                    coords=cell.coords,
+                    params=cell.params,
+                    seed=cell.seed,
+                    result=None,
+                    wall_s=entry.wall_s,
+                    error=entry.error,
+                    key=key,
+                )
+                continue
+            hit = (
+                self.cache.get(key)
+                if (self.cache is not None and key is not None and not force)
+                else None
+            )
+            if hit is not None:
+                stage.settled[cell.index] = CellResult(
+                    index=cell.index,
+                    coords=cell.coords,
+                    params=cell.params,
+                    seed=cell.seed,
+                    result=hit["result"],
+                    wall_s=float(hit["wall_s"]),
+                    cached=True,
+                    key=key,
+                )
+            else:
+                stage.pending[cell.index] = (cell, key)
+
+    def _key_for(self, stage: _Stage, cell: Cell) -> str | None:
+        """The cell's content address, or None when it has no identity.
+
+        With a cache attached the key *must* compute — a spec whose
+        params cannot be content-addressed cannot be cached, and the
+        historical behaviour is to raise.  Without a cache the key is
+        still computed when possible (downstream digests need it), but a
+        programmatic spec with non-JSON-safe params degrades to None
+        instead of failing a run that never asked for caching.
+        """
+        try:
+            return cell_key(
+                stage.spec.scenario, cell.params, cell.seed, inputs=stage.digests
+            )
+        except (TypeError, ValueError):
+            if self.cache is not None:
+                raise
+            return None
+
+    def _settle(
+        self, task: _Task, result: Any, wall_s: float, error: str | None
+    ) -> None:
+        """Record one cell's outcome: cache (if ok), result map, journal."""
+        stage, cell, key = task
+        if error is None and key is not None and self.cache is not None:
+            try:
+                self.cache.put(
+                    key,
+                    stage.spec.scenario,
+                    cell.params,
+                    cell.seed,
+                    result,
+                    wall_s,
+                    inputs=stage.digests,
+                    provenance={
+                        "spec_fingerprint": stage.fingerprint,
+                        "spec_name": stage.spec.name,
+                        "index": cell.index,
+                        "coords": cell.coords,
+                    },
+                )
+            except (ValueError, OSError) as exc:
+                # an uncacheable result (non-finite floats, or the tmp
+                # file lost to a concurrent prune/full disk) is still a
+                # valid in-memory result; warn and carry on uncached
+                warnings.warn(
+                    f"cell {cell.index} not cached: {exc}",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+        stage.settled[cell.index] = CellResult(
+            index=cell.index,
+            coords=cell.coords,
+            params=cell.params,
+            seed=cell.seed,
+            result=result,
+            wall_s=wall_s,
+            error=error,
+            key=key,
+        )
+        if stage.ckpt is not None:
+            stage.ckpt.record(cell.index, key, error, wall_s)
+
+    @staticmethod
+    def _seal(
+        stage: _Stage,
+        needed: set[str],
+        sets: dict[str, ArtifactSet],
+        failed: dict[str, str],
+    ) -> None:
+        """Seal a fully settled stage and publish its artifacts/verdict."""
+        if stage.ckpt is not None:
+            stage.ckpt.complete()
+        stage.campaign = CampaignResult(
+            spec=stage.spec,
+            cells=tuple(stage.settled[c.index] for c in stage.cells),
+            wall_s=time.perf_counter() - stage.t0,
+            fingerprint=stage.fingerprint,
+        )
+        if stage.campaign.n_failed:
+            failed[stage.key] = (
+                f"settled with {stage.campaign.n_failed} quarantined cell(s)"
+            )
+        elif stage.key in needed:
+            sets[stage.key] = stage.campaign.artifact_set(name=stage.key)
 
     @staticmethod
     def _cancelled_campaign(
@@ -1306,239 +1357,33 @@ class Runner:
             spec=spec, cells=cells, wall_s=0.0, fingerprint=None
         )
 
-    def _run_pipeline_serial(
-        self,
-        pipeline: PipelineSpec,
-        plan: list[tuple[str, ExperimentSpec, tuple[str, ...], bool]],
-        force: bool,
-    ) -> dict[str, CampaignResult]:
-        """The ``jobs == 1`` path: one stage after another, plan order."""
-        campaigns: dict[str, CampaignResult] = {}
-        sets: dict[str, ArtifactSet] = {}
-        #: stage key -> why consumers of it must cancel
-        failed: dict[str, str] = {}
-        for key, spec, needs, _external in plan:
-            # needs on a plain scenario only order the stage; the sets
-            # (and the digest folding) are for artifact consumers
-            consumes = scenario_needs_artifacts(spec.scenario)
-            blocker = (
-                next((n for n in needs if n in failed), None)
-                if consumes
-                else None
-            )
-            if blocker is not None:
-                campaigns[key] = self._cancelled_campaign(
-                    spec, blocker, failed[blocker]
-                )
-                failed[key] = "was cancelled"
-                continue
-            inputs = (
-                {need: sets[need] for need in needs}
-                if needs and consumes
-                else None
-            )
-            campaign = self.run(spec, force=force, inputs=inputs)
-            campaigns[key] = campaign
-            if campaign.n_failed:
-                failed[key] = (
-                    f"settled with {campaign.n_failed} quarantined cell(s)"
-                )
-            elif self._is_needed(pipeline, key):
-                sets[key] = campaign.artifact_set(name=key)
-        return campaigns
-
-    def _run_pipeline_dag(
-        self,
-        pipeline: PipelineSpec,
-        plan: list[tuple[str, ExperimentSpec, tuple[str, ...], bool]],
-        force: bool,
-    ) -> dict[str, CampaignResult]:
-        """The ``jobs > 1`` path: ready-set scheduling, one shared pool.
-
-        Every iteration opens whatever stages became runnable (their
-        needs' digests settled), gathers pending cells from *all* open
-        stages in plan order, cuts one mixed batch, and drains it on the
-        pipeline-wide pool.  Stage completion, cancellation, and the
-        requeue/recycle machinery all happen between batches, so the
-        scheduler state is single-threaded and easy to reason about.
-        """
-        runs: dict[str, _StageRun] = {}
-        for key, spec, needs, external in plan:
-            runs[key] = _StageRun(
-                key=key, spec=spec, needs=needs, external=external
-            )
-        sets: dict[str, ArtifactSet] = {}
-        failed: dict[str, str] = {}
-        batch_size = self.jobs * self.chunk_size
-        manager = None
-        start_times = None
-        if self.cell_timeout_s is not None:
-            manager = multiprocessing.Manager()
-            start_times = manager.dict()
-        pool_retries: dict[tuple[str | None, int], int] = {}
-        pool = self._new_pool()
-        try:
-            with _SignalDrain() as drain:
-                while not all(r.finished for r in runs.values()):
-                    self._open_ready_stages(pipeline, runs, sets, failed, force)
-                    if all(r.finished for r in runs.values()):
-                        break
-                    if drain.triggered:
-                        raise self._drain_pipeline(runs, drain)
-                    # candidate cells from every open stage, plan order;
-                    # the hook (tests) may permute them — any legal
-                    # interleaving must produce identical results
-                    by_id: dict[
-                        tuple[str, int], tuple[_StageRun, Cell, str | None]
-                    ] = {}
-                    order: list[tuple[str, int]] = []
-                    for run in runs.values():
-                        if run.opened and not run.finished:
-                            for cell, key in run.pending:
-                                order.append((run.key, cell.index))
-                                by_id[(run.key, cell.index)] = (run, cell, key)
-                    if self.schedule_hook is not None:
-                        order = [tuple(p) for p in self.schedule_hook(list(order))]
-                    if not order:
-                        raise RuntimeError(
-                            "internal error: DAG scheduler stalled with "
-                            "unfinished stages and no dispatchable cells"
-                        )
-                    tasks: list[_Task] = []
-                    taken: dict[str, set[int]] = {}
-                    for stage_key, index in order[:batch_size]:
-                        run, cell, key = by_id[(stage_key, index)]
-                        taken.setdefault(stage_key, set()).add(index)
-                        tasks.append(
-                            self._task(
-                                run.ctx, cell, key, run.settled, run.ckpt,
-                                stage=run.key,
-                            )
-                        )
-                    for stage_key, indices in taken.items():
-                        run = runs[stage_key]
-                        run.pending = [
-                            (c, k) for c, k in run.pending
-                            if c.index not in indices
-                        ]
-                        if run.ckpt is not None:
-                            run.ckpt.begin_batch(sorted(indices))
-                    hung, broken, unfinished = self._drain_batch(
-                        pool, tasks, drain, start_times
-                    )
-                    if drain.triggered:
-                        raise self._drain_pipeline(runs, drain)
-                    for task in self._requeue(unfinished, broken, pool_retries):
-                        runs[task.stage].pending.insert(
-                            0, (task.cell, task.key)
-                        )
-                    for run in runs.values():
-                        if (
-                            run.opened
-                            and not run.finished
-                            and not run.pending
-                            and len(run.settled) == len(run.cells)
-                        ):
-                            self._finalize_stage(pipeline, run, sets, failed)
-                    if (hung or broken) and not all(
-                        r.finished for r in runs.values()
-                    ):
-                        self._kill_pool(pool)
-                        pool = self._new_pool()
-        finally:
-            self._kill_pool(pool)
-            if manager is not None:
-                manager.shutdown()
-        return {key: run.campaign for key, run in runs.items()}
-
-    def _open_ready_stages(
-        self,
-        pipeline: PipelineSpec,
-        runs: dict[str, _StageRun],
-        sets: dict[str, ArtifactSet],
-        failed: dict[str, str],
-        force: bool,
-    ) -> None:
-        """Open every stage whose needs settled; cancel the doomed ones.
-
-        Runs to a fixpoint: opening a fully-cached stage finalizes it
-        immediately, which may unblock (or doom) further stages in the
-        same pass.  A consumer cancels as soon as *any* needed stage is
-        in ``failed`` — it never waits for its other needs, so a broken
-        grid propagates promptly instead of starving dependents.
-        """
-        progressed = True
-        while progressed:
-            progressed = False
-            for run in runs.values():
-                if run.finished or run.opened:
-                    continue
-                consumes = scenario_needs_artifacts(run.spec.scenario)
-                blocker = (
-                    next((n for n in run.needs if n in failed), None)
-                    if consumes
-                    else None
-                )
-                if blocker is not None:
-                    run.campaign = self._cancelled_campaign(
-                        run.spec, blocker, failed[blocker]
-                    )
-                    run.cancelled = True
-                    failed[run.key] = "was cancelled"
-                    progressed = True
-                    continue
-                if any(not runs[n].finished for n in run.needs):
-                    continue
-                inputs = (
-                    {n: sets[n] for n in run.needs}
-                    if run.needs and consumes
-                    else None
-                )
-                run.t0 = time.perf_counter()
-                run.ctx, run.cells, run.ckpt, run.settled, run.pending = (
-                    self._prepare(run.spec, force, inputs)
-                )
-                run.opened = True
-                progressed = True
-                if not run.pending:
-                    self._finalize_stage(pipeline, run, sets, failed)
-
-    def _finalize_stage(
-        self,
-        pipeline: PipelineSpec,
-        run: _StageRun,
-        sets: dict[str, ArtifactSet],
-        failed: dict[str, str],
-    ) -> None:
-        """Seal a fully-settled stage and publish its artifacts/verdict."""
-        run.campaign = self._finish(
-            run.ctx, run.cells, run.ckpt, run.settled, run.t0
-        )
-        if run.campaign.n_failed:
-            failed[run.key] = (
-                f"settled with {run.campaign.n_failed} quarantined cell(s)"
-            )
-        elif self._is_needed(pipeline, run.key):
-            sets[run.key] = run.campaign.artifact_set(name=run.key)
-
-    def _drain_pipeline(
-        self, runs: dict[str, _StageRun], drain: _SignalDrain
+    @staticmethod
+    def _interrupted(
+        stages: dict[str, _Stage], signum: int
     ) -> CampaignInterrupted:
-        """Flush every open journal; report the first in-flight stage."""
-        for run in runs.values():
-            if run.opened and not run.finished and run.ckpt is not None:
-                run.ckpt.flush()
-        for run in runs.values():
-            if run.opened and not run.finished:
-                return self._interrupted(
-                    run.spec, drain.signum, run.cells, run.settled, run.ckpt
-                )
-        for run in runs.values():  # pragma: no cover - drain before open
-            if not run.finished:
-                return self._interrupted(
-                    run.spec, drain.signum, run.spec.cells(), {}, None
-                )
-        raise AssertionError("drain with every stage finished")
+        """Flush every open journal; report the first in-flight stage.
+
+        The scheduler checks the drain flag only while some stage is
+        open and unsettled, so there always is one to report.
+        """
+        running = [stage for stage in stages.values() if stage.running]
+        for stage in running:
+            if stage.ckpt is not None:
+                stage.ckpt.flush()
+        stage = running[0]
+        settled = stage.settled.values()
+        return CampaignInterrupted(
+            stage.spec,
+            signum,
+            n_cells=len(stage.cells),
+            n_settled=len(stage.settled),
+            n_executed=sum(1 for c in settled if c.ok and not c.cached),
+            n_cached=sum(1 for c in settled if c.cached),
+            n_failed=sum(1 for c in settled if not c.ok),
+            checkpoint_path=stage.ckpt.path if stage.ckpt is not None else None,
+        )
+
+    # -- planning ----------------------------------------------------------
 
     def dry_run(
         self, target: ExperimentSpec | PipelineSpec
@@ -1585,9 +1430,7 @@ class Runner:
             )
         return out
 
-    def _pipeline_plan(
-        self, pipeline: PipelineSpec
-    ) -> list[tuple[str, ExperimentSpec, tuple[str, ...], bool]]:
+    def _pipeline_plan(self, pipeline: PipelineSpec) -> list[_PlanRow]:
         """Resolve a pipeline into ``(key, spec, needs, external)`` rows.
 
         External spec references load from disk (anchored at the
@@ -1598,7 +1441,7 @@ class Runner:
         and needs/scenario signature mismatches fail before any cell
         runs.
         """
-        rows: list[tuple[str, ExperimentSpec, tuple[str, ...], bool]] = []
+        rows: list[_PlanRow] = []
         for need in pipeline.external_needs():
             path = pipeline.resolve_path(need)
             try:
@@ -1627,42 +1470,3 @@ class Runner:
                     "needs — it would have nothing to analyze"
                 )
         return rows
-
-    @staticmethod
-    def _is_needed(pipeline: PipelineSpec, key: str) -> bool:
-        """Whether an artifact-consuming stage reads ``key``'s artifacts."""
-        return any(
-            key in stage.needs
-            and scenario_needs_artifacts(stage.spec.scenario)
-            for stage in pipeline.stages
-        )
-
-    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_worker_init
-        )
-
-    @staticmethod
-    def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
-        """Shut the pool down without waiting for wedged workers.
-
-        ``shutdown(wait=True)`` would block until a hung cell returns —
-        exactly the leak this avoids.  Worker processes are terminated
-        outright; every settled result has already been fetched, and
-        abandoned cells are quarantined or journaled for resume.
-        """
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            try:
-                proc.terminate()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        for proc in procs:
-            try:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            except Exception:  # pragma: no cover - already gone
-                pass

@@ -50,15 +50,5 @@ __all__ = [
     "OnlineThroughputPredictor",
     "FixedRatePredictor",
     "prediction_error_cost_curve",
-    "run_sched_comparison",
 ]
 
-
-def __getattr__(name: str):
-    # compare imports loadtest (service layer), which imports this
-    # package; resolve lazily to keep the import graph acyclic
-    if name == "run_sched_comparison":
-        from .compare import run_sched_comparison
-
-        return run_sched_comparison
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

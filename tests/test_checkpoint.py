@@ -69,6 +69,11 @@ def _ck_kill_parent(params, seed):
     return {"x": params["x"]}
 
 
+@register_scenario("ck-sigterm-disposition")
+def _ck_sigterm_disposition(params, seed):
+    return {"ignored": signal.getsignal(signal.SIGTERM) == signal.SIG_IGN}
+
+
 def _echo_spec(n=4, **overrides) -> ExperimentSpec:
     base = dict(
         name="ck-grid",
@@ -364,6 +369,24 @@ def _ck_subproc(params, seed):
     return {"x": params["x"], "seed": seed}
 
 
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:  # exited while we looked
+            continue
+        # fields after the parenthesized command: state ppid pgrp ...
+        state, _ppid, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
 class TestSigkillResume:
     def test_sigkilled_run_resumes_without_recomputation(self, tmp_path):
         spec = ExperimentSpec(
@@ -384,11 +407,14 @@ class TestSigkillResume:
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
             "PYTHONPATH", ""
         )
+        # a session of its own: the child and its pool workers share one
+        # process group, which the hard kill takes down whole
         child = subprocess.Popen(
             [sys.executable, str(script), str(cache_dir), str(ck_dir)],
             env=env,
             stdout=subprocess.PIPE,
             text=True,
+            start_new_session=True,
         )
         try:
             # wait for the campaign to actually start, then let a couple
@@ -396,8 +422,14 @@ class TestSigkillResume:
             assert child.stdout.readline().strip() == "READY"
             time.sleep(1.3)
         finally:
-            child.kill()
-            child.wait()
+            os.killpg(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
+            child.stdout.close()
+        # no worker outlives the kill as an orphan
+        deadline = time.monotonic() + 5.0
+        while _group_members(child.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _group_members(child.pid) == []
 
         cache = ResultCache(cache_dir)
         n_settled_before = len(cache)
@@ -463,9 +495,14 @@ class TestTimeoutFromExecutionStart:
 
     def test_single_worker_queue_is_the_sharpest_pin(self):
         # with one worker the second cell waits out the whole first cell
-        # before starting; jobs=1 routes serial in run(), so drive the
-        # parallel executor directly to pin its budget clock
-        from repro.experiments.runner import _RunContext, _SignalDrain
+        # before starting; jobs=1 picks the in-process executor, so
+        # drive the pool executor directly to pin its budget clock
+        from repro.experiments.runner import (
+            _PoolExecutor,
+            _SignalDrain,
+            _Stage,
+            _Task,
+        )
 
         spec = ExperimentSpec(
             name="ck-queue-1w",
@@ -473,13 +510,19 @@ class TestTimeoutFromExecutionStart:
             axes={"sleep_s": (0.6, 0.61)},
             seed=0,
         )
-        runner = Runner(jobs=1, chunk_size=2, cell_timeout_s=1.0)
-        settled = {}
-        pending = [(cell, None) for cell in spec.cells()]
-        with _SignalDrain() as drain:
-            runner._run_parallel(
-                _RunContext(spec=spec), pending, settled, None, drain
-            )
+        runner = Runner(cell_timeout_s=1.0)
+        stage = _Stage(key=spec.name, spec=spec, needs=())
+        executor = _PoolExecutor(
+            runner._settle, workers=1, chunk_size=2, cell_timeout_s=1.0
+        )
+        try:
+            with _SignalDrain() as drain:
+                executor.run(
+                    [_Task(stage, cell, None) for cell in spec.cells()], drain
+                )
+        finally:
+            executor.close()
+        settled = stage.settled
         assert len(settled) == 2
         assert all(r.ok for r in settled.values()), {
             i: r.error for i, r in settled.items() if not r.ok
@@ -597,3 +640,44 @@ class TestHungWorkerRecycle:
         ).run(spec)
         assert again.n_cached == 1
         assert again.n_failed == 1
+
+
+class TestWorkerSignals:
+    def test_pool_workers_ignore_sigterm(self):
+        # the parent owns draining: a group-delivered SIGTERM must leave
+        # in-flight cells running, so workers ignore it outright rather
+        # than inheriting the parent's drain handler
+        spec = ExperimentSpec(
+            name="ck-sigterm",
+            scenario="ck-sigterm-disposition",
+            axes={"x": (0, 1, 2, 3)},
+            seed=0,
+        )
+        campaign = Runner(jobs=2, chunk_size=1).run(spec)
+        assert [c.result["ignored"] for c in campaign.cells] == [True] * 4
+
+    def test_recycling_kills_a_sleeping_worker_at_once(self):
+        from repro.experiments.runner import _PoolExecutor, _SignalDrain
+
+        executor = _PoolExecutor(
+            Runner()._settle, workers=1, chunk_size=1, cell_timeout_s=None
+        )
+        # workers fork inside the drain handler, exactly as in a run
+        with _SignalDrain():
+            pool = executor._new_pool()
+            pool.submit(time.sleep, 30.0)
+            time.sleep(0.3)  # let the worker pick the sleep up
+            procs = list(pool._processes.values())
+            t0 = time.perf_counter()
+            executor._kill_pool(pool)
+            elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"recycle took {elapsed:.2f} s"
+        # the pool's own manager thread may reap a worker first; wait
+        # for every exit status to land, then check it was the SIGKILL
+        deadline = time.monotonic() + 5.0
+        while (
+            any(proc.exitcode is None for proc in procs)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
+        assert [proc.exitcode for proc in procs] == [-signal.SIGKILL] * len(procs)

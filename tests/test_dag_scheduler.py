@@ -4,12 +4,15 @@ The scheduler's core contract is that *scheduling order is not
 observable in results*: any legal interleaving of runnable stages'
 cells — forced here through ``Runner.schedule_hook`` — must produce
 byte-identical artifacts, cache keys, and fingerprints to the serial
-``jobs=1`` stage loop.  Wall-clock seconds are the one sanctioned
+``jobs=1`` run, and both executors must reproduce the golden record
+taken from the stage-by-stage loop that ``jobs=1`` used before it ran
+on this scheduler.  Wall-clock seconds are the one sanctioned
 difference, so comparisons normalize ``wall_s`` away.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -28,6 +31,7 @@ from repro.experiments import (
     Runner,
     StageSpec,
     canonical_json,
+    keys_digest,
     register_scenario,
 )
 from repro.experiments.runner import plan_dag_summary
@@ -113,6 +117,57 @@ def _key_map(res) -> dict[str, tuple]:
         name: tuple(cell.key for cell in c.cells)
         for name, c in res.stages.items()
     }
+
+
+# -- golden record -----------------------------------------------------------
+
+#: ``_diamond()`` as the serial stage-by-stage loop ran it, before
+#: ``jobs=1`` became the ready-set scheduler over an in-process executor:
+#: stage -> (keys_digest of its cell keys, fingerprint, sha256 of
+#: canonical_json(results)).  An independent reference for both executors.
+_DIAMOND_GOLDEN = {
+    "workload": (
+        "a9da2e35eda877e464a684fc5912807466e796e00c766246c2f07a19d327cb63",
+        "fec4286bce722723a376fa231c039fb16021336074b4f61acd724026e59b3076",
+        "7fe0d761750b87837df5dd377ee7f06379706c24086c72f5a53e3327de22444d",
+    ),
+    "chaos": (
+        "5dd36964f7737ae71ac5b49f0d6285db5b896e2d1ba0485308d49d32382a235a",
+        "595cce5c2a70dc848b4ce01a82cd859ad5ef39b7b186527981bd463cf9be9847",
+        "58436b37113fd210b117701b5a32abeef85665e545570096776e81b7bc90d1fa",
+    ),
+    "direct": (
+        "fb50eed3007ccb087ee8dd514dad83965dba306315ce121ac06b7a3f835a1dae",
+        "672ab3ac54ef9c7a0e754977b1e84506548ed4a10e592966ed0bed1e576a69eb",
+        "466f463d59d137574cf5e8e90afc95d53d6766f2e26c28be354797e2a82ae529",
+    ),
+    "pareto": (
+        "4852f0d7ff0f4b813a2449bf819bc9829c8569abe9718d11ae2a08ad64c3c4ba",
+        "c5fa7fb3e033b7d5d90dd63e0cdf5efc8de296579a8181cb92375072de0dc88f",
+        "9e147caf6e27dc9a1f9daf2f969b0807a5b950cd0fa38b7583fc356684ecd691",
+    ),
+}
+
+
+class TestGoldenDiamond:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_both_executors_reproduce_the_golden_record(self, tmp_path, jobs):
+        res = Runner(
+            jobs=jobs, cache=ResultCache(tmp_path)
+        ).run_pipeline(_diamond())
+        got = {
+            name: (
+                keys_digest([cell.key for cell in stage.cells]),
+                stage.fingerprint,
+                hashlib.sha256(
+                    canonical_json(stage.results()).encode("utf-8")
+                ).hexdigest(),
+            )
+            for name, stage in res.stages.items()
+        }
+        assert got == _DIAMOND_GOLDEN
+        # plan order, not execution order
+        assert list(res.stages) == list(_DIAMOND_GOLDEN)
 
 
 # -- interleaving property ---------------------------------------------------

@@ -345,12 +345,6 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="consumes upstream artifacts"):
             Runner().run(spec)
 
-    def test_plain_scenario_refuses_inputs(self):
-        spec = ExperimentSpec(name="s", scenario="pp-val", params={"x": 1})
-        aset = ArtifactSet(name="w", artifacts=())
-        with pytest.raises(ValueError, match="takes no upstream artifacts"):
-            Runner().run(spec, inputs={"w": aset})
-
     def test_analysis_stage_without_needs_fails_fast(self):
         pipe = PipelineSpec(
             name="p",
