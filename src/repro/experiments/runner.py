@@ -1395,13 +1395,18 @@ class Runner:
         cache-hit census.  Downstream keys are computed from upstream
         *digests*, which are pure functions of the upstream keys — so
         the plan is exact, not an estimate: a subsequent real run
-        executes precisely the cells reported missing here.
+        executes precisely the cells reported missing here.  A flat
+        spec plans as the one-row plan :meth:`run` executes.
         """
         if isinstance(target, ExperimentSpec):
-            target = PipelineSpec.wrap(target)
+            rows = _validate_plan(
+                target.name, [(target.name, target, (), False)]
+            )
+        else:
+            rows = self._pipeline_plan(target)
         out: list[StagePlan] = []
         digests: dict[str, str] = {}
-        for key, spec, needs, external in self._pipeline_plan(target):
+        for key, spec, needs, external in rows:
             stage_inputs = (
                 {need: digests[need] for need in sorted(needs)}
                 if needs and scenario_needs_artifacts(spec.scenario)
@@ -1461,12 +1466,18 @@ class Runner:
             rows.append((need, loaded, (), True))
         for stage in pipeline.stage_order():
             rows.append((stage.name, stage.spec, stage.needs, False))
-        for key, spec, needs, _external in rows:
-            get_scenario(spec.scenario)  # fail fast, before any stage runs
-            if scenario_needs_artifacts(spec.scenario) and not needs:
-                raise ValueError(
-                    f"pipeline '{pipeline.name}': stage '{key}' runs "
-                    f"analysis scenario {spec.scenario!r} but declares no "
-                    "needs — it would have nothing to analyze"
-                )
-        return rows
+        return _validate_plan(pipeline.name, rows)
+
+
+def _validate_plan(name: str, rows: list[_PlanRow]) -> list[_PlanRow]:
+    """Fail fast, before any stage runs: unknown scenarios, and analysis
+    scenarios with no needs to analyze."""
+    for key, spec, needs, _external in rows:
+        get_scenario(spec.scenario)
+        if scenario_needs_artifacts(spec.scenario) and not needs:
+            raise ValueError(
+                f"pipeline '{name}': stage '{key}' runs analysis scenario "
+                f"{spec.scenario!r} but declares no needs — it would have "
+                "nothing to analyze"
+            )
+    return rows

@@ -383,20 +383,6 @@ class PipelineSpec:
         data = _load_spec_data(path)
         return cls.from_dict(data, base_dir=os.path.dirname(os.fspath(path)))
 
-    @classmethod
-    def wrap(cls, spec: ExperimentSpec) -> "PipelineSpec":
-        """A flat spec as the degenerate single-stage pipeline.
-
-        The stage keeps the spec *unchanged* (same name, same cells,
-        same fingerprint), so running the wrapped form is byte-identical
-        to running the flat spec directly.
-        """
-        return cls(
-            name=spec.name,
-            stages=(StageSpec(name=spec.name, spec=spec),),
-            seed=spec.seed,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "name": self.name,

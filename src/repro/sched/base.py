@@ -128,10 +128,6 @@ class TransferScheduler(abc.ABC):
     def n_pending(self) -> int:
         return len(self._pending)
 
-    def pending(self) -> tuple[Any, ...]:
-        """The requests currently awaiting a worker, in queue order."""
-        return tuple(self._pending)
-
     # -- the degradation ladder --------------------------------------------
 
     @abc.abstractmethod
@@ -199,17 +195,6 @@ class TransferScheduler(abc.ABC):
         must never draw from any RNG (the sim twins interleave it with
         seeded draws).
         """
-
-    # -- introspection -------------------------------------------------------
-
-    def describe(self) -> dict[str, Any]:
-        """JSON-safe identity for status endpoints and reports."""
-        return {
-            "name": self.name,
-            "workers": self.config.workers,
-            "queue_limit": self.config.queue_limit,
-            "tenant_quota": self.config.tenant_quota,
-        }
 
 
 #: registered policies, name -> class (filled by ``register_scheduler``)

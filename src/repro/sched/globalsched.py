@@ -17,9 +17,9 @@ the dispatch seam the daemon and the sim twin share:
 * deadline-bearing work always precedes unbounded work (a deadline
   can be lost to waiting; a makespan only grows).
 
-Everything else — admission, the degradation ladder, rate advice —
-stays at the first-come defaults so comparisons against ``fcfs``
-isolate the *ordering* decision.
+Everything else — admission, the degradation ladder, rate advice — is
+inherited from :class:`~repro.sched.fcfs.FcfsScheduler`, so comparisons
+against ``fcfs`` isolate the *ordering* decision.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from ..service.budget import DeadlineBudget, TransferPlan, plan_path
-from .base import TransferScheduler, register_scheduler
+from ..service.budget import DeadlineBudget
+from .base import register_scheduler
+from .fcfs import FcfsScheduler
 
 __all__ = ["GlobalScheduler", "dispatch_priority"]
 
@@ -36,14 +37,13 @@ __all__ = ["GlobalScheduler", "dispatch_priority"]
 def dispatch_priority(request: Any) -> tuple[int, float, float]:
     """Global dispatch key for one pending request (lower serves first).
 
-    Duck-typed over the daemon's ``ServiceRequest`` (bytes under
-    ``.task.total_bytes``) and the sim twin's ``_SimRequest`` (bytes
-    under ``.total_bytes``); anything without a budget is treated as
+    Reads ``total_bytes`` and ``budget`` — the shape of the service
+    core's :class:`~repro.service.core.ServiceRequest`, which both the
+    daemon and the sim twin enqueue; anything without a budget (a bare
+    :class:`~repro.gridftp.transfer_service.TransferTask`) is treated as
     unbounded.
     """
-    total_bytes = getattr(request, "total_bytes", None)
-    if total_bytes is None:
-        total_bytes = request.task.total_bytes
+    total_bytes = request.total_bytes
     budget: DeadlineBudget | None = getattr(request, "budget", None)
     remaining = math.inf if budget is None else budget.remaining()
     if math.isfinite(remaining):
@@ -52,7 +52,7 @@ def dispatch_priority(request: Any) -> tuple[int, float, float]:
 
 
 @register_scheduler
-class GlobalScheduler(TransferScheduler):
+class GlobalScheduler(FcfsScheduler):
     """Batch scheduling over the pending set: EDF, then LPT."""
 
     name = "global"
@@ -69,19 +69,3 @@ class GlobalScheduler(TransferScheduler):
         chosen = self._pending[best_index]
         del self._pending[best_index]
         return chosen
-
-    def plan(
-        self,
-        budget: DeadlineBudget,
-        total_bytes: float,
-        setup_estimate_s: float,
-    ) -> TransferPlan:
-        c = self.config
-        return plan_path(
-            budget,
-            total_bytes,
-            c.vc_rate_bps,
-            c.ip_rate_bps,
-            setup_estimate_s,
-            safety_factor=c.vc_safety_factor,
-        )

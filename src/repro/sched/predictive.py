@@ -197,11 +197,12 @@ def prediction_error_cost_curve(
     rate, goodput, and deadline expiry are attributable to the
     prediction error alone.
     """
+    from ..service.daemon import config_from_params
     from ..service.loadtest import run_loadtest_sim
 
     if 1.0 not in biases:
         raise ValueError("biases must include the oracle point 1.0")
-    config = _config_from_params(params)
+    config = config_from_params(params, seed).scheduler_config()
     rows: list[dict[str, Any]] = []
     for bias in biases:
         scheduler = PredictiveScheduler(
@@ -231,15 +232,3 @@ def prediction_error_cost_curve(
         row["goodput_cost_bps"] = oracle["goodput_bps"] - row["goodput_bps"]
         row["expired_cost"] = row["expired_frac"] - oracle["expired_frac"]
     return {"seed": seed, "oracle_bias": 1.0, "curve": rows}
-
-
-def _config_from_params(params: dict[str, Any]) -> SchedulerConfig:
-    """The loadtest params every scheduler decision reads, as a config."""
-    return SchedulerConfig(
-        workers=int(params.get("workers", 4)),
-        queue_limit=int(params.get("queue_limit", 16)),
-        tenant_quota=int(params.get("tenant_quota", 8)),
-        vc_rate_bps=float(params.get("vc_rate_bps", 1.6e9)),
-        ip_rate_bps=float(params.get("ip_rate_bps", 4e8)),
-        vc_safety_factor=float(params.get("vc_safety_factor", 1.25)),
-    )

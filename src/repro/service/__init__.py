@@ -14,23 +14,28 @@ stack misbehaves underneath it.  The pieces:
 * :mod:`~repro.service.health` — ``/health`` and ``/status`` views;
 * :mod:`~repro.service.api` — the control-socket protocol and the
   blocking client;
-* :mod:`~repro.service.daemon` — the daemon itself (serve, drain,
-  checkpoint, exit 75);
+* :mod:`~repro.service.core` — the sans-I/O request lifecycle
+  (submit, start, plan, requeue, settle) both drivers below share;
+* :mod:`~repro.service.daemon` — the core's asyncio driver: the daemon
+  itself (control socket, supervised loops, the reserve/ride ladder,
+  drain, checkpoint, exit 75) and the one params-to-config parser;
 * :mod:`~repro.service.soak` — the ``service_soak`` fault-storm
   scenario (closed-loop correctness);
 * :mod:`~repro.service.loadtest` — the ``service_loadtest`` open-loop
-  harness: arrival generators, latency SLOs, the deterministic twin.
+  harness: arrival generators, latency SLOs, and the deterministic
+  twin, the core's discrete-event driver.
 """
 
 from .admission import AdmissionController, AdmissionDecision
 from .api import AsyncServiceClient, ServiceClient, decode_line, encode_line
 from .budget import DeadlineBudget, PathChoice, TransferPlan, plan_path
+from .core import InvalidSubmission, ServiceCore, ServiceRequest
 from .daemon import (
     EXIT_DRAINED,
     DaemonConfig,
     InjectedCrash,
-    ServiceRequest,
     TransferDaemon,
+    config_from_params,
     run_daemon,
 )
 from .health import HealthMonitor, ServiceMetrics
@@ -59,9 +64,12 @@ __all__ = [
     "PathChoice",
     "TransferPlan",
     "plan_path",
-    "DaemonConfig",
-    "TransferDaemon",
+    "ServiceCore",
     "ServiceRequest",
+    "InvalidSubmission",
+    "DaemonConfig",
+    "config_from_params",
+    "TransferDaemon",
     "InjectedCrash",
     "run_daemon",
     "EXIT_DRAINED",

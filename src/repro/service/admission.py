@@ -12,7 +12,8 @@ answers with an explicit decision:
   instead of hammering the socket.
 
 Everything here is in **wall seconds** — clients sleep their
-``retry_after_s`` on real clocks, so the daemon converts its virtual
+``retry_after_s`` on real clocks, so the service core
+(:meth:`~repro.service.core.ServiceCore.settle`) converts virtual
 execution times through ``time_scale`` *before* calling
 :meth:`AdmissionController.note_service_s`.  Feeding virtual seconds in
 would tell a client to back off ``time_scale`` times too long (at the
@@ -25,9 +26,10 @@ draining) — the shed census the status endpoint reports.
 Since the pluggable-scheduling refactor, every
 :class:`~repro.sched.base.TransferScheduler` *owns* one controller
 (``scheduler.admission``) and forwards its admit/settle/retry-after
-calls to it — the daemon and the load-test twin reach admission only
-through that seam, so a policy can veto or re-order work without
-re-implementing the queue/quota/ledger bookkeeping here.
+calls to it — the service core, and so both the daemon and the
+load-test twin, reach admission only through that seam, so a policy
+can veto or re-order work without re-implementing the queue/quota/
+ledger bookkeeping here.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ This is the service-ification of
 of a batch object drained by :meth:`run`, a long-lived asyncio process
 accepts a continuous stream of transfer requests over a local JSON-lines
 control socket and keeps its promises while the VC stack misbehaves.
-The architecture follows the component/work-loop/status-loop shape of
+The request lifecycle itself — submit, start, plan, requeue, settle —
+is the sans-I/O :class:`~repro.service.core.ServiceCore`; this module is
+its asyncio driver, in the component/work-loop/status-loop shape of
 LTA-style replicators:
 
 * **admission** (:mod:`repro.service.admission`) — bounded queue,
@@ -33,13 +35,13 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import itertools
 import json
 import logging
 import os
 import signal
 import sys
-from typing import Any
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -52,18 +54,22 @@ from ..gridftp.reliability import (
     RestartPolicy,
     ScheduledOutages,
 )
-from ..gridftp.transfer_service import TransferTask
 from ..net.topology import esnet_like
 from ..vc.circuits import BatchSignalling
 from ..vc.oscars import OscarsIDC, ReservationRejected, ReservationRequest
+from .admission import AdmissionDecision
 from .api import MAX_LINE_BYTES, decode_line, encode_line, error_response
-from .budget import DeadlineBudget, PathChoice
-from .health import HealthMonitor, ServiceMetrics
+from .budget import PathChoice
+from .core import InvalidSubmission, ServiceCore, ServiceRequest
+from .health import HealthMonitor
 from .supervisor import Supervisor
+
+if TYPE_CHECKING:  # the sched package imports this package; stay lazy
+    from ..sched.base import SchedulerConfig
 
 __all__ = [
     "DaemonConfig",
-    "ServiceRequest",
+    "config_from_params",
     "InjectedCrash",
     "TransferDaemon",
     "run_daemon",
@@ -172,42 +178,77 @@ class DaemonConfig:
     def effective_checkpoint_path(self) -> str:
         return self.checkpoint_path or self.socket_path + ".ckpt.jsonl"
 
+    def scheduler_config(self) -> "SchedulerConfig":
+        """The service parameters the scheduling policy decides against."""
+        from ..sched.base import SchedulerConfig
 
-@dataclasses.dataclass
-class ServiceRequest:
-    """One accepted submission and its full lifecycle record."""
+        return SchedulerConfig(
+            workers=self.workers,
+            queue_limit=self.queue_limit,
+            tenant_quota=self.tenant_quota,
+            vc_rate_bps=self.vc_rate_bps,
+            ip_rate_bps=self.ip_rate_bps,
+            vc_safety_factor=self.vc_safety_factor,
+        )
 
-    request_id: int
-    tenant: str
-    task: TransferTask
-    budget: DeadlineBudget
-    settled: asyncio.Event
-    #: "vc" | "ip-degraded" | "ip-fallback" once planned
-    path: str | None = None
-    #: queued -> active -> succeeded | failed | expired | checkpointed
-    state: str = "queued"
-    error: str | None = None
-    #: where admission currently counts this request
-    admission_stage: str = "queued"  # "queued" | "in_flight" | "done"
-    crash_requeues: int = 0
-    #: virtual time a worker last picked this request up (None while
-    #: still queued) — the service-time EWMA measures from here, not
-    #: from submit, so queue wait never inflates retry-after hints
-    exec_started_vt: float | None = None
 
-    def response(self) -> dict[str, Any]:
-        """The settle/status body returned to clients."""
-        return {
-            "ok": True,
-            "request_id": self.request_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "path": self.path,
-            "files_done": self.task.files_done,
-            "n_files": len(self.task.file_sizes),
-            "error": self.error,
-            "budget": self.budget.snapshot(),
-        }
+#: the params keys a spec cell's service drivers read, with the default
+#: each takes when the cell names none
+_PARAM_DEFAULTS: dict[str, Any] = {
+    "workers": 4,
+    "time_scale": 3000.0,
+    "queue_limit": 16,
+    "tenant_quota": 8,
+    "vc_rate_bps": 1.6e9,
+    "ip_rate_bps": 4e8,
+    "vc_safety_factor": 1.25,
+    "batch_window_s": 60.0,
+    "reject_prob": 0.0,
+    "setup_timeout_prob": 0.0,
+    "flaps_per_hour": 0.0,
+    "flap_duration_s": 25.0,
+    "drain_grace_s": 15.0,
+    "scheduler": "fcfs",
+}
+
+
+def config_from_params(
+    params: Mapping[str, Any],
+    seed: int,
+    socket_path: str = "(no socket)",
+    defaults: Mapping[str, Any] | None = None,
+    **fixed: Any,
+) -> DaemonConfig:
+    """The one params-to-config parser of every service driver.
+
+    The live load test, the twin and the soak all read a cell's params
+    here, so a key one driver honours every driver honours.  Drivers
+    that open no socket (the twin) leave ``socket_path`` unset.
+    ``defaults`` replaces some of the table's defaults (the soak's fault
+    storm); ``fixed`` sets config fields that are not params.
+    """
+    table = {**_PARAM_DEFAULTS, **(defaults or {})}
+    return DaemonConfig(
+        socket_path=socket_path,
+        seed=seed,
+        **{"status_interval_s": 0.05, **fixed},
+        **{key: type(v)(params.get(key, v)) for key, v in table.items()},
+    )
+
+
+def _settle_response(req: ServiceRequest) -> dict[str, Any]:
+    """The settle/status body returned to clients."""
+    return {
+        "ok": True,
+        "request_id": req.request_id,
+        "tenant": req.tenant,
+        "state": req.state,
+        "path": req.path,
+        "files_done": req.files_done,
+        "n_files": len(req.file_sizes),
+        "error": req.error,
+        "budget": req.budget.snapshot(),
+    }
 
 
 class TransferDaemon:
@@ -256,26 +297,24 @@ class TransferDaemon:
             max_retries=config.backoff_max_retries,
         )
         self.stats = RecoveryStats()
-        self.metrics = ServiceMetrics()
         # every scheduling decision — admit/shed, dispatch order, the
         # degradation ladder, circuit rate, reservation windows — is the
         # policy object's (DESIGN.md §16); the daemon just asks it.
         # Imported lazily: repro.sched imports this package's modules.
-        from ..sched.base import SchedulerConfig, make_scheduler
+        from ..sched.base import make_scheduler
 
-        self.sched = make_scheduler(
-            config.scheduler,
-            SchedulerConfig(
-                workers=config.workers,
-                queue_limit=config.queue_limit,
-                tenant_quota=config.tenant_quota,
-                vc_rate_bps=config.vc_rate_bps,
-                ip_rate_bps=config.ip_rate_bps,
-                vc_safety_factor=config.vc_safety_factor,
-            ),
-        )
+        self.sched = make_scheduler(config.scheduler, config.scheduler_config())
         #: the policy's admission controller (status/health/drain views)
         self.admission = self.sched.admission
+        #: the request lifecycle; this class drives it from asyncio
+        self.core = ServiceCore(
+            self.sched,
+            self.vnow,
+            config.time_scale,
+            self.idc.setup_delay,
+            max_crash_requeues=config.max_crash_requeues,
+        )
+        self.metrics = self.core.metrics
         self.supervisor = Supervisor()
         self.supervisor.on_crash = self._on_loop_crash
         self.monitor = HealthMonitor(
@@ -285,8 +324,6 @@ class TransferDaemon:
             self.stats,
             heartbeat_timeout_s=config.heartbeat_timeout_s,
         )
-        self._ids = itertools.count(1)
-        self._requests: dict[int, ServiceRequest] = {}
         #: the request each work loop currently holds (crash re-enqueue)
         self._current: dict[str, ServiceRequest | None] = {}
         self._queue: asyncio.Queue[Any] | None = None
@@ -377,13 +414,13 @@ class TransferDaemon:
         # freeze the workers before checkpointing what they still hold
         await self.supervisor.stop()
         checkpointed = [
-            r for r in self._requests.values()
+            r for r in self.core.requests.values()
             if r.state in ("queued", "active")
         ]
         if checkpointed:
             self._write_checkpoint(checkpointed)
         for req in checkpointed:
-            self._settle(req, "checkpointed")
+            self.core.settle(req, "checkpointed")
         # let waiters on just-settled requests receive their responses
         await asyncio.sleep(0.05)
         self.drain_report = {
@@ -415,8 +452,8 @@ class TransferDaemon:
                 fh.write(json.dumps({
                     "request_id": req.request_id,
                     "tenant": req.tenant,
-                    "file_sizes": list(req.task.file_sizes),
-                    "files_done": req.task.files_done,
+                    "file_sizes": list(req.file_sizes),
+                    "files_done": req.files_done,
                     "deadline_s": req.budget.deadline_s,
                     "remaining_s": (
                         None if req.budget.deadline_s is None
@@ -482,77 +519,43 @@ class TransferDaemon:
         return error_response(f"unknown op {op!r}")
 
     async def _op_submit(self, msg: dict[str, Any]) -> dict[str, Any]:
-        self.metrics.n_submitted += 1
-        tenant = msg.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            # refused before admission — still a submission, so it must
-            # land in the invalid census for the ledger to balance
-            self.metrics.n_invalid += 1
-            return error_response(
-                "invalid submission: tenant must be a non-empty string"
+        try:
+            req = self.core.submit(
+                msg.get("tenant", "default"),
+                msg.get("file_sizes"),
+                msg.get("deadline_s", self.config.default_deadline_s),
             )
-        decision = self.sched.admit(tenant)
-        if not decision.admitted:
-            self.metrics.n_shed += 1
+        except InvalidSubmission as exc:
+            return error_response(f"invalid submission: {exc}")
+        if isinstance(req, AdmissionDecision):
+            # shed: the core hands back the scheduler's own decision
             return error_response(
                 "rejected",
                 status="rejected",
-                reason=decision.reason,
-                retry_after_s=decision.retry_after_s,
+                reason=req.reason,
+                retry_after_s=req.retry_after_s,
             )
-        deadline = msg.get("deadline_s", self.config.default_deadline_s)
-        try:
-            if deadline is not None:
-                deadline = float(deadline)
-            sizes = msg.get("file_sizes")
-            if not isinstance(sizes, list):
-                raise ValueError("file_sizes must be a list of byte counts")
-            rid = next(self._ids)
-            task = TransferTask(
-                task_id=rid,
-                src_host=0,
-                dst_host=1,
-                file_sizes=tuple(float(s) for s in sizes),
-                submitted_at=self.vnow(),
-                deadline_s=deadline,
-            )
-            budget = DeadlineBudget(deadline, self.vnow)
-        except (TypeError, ValueError) as exc:
-            # invalid submission: hand the admission slot straight back
-            # and count it, so n_submitted == n_accepted + n_shed +
-            # n_invalid always balances
-            self.sched.on_settle(tenant, started=False)
-            self.metrics.n_invalid += 1
-            return error_response(f"invalid submission: {exc}")
-        req = ServiceRequest(
-            request_id=rid,
-            tenant=tenant,
-            task=task,
-            budget=budget,
-            settled=asyncio.Event(),
-        )
-        self._requests[rid] = req
-        self.metrics.n_accepted += 1
+        req.settled = asyncio.Event()
         assert self._queue is not None
-        self.sched.enqueue(req)
         self._queue.put_nowait(_WAKE)
         if msg.get("wait"):
             await req.settled.wait()
-            return req.response()
+            return _settle_response(req)
         return {
             "ok": True,
             "status": "accepted",
-            "request_id": rid,
-            "tenant": tenant,
+            "request_id": req.request_id,
+            "tenant": req.tenant,
         }
 
     async def _op_wait(self, msg: dict[str, Any]) -> dict[str, Any]:
         rid = msg.get("request_id")
-        req = self._requests.get(rid) if isinstance(rid, int) else None
+        # ``type`` check, not isinstance: JSON ``true`` is no request id
+        req = self.core.requests.get(rid) if type(rid) is int else None
         if req is None:
             return error_response(f"unknown request_id {rid!r}")
         await req.settled.wait()
-        return req.response()
+        return _settle_response(req)
 
     def _op_crash(self, msg: dict[str, Any]) -> dict[str, Any]:
         if not self.config.chaos_ops:
@@ -577,16 +580,10 @@ class TransferDaemon:
                 raise InjectedCrash(f"chaos crash op consumed by {name}")
             # the token says work exists; *which* request runs next is
             # the scheduler's global choice over everything pending
-            req: ServiceRequest | None = self.sched.next_request()
+            req = self.core.start()
             if req is None:
-                continue  # another worker raced us to the pending set
-            if req.state != "queued":
-                continue  # settled while queued (drain checkpoint race)
+                continue
             self._current[name] = req
-            self.sched.on_start(req.tenant)
-            req.admission_stage = "in_flight"
-            req.state = "active"
-            req.exec_started_vt = self.vnow()
             try:
                 await self._execute(req)
             except asyncio.CancelledError:
@@ -596,7 +593,7 @@ class TransferDaemon:
             except Exception as exc:
                 # a request-level bug fails the request, not the loop
                 logger.exception("request %d failed", req.request_id)
-                self._settle(req, "failed", error=repr(exc))
+                self.core.settle(req, "failed", error=repr(exc))
             finally:
                 self._current[name] = None
 
@@ -604,25 +601,12 @@ class TransferDaemon:
         """Supervisor hook: never lose the request a crashed loop held."""
         req = self._current.get(name)
         self._current[name] = None
-        if req is None or req.state != "active":
-            return
-        req.crash_requeues += 1
-        if req.crash_requeues > self.config.max_crash_requeues:
-            self._settle(
-                req, "failed",
-                error=f"work loop crashed {req.crash_requeues} times "
-                      f"holding this request",
+        if req is not None and self.core.requeue(req):
+            assert self._queue is not None
+            self._queue.put_nowait(_WAKE)
+            logger.warning(
+                "request %d re-enqueued after %r crash", req.request_id, name
             )
-            return
-        req.state = "queued"
-        req.admission_stage = "queued"
-        self.sched.on_requeue(req.tenant)
-        assert self._queue is not None
-        self.sched.enqueue(req)
-        self._queue.put_nowait(_WAKE)
-        logger.warning(
-            "request %d re-enqueued after %r crash", req.request_id, name
-        )
 
     async def _status_loop(self) -> None:
         while True:
@@ -633,17 +617,11 @@ class TransferDaemon:
 
     async def _execute(self, req: ServiceRequest) -> None:
         c = self.config
-        now = self.vnow()
-        setup_estimate = max(
-            self.idc.setup_delay.ready_time(now) - now, 0.0
-        )
-        plan = self.sched.plan(
-            req.budget, req.task.total_bytes, setup_estimate
-        )
+        plan = self.core.plan(req)
         if plan.choice is PathChoice.VC:
             # the circuit rate to *request* is the policy's advice (fcfs:
             # the nominal rate; predictive: history's achievable rate)
-            vc_rate = self.sched.rate_advice(req.task.total_bytes)
+            vc_rate = self.sched.rate_advice(req.total_bytes)
             try:
                 vc = await self._reserve(
                     req, plan.transfer_estimate_s, vc_rate
@@ -657,7 +635,7 @@ class TransferDaemon:
                 return
             # signalling landed, but the waits may have eaten the budget:
             # re-check before committing the bytes to the circuit
-            vc_transfer = req.task.total_bytes * 8.0 / vc_rate
+            vc_transfer = req.total_bytes * 8.0 / vc_rate
             if not req.budget.can_afford(vc_transfer):
                 self._teardown(vc)
                 req.path = PathChoice.IP_DEGRADED.value
@@ -724,7 +702,7 @@ class TransferDaemon:
         if self.injector is None:
             return None
         ride_start = self.vnow()
-        est = req.task.total_bytes * 8.0 / self.config.vc_rate_bps
+        est = req.total_bytes * 8.0 / self.config.vc_rate_bps
         intervals = merge_intervals(
             self.injector.flap_intervals(ride_start, ride_start + 3.0 * est + 600.0)
         )
@@ -736,17 +714,19 @@ class TransferDaemon:
         rate_bps: float,
         outages: ScheduledOutages | None,
     ) -> None:
-        """Move the task's remaining files at ``rate_bps``; settle it."""
-        task = req.task
-        while task.files_done < len(task.file_sizes):
+        """Move the request's remaining files at ``rate_bps``; settle it."""
+        n_files = len(req.file_sizes)
+        while req.files_done < n_files:
+            # the daemon's expiry rule: the deadline is checked before
+            # each file, so a last file that lands late still succeeds
             if req.budget.expired:
-                self._settle(
+                self.core.settle(
                     req, "expired",
                     error=f"deadline exhausted at "
-                          f"{task.files_done}/{len(task.file_sizes)} files",
+                          f"{req.files_done}/{n_files} files",
                 )
                 return
-            size = task.file_sizes[task.files_done]
+            size = req.file_sizes[req.files_done]
             outs = (
                 outages.outages_after(self.vnow()) if outages is not None else []
             )
@@ -762,54 +742,15 @@ class TransferDaemon:
                 result = self.reliable.execute(size, rate_bps, self.rng)
             await self.vsleep(result.total_wall_s)
             if not result.succeeded:
-                self._settle(
+                self.core.settle(
                     req, "failed",
-                    error=f"file {task.files_done} exhausted its "
+                    error=f"file {req.files_done} exhausted its "
                           f"retry budget",
                 )
                 return
-            task.files_done += 1
+            req.files_done += 1
             self.metrics.n_files_moved += 1
-        self._settle(req, "succeeded")
-
-    # -- settlement --------------------------------------------------------
-
-    def _settle(
-        self, req: ServiceRequest, state: str, error: str | None = None
-    ) -> None:
-        if req.state in ("succeeded", "failed", "expired", "checkpointed"):
-            return  # already terminal (drain/crash races)
-        req.state = state
-        req.error = error
-        if state == "succeeded":
-            self.metrics.n_completed += 1
-        elif state == "failed":
-            self.metrics.n_failed += 1
-        elif state == "expired":
-            self.metrics.n_expired += 1
-        elif state == "checkpointed":
-            self.metrics.n_checkpointed += 1
-        if req.admission_stage == "queued":
-            self.sched.on_settle(req.tenant, started=False)
-        elif req.admission_stage == "in_flight":
-            self.sched.on_settle(req.tenant, started=True)
-        req.admission_stage = "done"
-        if req.exec_started_vt is not None:
-            # clock-domain boundary: the budget runs in *virtual* seconds
-            # but retry-after hints are slept in *wall* seconds by
-            # clients, so convert through time_scale here; and measure
-            # from execution start, not submit, so backlog queue wait
-            # does not compound the backoff
-            exec_virtual_s = max(self.vnow() - req.exec_started_vt, 0.0)
-            self.sched.note_service_s(
-                exec_virtual_s / self.config.time_scale
-            )
-            if req.path is not None and state == "succeeded":
-                # the policy learns from what the ride achieved
-                self.sched.observe(
-                    req.task.total_bytes, exec_virtual_s, req.path
-                )
-        req.settled.set()
+        self.core.settle(req, "succeeded")
 
 
 def run_daemon(config: DaemonConfig) -> int:

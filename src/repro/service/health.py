@@ -26,7 +26,18 @@ from ..faults.recovery import RecoveryStats
 from .admission import AdmissionController
 from .supervisor import Supervisor
 
-__all__ = ["ServiceMetrics", "HealthMonitor"]
+__all__ = ["SETTLED_STATES", "ServiceMetrics", "HealthMonitor"]
+
+#: terminal request state -> the :class:`ServiceMetrics` counter it bumps
+_SETTLED_COUNTERS = {
+    "succeeded": "n_completed",
+    "failed": "n_failed",
+    "expired": "n_expired",
+    "checkpointed": "n_checkpointed",
+}
+
+#: the terminal request states
+SETTLED_STATES = frozenset(_SETTLED_COUNTERS)
 
 
 @dataclasses.dataclass
@@ -61,6 +72,11 @@ class ServiceMetrics:
             self.n_completed + self.n_failed + self.n_expired
             + self.n_checkpointed
         )
+
+    def count_settled(self, state: str) -> None:
+        """Count one accepted request reaching terminal ``state``."""
+        name = _SETTLED_COUNTERS[state]
+        setattr(self, name, getattr(self, name) + 1)
 
     @property
     def n_lost(self) -> int:

@@ -21,11 +21,11 @@ daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
   response, so driver lateness and queue wait both count against the
   SLO;
 * **a deterministic twin** — :func:`run_loadtest_sim` replays the same
-  arrival schedule and request mix through a discrete-event model of the
-  daemon's admission/budget/service pipeline (the *same*
-  :class:`~repro.service.admission.AdmissionController` and
-  :func:`~repro.service.budget.plan_path` code, hand-cranked clock), so
-  two runs with one seed produce byte-identical censuses — the Ext-U
+  arrival schedule and request mix as the *discrete-event driver* of the
+  daemon's own :class:`~repro.service.core.ServiceCore`: the same
+  submit/start/plan/settle lifecycle the asyncio daemon drives, on an
+  event heap with a hand-cranked clock and a seeded service-time model,
+  so two runs with one seed produce byte-identical censuses — the Ext-U
   bench's regression anchor;
 * **an SLO report** — :class:`LoadTestReport` pins p50/p95/p99 request
   latency (via :class:`~repro.core.streaming.QuantileSketch`),
@@ -53,8 +53,10 @@ from ..core.streaming import QuantileSketch
 from ..vc.circuits import BatchSignalling
 from ..workload.diurnal import DiurnalProfile, sample_arrivals
 from .api import AsyncServiceClient
-from .budget import DeadlineBudget, PathChoice
-from .daemon import DaemonConfig, TransferDaemon
+from .budget import PathChoice, TransferPlan
+from .core import InvalidSubmission, ServiceCore, ServiceRequest
+from .daemon import TransferDaemon, config_from_params
+from .health import SETTLED_STATES, ServiceMetrics
 
 if TYPE_CHECKING:  # the sched package imports this module; stay lazy
     from ..sched.base import TransferScheduler
@@ -458,7 +460,7 @@ def _report_from_counts(
     *,
     mode: str,
     params: Mapping[str, Any],
-    counts: Mapping[str, int],
+    counts: ServiceMetrics,
     shed: Mapping[str, int],
     paths: Mapping[str, int],
     recorder: LatencyRecorder,
@@ -474,24 +476,21 @@ def _report_from_counts(
     tenant_succeeded: Mapping[str, int] | None = None,
 ) -> LoadTestReport:
     lat = recorder.summary()
-    n_offered = int(counts["n_offered"])
-    n_settled_ok = (
-        int(counts["n_succeeded"]) + int(counts["n_failed"])
-        + int(counts["n_expired"]) + int(counts["n_checkpointed"])
-    )
+    n_offered = counts.n_submitted
+    n_settled_ok = counts.n_settled
     return LoadTestReport(
         mode=mode,
         arrivals=str(params.get("arrivals", "poisson")),
         time_scale=time_scale,
         n_offered=n_offered,
-        n_accepted=int(counts["n_accepted"]),
-        n_shed=int(counts["n_shed"]),
-        n_invalid=int(counts["n_invalid"]),
+        n_accepted=counts.n_accepted,
+        n_shed=counts.n_shed,
+        n_invalid=counts.n_invalid,
         shed={k: int(v) for k, v in sorted(shed.items())},
-        n_succeeded=int(counts["n_succeeded"]),
-        n_failed=int(counts["n_failed"]),
-        n_expired=int(counts["n_expired"]),
-        n_checkpointed=int(counts["n_checkpointed"]),
+        n_succeeded=counts.n_completed,
+        n_failed=counts.n_failed,
+        n_expired=counts.n_expired,
+        n_checkpointed=counts.n_checkpointed,
         paths={k: int(v) for k, v in sorted(paths.items())},
         latency_domain=latency_domain,
         latency_p50_s=lat["p50"],
@@ -509,9 +508,7 @@ def _report_from_counts(
         n_outstanding_samples=len(outstanding_samples),
         retry_after_max_s=retry_after_max_s,
         scheduler=scheduler,
-        availability=(
-            int(counts["n_succeeded"]) / n_offered if n_offered else 0.0
-        ),
+        availability=counts.n_completed / n_offered if n_offered else 0.0,
         bytes_moved=float(bytes_moved),
         goodput_bps=(
             bytes_moved * 8.0 / duration_s if duration_s > 0 else 0.0
@@ -539,28 +536,6 @@ def _jain_index(counts: Mapping[str, int] | None) -> float | None:
 
 # ---------------------------------------------------------------------------
 # the open-loop live driver
-
-
-def _daemon_config(
-    params: Mapping[str, Any], seed: int, socket_path: str
-) -> DaemonConfig:
-    return DaemonConfig(
-        socket_path=socket_path,
-        workers=int(params.get("workers", 4)),
-        time_scale=float(params.get("time_scale", 3000.0)),
-        queue_limit=int(params.get("queue_limit", 16)),
-        tenant_quota=int(params.get("tenant_quota", 8)),
-        vc_rate_bps=float(params.get("vc_rate_bps", 1.6e9)),
-        ip_rate_bps=float(params.get("ip_rate_bps", 4e8)),
-        reject_prob=float(params.get("reject_prob", 0.0)),
-        setup_timeout_prob=float(params.get("setup_timeout_prob", 0.0)),
-        flaps_per_hour=float(params.get("flaps_per_hour", 0.0)),
-        flap_duration_s=float(params.get("flap_duration_s", 25.0)),
-        drain_grace_s=float(params.get("drain_grace_s", 15.0)),
-        status_interval_s=0.05,
-        seed=seed,
-        scheduler=str(params.get("scheduler", "fcfs")),
-    )
 
 
 async def _drive_open_loop(
@@ -645,13 +620,9 @@ def _classify(
     responses: list[dict[str, Any] | None],
     latencies: list[float | None],
     recorder: LatencyRecorder,
-) -> tuple[dict[str, int], dict[str, int], dict[str, int], float | None]:
+) -> tuple[ServiceMetrics, dict[str, int], dict[str, int], float | None]:
     """Client-side censuses from the per-request responses."""
-    counts = {
-        "n_offered": len(responses), "n_accepted": 0, "n_shed": 0,
-        "n_invalid": 0, "n_succeeded": 0, "n_failed": 0, "n_expired": 0,
-        "n_checkpointed": 0,
-    }
+    counts = ServiceMetrics(n_submitted=len(responses))
     shed: dict[str, int] = {}
     paths: dict[str, int] = {}
     retry_after_max: float | None = None
@@ -659,25 +630,25 @@ def _classify(
         if resp is None:
             raise AssertionError("a submission never got a response")
         if resp.get("ok"):
-            counts["n_accepted"] += 1
+            counts.n_accepted += 1
             state = resp.get("state")
-            if state not in ("succeeded", "failed", "expired", "checkpointed"):
+            if state not in SETTLED_STATES:
                 raise AssertionError(f"non-terminal settle state {state!r}")
-            counts[f"n_{state}"] += 1
+            counts.count_settled(state)
             if resp.get("path") is not None:
                 paths[resp["path"]] = paths.get(resp["path"], 0) + 1
             if state != "checkpointed" and lat is not None:
                 # checkpointed requests settle at drain, not by service
                 recorder.record(lat)
         elif resp.get("status") == "rejected":
-            counts["n_shed"] += 1
+            counts.n_shed += 1
             reason = str(resp.get("reason"))
             shed[reason] = shed.get(reason, 0) + 1
             hint = resp.get("retry_after_s")
             if hint is not None:
                 retry_after_max = max(retry_after_max or 0.0, float(hint))
         elif str(resp.get("error", "")).startswith("invalid submission"):
-            counts["n_invalid"] += 1
+            counts.n_invalid += 1
         else:
             raise AssertionError(f"unexpected response {resp!r}")
     return counts, shed, paths, retry_after_max
@@ -709,7 +680,7 @@ def run_loadtest(
     if socket_path is None:
         with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
             sock = os.path.join(tmp, "svc.sock")
-            config = _daemon_config(params, seed, sock)
+            config = config_from_params(params, seed, sock)
             time_scale = config.time_scale
 
             async def body() -> dict[str, Any]:
@@ -767,14 +738,11 @@ def run_loadtest(
     )
     # the daemon's own ledger must agree with the client-side censuses
     dm = raw["daemon_metrics"]
-    for ours, theirs in (
-        ("n_accepted", "n_accepted"), ("n_shed", "n_shed"),
-        ("n_invalid", "n_invalid"),
-    ):
-        if counts[ours] != dm[theirs]:
+    for key in ("n_accepted", "n_shed", "n_invalid"):
+        if getattr(counts, key) != dm[key]:
             raise AssertionError(
-                f"client-side {ours}={counts[ours]} disagrees with the "
-                f"daemon's {theirs}={dm[theirs]}"
+                f"client-side {key}={getattr(counts, key)} disagrees with "
+                f"the daemon's {key}={dm[key]}"
             )
     # the bound comes from the daemon's own /status (works for external
     # daemons too); fall back to the configured limit if sampling missed
@@ -797,16 +765,7 @@ def run_loadtest(
 
 
 # ---------------------------------------------------------------------------
-# the deterministic twin (discrete-event, hand-cranked clock)
-
-
-@dataclasses.dataclass
-class _SimRequest:
-    index: int
-    tenant: str
-    total_bytes: float
-    budget: DeadlineBudget
-    arrived_at: float
+# the deterministic twin (the core's discrete-event driver)
 
 
 def run_loadtest_sim(
@@ -817,76 +776,64 @@ def run_loadtest_sim(
     """The load test as a deterministic discrete-event model.
 
     Replays the same seeded arrival schedule and request mix as
-    :func:`run_loadtest` through a real
-    :class:`~repro.sched.TransferScheduler` — admission, dispatch
-    order, and the degradation ladder are *its* decisions (the default
-    ``fcfs`` policy is the daemon's admission controller plus
-    :func:`plan_path`, bit-exact with the pre-seam twin) — with service
-    times from the batch-signalling cadence plus seeded jitter, on a
-    hand-cranked virtual clock.  Free of real concurrency, so two runs
-    with one seed and one policy produce *identical* reports (modulo
-    ``wall_s``) — the regression anchor the Ext-U bench pins.
+    :func:`run_loadtest` through the daemon's own request lifecycle — a
+    :class:`~repro.service.core.ServiceCore` over a real
+    :class:`~repro.sched.TransferScheduler`, so admission, dispatch
+    order, the degradation ladder and settlement are the code the
+    daemon runs — driven by an event heap on a hand-cranked virtual
+    clock, with service times from the batch-signalling cadence plus
+    seeded jitter.  Free of real concurrency, so two runs with one seed
+    and one policy produce *identical* reports (modulo ``wall_s``) —
+    the regression anchor the Ext-U bench pins.
+
+    One model choice differs from the daemon: a ride completing after
+    its deadline settles ``expired`` here, where the daemon checks the
+    deadline only before each file.
 
     Pass ``scheduler`` to drive a pre-built policy object (the
     prediction-error cost curve injects biased predictors this way);
     otherwise ``params["scheduler"]`` names the policy.
     """
-    from ..sched.base import SchedulerConfig, make_scheduler
+    from ..sched.base import make_scheduler
 
     rng = np.random.default_rng(seed)
     schedule = build_schedule(params, rng)
     mix = RequestMix.from_params(params, rng)
     service_rng = np.random.default_rng(seed + 1)
 
-    time_scale = float(params.get("time_scale", 3000.0))
-    workers = int(params.get("workers", 4))
-    vc_rate = float(params.get("vc_rate_bps", 1.6e9))
-    ip_rate = float(params.get("ip_rate_bps", 4e8))
-    safety = float(params.get("vc_safety_factor", 1.25))
-    reject_prob = float(params.get("reject_prob", 0.0))
-    flaps_per_hour = float(params.get("flaps_per_hour", 0.0))
-    flap_duration_s = float(params.get("flap_duration_s", 25.0))
+    config = config_from_params(params, seed)
+    # model-only params: the daemon has no counterpart for these
     jitter_sigma = float(params.get("service_jitter_sigma", 0.1))
     reject_penalty_s = float(params.get("reject_penalty_s", 30.0))
-    signalling = BatchSignalling(
-        batch_window_s=float(params.get("batch_window_s", 60.0))
-    )
 
     if scheduler is None:
-        scheduler = make_scheduler(
-            str(params.get("scheduler", "fcfs")),
-            SchedulerConfig(
-                workers=workers,
-                queue_limit=int(params.get("queue_limit", 16)),
-                tenant_quota=int(params.get("tenant_quota", 8)),
-                vc_rate_bps=vc_rate,
-                ip_rate_bps=ip_rate,
-                vc_safety_factor=safety,
-            ),
-        )
-    admission = scheduler.admission
+        scheduler = make_scheduler(config.scheduler, config.scheduler_config())
     clock = [0.0]
-    counts = {
-        "n_offered": 0, "n_accepted": 0, "n_shed": 0, "n_invalid": 0,
-        "n_succeeded": 0, "n_failed": 0, "n_expired": 0, "n_checkpointed": 0,
-    }
+    core = ServiceCore(
+        scheduler,
+        lambda: clock[0],
+        config.time_scale,
+        BatchSignalling(batch_window_s=config.batch_window_s),
+    )
+    admission = scheduler.admission
     paths: dict[str, int] = {}
     recorder = LatencyRecorder()
     outstanding_samples: list[int] = []
     retry_after_max: float | None = None
-    free_workers = workers
+    free_workers = config.workers
     bytes_moved = 0.0
     tenant_succeeded: dict[str, int] = {}
 
     t_start = time.perf_counter()
-    events: list[tuple[float, int, str, Any]] = []
-    seq = 0
-    for i, t in enumerate(schedule):
-        events.append((float(t), seq, "arrival", i))
-        seq += 1
+    events: list[tuple[float, int, str, Any]] = [
+        (float(t), i, "arrival", i) for i, t in enumerate(schedule)
+    ]
+    seq = len(events)
     heapq.heapify(events)
 
-    def service_time(req: _SimRequest) -> tuple[float, str]:
+    def service_time(
+        req: ServiceRequest, plan: TransferPlan
+    ) -> tuple[float, str]:
         """One request's service seconds and the path it rides.
 
         The *path* is the scheduler's call (its degradation ladder at
@@ -895,88 +842,64 @@ def run_loadtest_sim(
         cadence, seeded jitter and flaps — so a policy that mispredicts
         pays for it in outcomes rather than bending physics.
         """
-        now = clock[0]
-        setup = max(signalling.ready_time(now) - now, 0.0)
-        plan = scheduler.plan(req.budget, req.total_bytes, setup)
         jitter = float(np.exp(service_rng.normal(0.0, jitter_sigma)))
-        if plan.choice is PathChoice.VC:
-            if reject_prob > 0 and service_rng.random() < reject_prob:
-                # reservation retries exhausted: routed-IP recovery
-                ip_s = req.total_bytes * 8.0 / ip_rate
-                return (reject_penalty_s + ip_s * jitter,
-                        PathChoice.IP_FALLBACK.value)
-            vc_s = req.total_bytes * 8.0 / vc_rate
-            if flaps_per_hour > 0:
-                n_flaps = int(service_rng.poisson(
-                    flaps_per_hour * vc_s / 3600.0
-                ))
-                vc_s += n_flaps * flap_duration_s
-            return setup + vc_s * jitter, PathChoice.VC.value
-        ip_s = req.total_bytes * 8.0 / ip_rate
-        return ip_s * jitter, PathChoice.IP_DEGRADED.value
+        ip_s = req.total_bytes * 8.0 / config.ip_rate_bps
+        if plan.choice is not PathChoice.VC:
+            return ip_s * jitter, PathChoice.IP_DEGRADED.value
+        if config.reject_prob > 0 and service_rng.random() < config.reject_prob:
+            # reservation retries exhausted: routed-IP recovery
+            return (reject_penalty_s + ip_s * jitter,
+                    PathChoice.IP_FALLBACK.value)
+        vc_s = req.total_bytes * 8.0 / config.vc_rate_bps
+        if config.flaps_per_hour > 0:
+            n_flaps = int(service_rng.poisson(
+                config.flaps_per_hour * vc_s / 3600.0
+            ))
+            vc_s += n_flaps * config.flap_duration_s
+        # the plan charged the signalling wait it saw
+        return plan.setup_estimate_s + vc_s * jitter, PathChoice.VC.value
 
     def dispatch() -> None:
         nonlocal free_workers, seq
         while free_workers > 0 and scheduler.n_pending:
-            req = scheduler.next_request()
-            scheduler.on_start(req.tenant)
+            req = core.start()
             free_workers -= 1
-            svc, path = service_time(req)
-            paths[path] = paths.get(path, 0) + 1
-            heapq.heappush(
-                events, (clock[0] + svc, seq, "done", (req, svc, path))
-            )
+            svc, req.path = service_time(req, core.plan(req))
+            paths[req.path] = paths.get(req.path, 0) + 1
+            heapq.heappush(events, (clock[0] + svc, seq, "done", req))
             seq += 1
 
     while events:
         t, _, kind, payload = heapq.heappop(events)
         clock[0] = t
         if kind == "arrival":
-            i = payload
-            item = mix[i]
-            counts["n_offered"] += 1
-            decision = scheduler.admit(item["tenant"])
-            if not decision.admitted:
-                counts["n_shed"] += 1
-                if decision.retry_after_s is not None:
+            item = mix[payload]
+            try:
+                outcome = core.submit(
+                    item["tenant"], item["file_sizes"], item["deadline_s"]
+                )
+            except InvalidSubmission:
+                pass
+            else:
+                if isinstance(outcome, ServiceRequest):
+                    dispatch()
+                elif outcome.retry_after_s is not None:
                     retry_after_max = max(
-                        retry_after_max or 0.0, decision.retry_after_s
+                        retry_after_max or 0.0, outcome.retry_after_s
                     )
-            elif item["invalid"]:
-                # mirrors the daemon: admitted, then refused at
-                # validation with the slot handed straight back
-                scheduler.on_settle(item["tenant"], started=False)
-                counts["n_invalid"] += 1
-            else:
-                counts["n_accepted"] += 1
-                scheduler.enqueue(_SimRequest(
-                    index=i,
-                    tenant=item["tenant"],
-                    total_bytes=float(sum(item["file_sizes"])),
-                    budget=DeadlineBudget(
-                        item["deadline_s"], lambda: clock[0]
-                    ),
-                    arrived_at=t,
-                ))
-                dispatch()
         else:
-            req, svc, path = payload
+            req = payload
             free_workers += 1
-            scheduler.on_settle(req.tenant, started=True)
-            # the fixed daemon feeds *wall* execution seconds to the EWMA
-            scheduler.note_service_s(svc / time_scale)
-            # the policy sees what the ride achieved (observe never
-            # draws RNG, so the seeded streams stay aligned)
-            scheduler.observe(req.total_bytes, svc, path)
-            if req.budget.expired:
-                counts["n_expired"] += 1
-            else:
-                counts["n_succeeded"] += 1
+            # the ride moved every file; late completions are expired
+            req.files_done = len(req.file_sizes)
+            expired = req.budget.expired
+            core.settle(req, "expired" if expired else "succeeded")
+            if not expired:
                 bytes_moved += req.total_bytes
                 tenant_succeeded[req.tenant] = (
                     tenant_succeeded.get(req.tenant, 0) + 1
                 )
-            recorder.record(t - req.arrived_at)
+            recorder.record(t - req.budget.started_at)
             dispatch()
         outstanding_samples.append(admission.outstanding)
 
@@ -986,7 +909,7 @@ def run_loadtest_sim(
     return _report_from_counts(
         mode="sim",
         params=params,
-        counts=counts,
+        counts=core.metrics,
         shed=shed,
         paths=paths,
         recorder=recorder,
@@ -996,7 +919,7 @@ def run_loadtest_sim(
         outstanding_samples=outstanding_samples,
         outstanding_bound=admission.queue_limit,
         retry_after_max_s=retry_after_max,
-        time_scale=time_scale,
+        time_scale=config.time_scale,
         scheduler=scheduler.name,
         bytes_moved=bytes_moved,
         tenant_succeeded=tenant_succeeded,

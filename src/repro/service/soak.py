@@ -37,29 +37,19 @@ from typing import Any
 import numpy as np
 
 from .api import ServiceClient
-from .daemon import DaemonConfig, TransferDaemon
+from .daemon import DaemonConfig, TransferDaemon, config_from_params
 
 __all__ = ["run_service_soak"]
 
 
-def _build_config(params: dict[str, Any], seed: int, socket_path: str) -> DaemonConfig:
-    return DaemonConfig(
-        socket_path=socket_path,
-        workers=int(params.get("workers", 4)),
-        time_scale=float(params.get("time_scale", 3000.0)),
-        queue_limit=int(params.get("queue_limit", 16)),
-        tenant_quota=int(params.get("tenant_quota", 6)),
-        vc_rate_bps=float(params.get("vc_rate_bps", 1.6e9)),
-        ip_rate_bps=float(params.get("ip_rate_bps", 4e8)),
-        reject_prob=float(params.get("reject_prob", 0.3)),
-        setup_timeout_prob=float(params.get("setup_timeout_prob", 0.2)),
-        flaps_per_hour=float(params.get("flaps_per_hour", 12.0)),
-        flap_duration_s=float(params.get("flap_duration_s", 25.0)),
-        drain_grace_s=float(params.get("drain_grace_s", 10.0)),
-        status_interval_s=0.05,
-        chaos_ops=True,
-        seed=seed,
-    )
+#: the soak's fault storm: defaults for the params a cell leaves unset
+_SOAK_DEFAULTS = {
+    "tenant_quota": 6,
+    "reject_prob": 0.3,
+    "setup_timeout_prob": 0.2,
+    "flaps_per_hour": 12.0,
+    "drain_grace_s": 10.0,
+}
 
 
 async def _storm(
@@ -196,7 +186,9 @@ def run_service_soak(params: dict[str, Any], seed: int) -> dict[str, Any]:
     """Scenario entry point (see the experiments registry)."""
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
         socket_path = os.path.join(tmp, "svc.sock")
-        config = _build_config(params, seed, socket_path)
+        config = config_from_params(
+            params, seed, socket_path, _SOAK_DEFAULTS, chaos_ops=True
+        )
         daemon = TransferDaemon(config)
         result = asyncio.run(_storm(daemon, config, params, seed))
     # contract pins — a violated service invariant fails the cell loudly

@@ -343,6 +343,28 @@ class TestLiveLoadtest:
             assert report.retry_after_max_s < 30.0
         json.dumps(report.as_dict())
 
+    def test_live_driver_honours_the_params_the_twin_honours(
+        self, monkeypatch
+    ):
+        from repro.service import loadtest
+
+        configs = []
+
+        class _SpyDaemon(loadtest.TransferDaemon):
+            def __init__(self, config):
+                configs.append(config)
+                super().__init__(config)
+
+        monkeypatch.setattr(loadtest, "TransferDaemon", _SpyDaemon)
+        run_loadtest(
+            {"n_requests": 2, "rate_per_s": 1.0, "time_scale": 3000.0,
+             "vc_safety_factor": 2.0, "batch_window_s": 30.0},
+            seed=1,
+        )
+        (config,) = configs
+        assert config.vc_safety_factor == 2.0
+        assert config.batch_window_s == 30.0
+
     def test_registered_as_a_scenario(self):
         from repro.experiments.registry import get_scenario
 

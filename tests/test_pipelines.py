@@ -210,14 +210,6 @@ class TestPipelineSpec:
                 {"name": "p", "stages": [{"name": "a", "scenarioo": "x"}]}
             )
 
-    def test_wrap_keeps_the_flat_spec_identical(self):
-        flat = ExperimentSpec(
-            name="f", scenario="pp-val", axes={"x": (1, 2)}, seed=4
-        )
-        pipe = PipelineSpec.wrap(flat)
-        assert pipe.stages[0].spec is flat
-        assert pipe.n_cells == flat.n_cells
-
 
 # -- artifacts ---------------------------------------------------------------
 
@@ -581,6 +573,24 @@ class TestDryRun:
         assert len(plans) == 1 and plans[0].n_cells == 2
         # flat keys are the historical (inputs-free) keys
         assert plans[0].keys[0] == cell_key("pp-val", {"x": 1}, spec.cell_seed(0))
+
+    def test_toml_named_flat_spec_plans_as_it_runs(self, tmp_path):
+        # a flat spec named like a file is no external stage reference:
+        # dry_run plans it as the one-row plan run() executes
+        spec = ExperimentSpec(
+            name="flat.toml", scenario="pp-val", axes={"x": (1, 2)}, seed=5
+        )
+        runner = Runner(cache=ResultCache(tmp_path))
+        (plan,) = runner.dry_run(spec)
+        result = runner.run(spec)
+        assert plan.name == "flat.toml"
+        assert plan.n_cells == result.n_cells == 2
+        assert plan.keys == tuple(c.key for c in result.cells)
+
+    def test_flat_analysis_spec_without_needs_is_refused(self, tmp_path):
+        spec = ExperimentSpec(name="lonely", scenario="pp-sum", seed=5)
+        with pytest.raises(ValueError, match="declares no needs"):
+            Runner(cache=ResultCache(tmp_path)).dry_run(spec)
 
 
 # -- CLI surfaces ------------------------------------------------------------

@@ -27,7 +27,9 @@ from repro.sched.predictive import (
     prediction_error_cost_curve,
 )
 from repro.service.budget import DeadlineBudget, PathChoice, plan_path
+from repro.service.core import ServiceCore
 from repro.service.loadtest import run_loadtest_sim
+from repro.vc.circuits import BatchSignalling
 
 
 def _budget(deadline_s, now=0.0):
@@ -131,16 +133,18 @@ class TestGlobalScheduler:
         )
         assert keys == [tight, loose, big, small]
 
-    def test_dispatch_priority_duck_types_daemon_requests(self):
-        class _Task:
-            total_bytes = 7e9
-
-        class _DaemonReq:
-            task = _Task()
-            budget = _budget(30.0)
-
-        key = dispatch_priority(_DaemonReq())
-        assert key[0] == 0 and key[1] == pytest.approx(30.0)
+    def test_dispatch_priority_reads_the_core_request_shape(self):
+        # the one request shape both service drivers enqueue: bytes
+        # summed once at submit, the deadline budget alongside
+        core = ServiceCore(
+            make_scheduler("global"), lambda: 0.0, 300.0, BatchSignalling()
+        )
+        tight = core.submit("t", [4e9, 3e9], 30.0)
+        unbounded = core.submit("t", [2e9], None)
+        assert tight.total_bytes == 7e9
+        assert dispatch_priority(tight) == (0, 30.0, -7e9)
+        assert dispatch_priority(unbounded) == (1, -2e9, 0.0)
+        assert core.start() is tight  # the policy scans the same shape
 
     def test_next_request_scans_the_whole_pending_set(self):
         sched = make_scheduler("global")

@@ -18,6 +18,7 @@ import math
 
 import pytest
 
+from repro.sched import make_scheduler
 from repro.service.admission import AdmissionController
 from repro.service.api import (
     MAX_LINE_BYTES,
@@ -27,6 +28,7 @@ from repro.service.api import (
     error_response,
 )
 from repro.service.budget import DeadlineBudget, PathChoice, plan_path
+from repro.service.core import ServiceCore
 from repro.service.daemon import (
     EXIT_DRAINED,
     DaemonConfig,
@@ -35,6 +37,7 @@ from repro.service.daemon import (
 from repro.service.health import HealthMonitor, ServiceMetrics
 from repro.service.soak import run_service_soak
 from repro.service.supervisor import Supervisor
+from repro.vc.circuits import BatchSignalling
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +611,61 @@ class TestDaemonIntegration:
             == daemon.metrics.n_submitted
         )
 
+    def _submit_raw(self, tmp_path, body):
+        """One raw submit to a fresh daemon; its response and the daemon."""
+        config = _config(tmp_path)
+
+        async def scenario(daemon, call):
+            client = await call(ServiceClient, config.socket_path)
+            try:
+                return await call(client.request, {"op": "submit", **body})
+            finally:
+                await call(client.close)
+
+        resp, _, daemon = _run_with_daemon(config, scenario)
+        return resp, daemon
+
+    # JSON booleans are Python ints (float(True) == 1.0): without an
+    # explicit refusal `true` passes as a 1-byte file, a 1 s deadline,
+    # or request id 1
+
+    def test_boolean_file_size_is_invalid(self, tmp_path):
+        resp, daemon = self._submit_raw(tmp_path, {"file_sizes": [True]})
+        assert not resp["ok"]
+        assert resp["error"].startswith("invalid submission")
+        assert daemon.metrics.n_invalid == 1
+        assert daemon.metrics.n_accepted == 0
+        assert daemon.admission.usage() == {}
+
+    def test_boolean_deadline_is_invalid(self, tmp_path):
+        resp, daemon = self._submit_raw(
+            tmp_path, {"file_sizes": [1e9], "deadline_s": True}
+        )
+        assert not resp["ok"]
+        assert resp["error"].startswith("invalid submission")
+        assert daemon.metrics.n_invalid == 1
+        assert daemon.metrics.n_accepted == 0
+        assert daemon.admission.usage() == {}
+
+    def test_boolean_request_id_is_unknown(self, tmp_path):
+        config = _config(tmp_path)
+
+        async def scenario(daemon, call):
+            client = await call(ServiceClient, config.socket_path)
+            try:
+                first = await call(client.submit, [1e9], tenant="t", wait=True)
+                waited = await call(
+                    client.request, {"op": "wait", "request_id": True}
+                )
+            finally:
+                await call(client.close)
+            return first, waited
+
+        (first, waited), _, _ = _run_with_daemon(config, scenario)
+        assert first["ok"] and first["request_id"] == 1
+        assert not waited["ok"]
+        assert waited["error"] == "unknown request_id True"
+
     def test_malformed_lines_get_error_responses(self, tmp_path):
         config = _config(tmp_path)
 
@@ -871,25 +929,11 @@ class TestCrashRequeue:
         config = _config(tmp_path, max_crash_requeues=1)
         daemon = TransferDaemon(config)
         daemon._queue = asyncio.Queue()
-        from repro.gridftp.transfer_service import TransferTask
-        from repro.service.daemon import ServiceRequest
-
-        req = ServiceRequest(
-            request_id=1,
-            tenant="t",
-            task=TransferTask(
-                task_id=1, src_host=0, dst_host=1, file_sizes=(1e9,),
-                submitted_at=0.0,
-            ),
-            budget=DeadlineBudget(None, lambda: 0.0),
-            settled=asyncio.Event(),
-        )
-        daemon._requests[1] = req
-        daemon.metrics.n_accepted = 1
-        daemon.admission.try_admit("t")
-        daemon.admission.on_start("t")
-        req.admission_stage = "in_flight"
-        req.state = "active"
+        # the request's lifecycle up to "a worker holds it", as the
+        # daemon's submit op and work loop drive it through the core
+        req = daemon.core.submit("t", [1e9], None)
+        req.settled = asyncio.Event()
+        assert daemon.core.start() is req
         daemon._current["worker-0"] = req
         return daemon, req
 
@@ -913,9 +957,7 @@ class TestCrashRequeue:
             daemon, req = self._daemon_with_active_request(tmp_path)
             daemon._on_loop_crash("worker-0", RuntimeError("boom"))
             # the request goes back in flight and the loop dies again
-            req.state = "active"
-            req.admission_stage = "in_flight"
-            daemon.admission.on_start("t")
+            assert daemon.core.start() is req
             daemon._current["worker-0"] = req
             daemon._on_loop_crash("worker-0", RuntimeError("boom again"))
             assert req.state == "failed"
@@ -943,63 +985,42 @@ class TestCrashRequeue:
 
 
 class TestRetryAfterClockDomain:
-    def _settled_request(self, tmp_path, queue_wait_real_s, exec_real_s):
-        """Settle one request whose queue wait and execution phases are
-        simulated by shifting the daemon's epoch — deterministic, no
-        real sleeping — and return the admission controller after."""
-        config = _config(tmp_path, time_scale=3000.0)
-        daemon = TransferDaemon(config)
+    def _settled_request(self, queue_wait_wall_s, exec_wall_s):
+        """Settle one request through the service core on a hand-cranked
+        virtual clock (time_scale 3000) whose queue-wait and execution
+        phases last the given wall seconds; return the admission
+        controller after."""
+        time_scale = 3000.0
+        clock = FakeClock()
+        sched = make_scheduler("fcfs")
+        core = ServiceCore(sched, clock, time_scale, BatchSignalling())
+        req = core.submit("t", [1e9], None)
+        clock.t += queue_wait_wall_s * time_scale  # queue wait passes
+        assert core.start() is req
+        clock.t += exec_wall_s * time_scale  # execution passes
+        core.settle(req, "succeeded")
+        assert req.state == "succeeded"
+        return sched.admission
 
-        async def scenario():
-            from repro.gridftp.transfer_service import TransferTask
-            from repro.service.daemon import ServiceRequest
-
-            loop = asyncio.get_running_loop()
-            daemon._t0 = loop.time()
-            req = ServiceRequest(
-                request_id=1,
-                tenant="t",
-                task=TransferTask(
-                    task_id=1, src_host=0, dst_host=1, file_sizes=(1e9,),
-                    submitted_at=0.0,
-                ),
-                budget=DeadlineBudget(None, daemon.vnow),
-                settled=asyncio.Event(),
-            )
-            daemon.admission.try_admit("t")
-            # queue wait passes: shift the epoch back instead of sleeping
-            daemon._t0 -= queue_wait_real_s
-            daemon.admission.on_start("t")
-            req.admission_stage = "in_flight"
-            req.state = "active"
-            req.exec_started_vt = daemon.vnow()
-            # execution passes
-            daemon._t0 -= exec_real_s
-            daemon._settle(req, "succeeded")
-            assert req.settled.is_set()
-
-        asyncio.run(scenario())
-        return daemon.admission
-
-    def test_hint_is_wall_seconds_under_a_scaled_clock(self, tmp_path):
+    def test_hint_is_wall_seconds_under_a_scaled_clock(self):
         # 0.05 real s of execution is 150 *virtual* seconds at
         # time_scale=3000.  The pre-fix code fed budget.elapsed()
         # (virtual seconds since submit) straight into the EWMA, so the
         # hint a client would sleep on its wall clock came out hundreds
         # of seconds instead of ~1.
         admission = self._settled_request(
-            tmp_path, queue_wait_real_s=0.2, exec_real_s=0.05
+            queue_wait_wall_s=0.2, exec_wall_s=0.05
         )
         assert admission._ewma_service_s is not None
         assert admission._ewma_service_s < 0.1  # wall, not virtual
         assert admission.retry_after_s() < 2.0
 
-    def test_ewma_measures_execution_not_queue_wait(self, tmp_path):
+    def test_ewma_measures_execution_not_queue_wait(self):
         # queue wait (0.2 real s) dwarfs execution (0.05 real s): the
         # EWMA must see only the execution phase.  Measuring from submit
         # would read ~0.25 and compound every backlogged rejection.
         admission = self._settled_request(
-            tmp_path, queue_wait_real_s=0.2, exec_real_s=0.05
+            queue_wait_wall_s=0.2, exec_wall_s=0.05
         )
         assert abs(admission._ewma_service_s - 0.05) < 0.02
 
