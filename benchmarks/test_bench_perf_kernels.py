@@ -10,6 +10,7 @@ failure, not a mystery slowdown.
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.sessions import group_sessions
 from repro.core.snmp_correlation import attributed_bytes
@@ -17,6 +18,7 @@ from repro.core.stats import binned_medians
 from repro.core.vc_suitability import suitability_table
 from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
+from repro.net.snmp import SnmpCollector
 from repro.sim.probe import SimProbe
 
 
@@ -60,6 +62,40 @@ def test_perf_eq1_attribution(benchmark):
     total = benchmark(run)
     assert total > 0
     assert benchmark.stats["mean"] < 1.0
+
+
+def test_perf_snmp_deposit_stream(benchmark):
+    """13,000 simulator-shaped SNMP deposits into 30 s bins.
+
+    The fluid simulator settles every moving flow over the same interval
+    at each event, so deposits come in runs: 1,000 consecutive intervals
+    (exponential lengths, mean 3.3 s), 13 flows per interval, each flow
+    crossing 5 of 25 links.  Bins are split once per interval; a
+    per-link split shows up here as a failure.
+    """
+    rng = np.random.default_rng(4)
+    links = [(f"r{i}", f"r{i + 1}") for i in range(25)]
+    ends = np.cumsum(rng.exponential(3.3, size=1_000))
+    starts = np.concatenate(([0.0], ends[:-1]))
+    stream = [
+        ([links[int(j)] for j in rng.choice(25, size=5, replace=False)],
+         float(t_start), float(t_end), float(rng.uniform(1e6, 5e9)))
+        for t_start, t_end in zip(starts, ends)
+        for _ in range(13)
+    ]
+
+    def deposit():
+        collector = SnmpCollector(bin_seconds=30.0)
+        for path, t_start, t_end, nbytes in stream:
+            collector.add_bytes(path, t_start, t_end, nbytes)
+        return collector
+
+    collector = benchmark(deposit)
+    assert len(stream) == 13_000
+    counted = sum(collector.counter(key).total_bytes() for key in collector.keys())
+    moved = sum(nbytes for *_, nbytes in stream)
+    assert counted == pytest.approx(5 * moved, rel=1e-9)
+    assert benchmark.stats["mean"] < 0.3
 
 
 def test_perf_max_min_fair_wide(benchmark):

@@ -507,14 +507,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from .experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 
-    config = ChaosConfig(
-        n_jobs=args.jobs,
-        rejection_prob=args.reject_prob,
-        setup_timeout_prob=args.timeout_prob,
-        flaps_per_hour=args.flaps_per_hour,
-    )
-    if args.sweep:
-        rates = [float(r) for r in args.sweep.split(",")]
+    try:
+        config = ChaosConfig(
+            n_jobs=args.jobs,
+            rejection_prob=args.reject_prob,
+            setup_timeout_prob=args.timeout_prob,
+            flaps_per_hour=args.flaps_per_hour,
+        )
+        rates = [float(r) for r in args.sweep.split(",")] if args.sweep else None
+    except ValueError as exc:  # e.g. --jobs 0 or a non-numeric --sweep rate
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if rates is not None:
         reports = chaos_sweep(rates, config=config, seed=args.seed)
     else:
         reports = [run_chaos(config, seed=args.seed)]
@@ -543,12 +547,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .experiments.campaigns import profile_campaign
 
-    report = profile_campaign(
-        n_jobs=args.jobs,
-        seed=args.seed,
-        allocator=args.allocator,
-        compare_oracle=args.compare_oracle,
-    )
+    try:
+        report = profile_campaign(
+            n_jobs=args.jobs,
+            seed=args.seed,
+            allocator=args.allocator,
+            compare_oracle=args.compare_oracle,
+        )
+    except ValueError as exc:  # e.g. --jobs below 1, refused before simulating
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.format())
     return 0
 

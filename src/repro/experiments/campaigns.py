@@ -801,6 +801,9 @@ def profile_campaign(
     """
     import time as _time
 
+    if n_jobs < 1:
+        raise ValueError("need at least one job")
+
     def _run(mode: str) -> tuple[float, SimProbe, int]:
         topology = esnet_like()
         dtns = default_dtns(topology)

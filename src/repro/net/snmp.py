@@ -6,6 +6,17 @@ intervals via Eq. (1).  :class:`SnmpCounter` reproduces the counter side:
 bytes moved over an interval are spread uniformly across the bins the
 interval overlaps — exactly the fluid view a byte counter of a steady
 flow would report.
+
+Deposit contract: ``add_bytes(t_start, t_end, nbytes)`` refuses negative
+bytes, a reversed interval and a start before the counter's epoch
+(``ValueError``, nothing recorded).  Otherwise bin ``k`` gains ``nbytes``
+times the share of ``[t_start, t_end]`` that falls inside it, and an
+instantaneous deposit lands whole in its bin.  Zero bytes record nothing
+on a counter, but :meth:`SnmpCollector.add_bytes` still registers every
+link it is given, so the collector's key order is the order links were
+first named.  The collector splits an interval into bins once per call,
+not once per link, and reuses the split while consecutive calls share an
+interval — as every flow settled by one simulator advance does.
 """
 
 from __future__ import annotations
@@ -16,6 +27,40 @@ from collections.abc import Iterable
 import numpy as np
 
 __all__ = ["SnmpCounter", "SnmpCollector"]
+
+
+def _check_bytes(nbytes: float) -> None:
+    if nbytes < 0:
+        raise ValueError("byte count must be non-negative")
+
+
+def _split(
+    t0: float, bin_seconds: float, t_start: float, t_end: float
+) -> tuple[int, int, float | np.ndarray]:
+    """Check ``[t_start, t_end]`` and split it into bins.
+
+    Returns ``(k_first, k_last, frac)``: the interval's share of each bin
+    from ``k_first`` to ``k_last``, a float for one bin and an array for
+    a longer span.
+    """
+    if t_end < t_start:
+        raise ValueError("t_end must be >= t_start")
+    if t_start < t0:
+        raise ValueError(f"deposit at {t_start} precedes counter epoch {t0}")
+    k_first = int((t_start - t0) // bin_seconds)
+    if t_end == t_start:
+        return k_first, k_first, 1.0
+    k_last = max(int(math.ceil((t_end - t0) / bin_seconds)) - 1, k_first)
+    # distribute by overlap *fraction* rather than via a byte rate: a
+    # sub-normal duration would overflow nbytes / duration to inf
+    if k_last == k_first:
+        lo = max(t0 + k_first * bin_seconds, t_start)
+        hi = min(t0 + (k_first + 1) * bin_seconds, t_end)
+        return k_first, k_last, max(hi - lo, 0.0) / (t_end - t_start)
+    edges = t0 + np.arange(k_first, k_last + 2) * bin_seconds
+    lo = np.maximum(edges[:-1], t_start)
+    hi = np.minimum(edges[1:], t_end)
+    return k_first, k_last, np.clip(hi - lo, 0.0, None) / (t_end - t_start)
 
 
 class SnmpCounter:
@@ -35,11 +80,19 @@ class SnmpCounter:
         self.bin_seconds = float(bin_seconds)
         self._counts: np.ndarray = np.zeros(0, dtype=np.float64)
 
-    def _ensure(self, k: int) -> None:
-        if k >= self._counts.size:
-            grown = np.zeros(max(k + 1, 2 * self._counts.size, 64), dtype=np.float64)
-            grown[: self._counts.size] = self._counts
+    def _deposit(
+        self, k_first: int, k_last: int, frac: float | np.ndarray, nbytes: float
+    ) -> None:
+        """Add ``nbytes`` over a :func:`_split` of this counter's bins."""
+        size = self._counts.size
+        if k_last >= size:
+            grown = np.zeros(max(k_last + 1, 2 * size, 64), dtype=np.float64)
+            grown[:size] = self._counts
             self._counts = grown
+        if k_first == k_last:
+            self._counts[k_first] += nbytes * frac
+        else:
+            self._counts[k_first : k_last + 1] += nbytes * frac
 
     def add_bytes(self, t_start: float, t_end: float, nbytes: float) -> None:
         """Record ``nbytes`` moved uniformly over ``[t_start, t_end]``.
@@ -48,31 +101,10 @@ class SnmpCounter:
         the containing bin.  Times before ``t0`` are rejected — the
         counter cannot back-date.
         """
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        if t_start < self.t0:
-            raise ValueError(f"deposit at {t_start} precedes counter epoch {self.t0}")
-        if nbytes == 0:
-            return
-        if t_end == t_start:
-            k = int((t_start - self.t0) // self.bin_seconds)
-            self._ensure(k)
-            self._counts[k] += nbytes
-            return
-        k_first = int((t_start - self.t0) // self.bin_seconds)
-        k_last = int(math.ceil((t_end - self.t0) / self.bin_seconds)) - 1
-        k_last = max(k_last, k_first)
-        self._ensure(k_last)
-        edges = self.t0 + np.arange(k_first, k_last + 2) * self.bin_seconds
-        lo = np.maximum(edges[:-1], t_start)
-        hi = np.minimum(edges[1:], t_end)
-        overlap = np.clip(hi - lo, 0.0, None)
-        # distribute by overlap *fraction* rather than via a byte rate: a
-        # sub-normal duration would overflow nbytes / duration to inf
-        frac = overlap / (t_end - t_start)
-        self._counts[k_first : k_last + 1] += nbytes * frac
+        _check_bytes(nbytes)
+        split = _split(self.t0, self.bin_seconds, t_start, t_end)
+        if nbytes != 0:
+            self._deposit(*split, nbytes)
 
     @property
     def n_bins(self) -> int:
@@ -102,19 +134,24 @@ class SnmpCollector:
 
     The experiment deposits bytes per link; :meth:`export` renders the
     collection in the ``{name: (bin_starts, counts)}`` shape that
-    :mod:`repro.core.snmp_correlation` consumes.
+    :mod:`repro.core.snmp_correlation` consumes.  Every counter shares the
+    collector's epoch and cadence, so one split of an interval serves
+    them all.
     """
 
     def __init__(self, t0: float = 0.0, bin_seconds: float = 30.0) -> None:
         self.t0 = float(t0)
         self.bin_seconds = float(bin_seconds)
         self._counters: dict[tuple[str, str], SnmpCounter] = {}
+        #: (t_start, t_end, split) of the previous deposit
+        self._last_split: tuple[float, float, tuple] | None = None
 
     def counter(self, key: tuple[str, str]) -> SnmpCounter:
         """The counter for link ``key``, created on first touch."""
-        if key not in self._counters:
-            self._counters[key] = SnmpCounter(self.t0, self.bin_seconds)
-        return self._counters[key]
+        counter = self._counters.get(key)
+        if counter is None:
+            counter = self._counters[key] = SnmpCounter(self.t0, self.bin_seconds)
+        return counter
 
     def add_bytes(
         self,
@@ -124,8 +161,17 @@ class SnmpCollector:
         nbytes: float,
     ) -> None:
         """Deposit the same bytes on every link of a path."""
+        _check_bytes(nbytes)
+        last = self._last_split
+        if last is not None and last[0] == t_start and last[1] == t_end:
+            split = last[2]
+        else:
+            split = _split(self.t0, self.bin_seconds, t_start, t_end)
+            self._last_split = (t_start, t_end, split)
         for key in links:
-            self.counter(key).add_bytes(t_start, t_end, nbytes)
+            counter = self.counter(key)
+            if nbytes != 0:
+                counter._deposit(*split, nbytes)
 
     def keys(self) -> list[tuple[str, str]]:
         return list(self._counters)

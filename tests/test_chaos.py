@@ -339,6 +339,22 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert out.count("\n") >= 3
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "--jobs", "0"], "need at least one job"),
+            (["chaos", "--sweep", "x,1"], "could not convert string to float: 'x'"),
+        ],
+        ids=["zero-jobs", "non-numeric-sweep"],
+    )
+    def test_bad_values_refused_before_simulating(self, capsys, argv, message):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestLambdaStationRecoveryStats:
     def test_stats_replace_ad_hoc_counter(self):

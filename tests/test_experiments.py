@@ -407,8 +407,22 @@ class TestRegistry:
         assert register_scenario("t-echo")(_t_echo) is _t_echo
         assert get_scenario("t-echo") is _t_echo
 
+    @pytest.mark.parametrize("n_jobs", [0, -5])
+    def test_profile_scenario_refuses_no_jobs(self, n_jobs):
+        with pytest.raises(ValueError, match="need at least one job"):
+            get_scenario("profile")({"n_jobs": n_jobs}, 0)
+
 
 # -- the CLI `run` subcommand ------------------------------------------------
+
+
+def test_cli_profile_refuses_negative_jobs(capsys):
+    from repro.cli import main
+
+    assert main(["profile", "--jobs", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one job\n"
 
 
 class TestCliRun:
