@@ -7,6 +7,7 @@ pin loose upper bounds so a future de-vectorization shows up as a
 failure, not a mystery slowdown.
 """
 
+import heapq
 import time
 
 import numpy as np
@@ -19,7 +20,9 @@ from repro.core.vc_suitability import suitability_table
 from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
 from repro.net.snmp import SnmpCollector
+from repro.net.topology import esnet_like
 from repro.sim.probe import SimProbe
+from repro.vc.oscars import OscarsIDC, ReservationRequest
 
 
 def test_perf_group_sessions_1m(slac_log, benchmark):
@@ -96,6 +99,50 @@ def test_perf_snmp_deposit_stream(benchmark):
     moved = sum(nbytes for *_, nbytes in stream)
     assert counted == pytest.approx(5 * moved, rel=1e-9)
     assert benchmark.stats["mean"] < 0.3
+
+
+def test_perf_reservation_stream(benchmark):
+    """5,000 daemon-shaped reservations ANL -> NERSC on the ESnet backbone.
+
+    Arrivals are spaced exponential(200 s); each asks 1.6 Gbps over
+    ``now + 660 + 3 * est`` (worst-case batch setup plus the daemon's
+    slack and horizon), ``est`` being one to three 4 GB files at
+    1.6 Gbps, and is torn down at ``start + est``, inside its window, so
+    every reservation leaves a consumed head in the link books.  Route
+    choice and admission must cost the same for the last reservation as
+    for the first: a per-call path enumeration or a book scan over all
+    history shows up here as a failure.
+    """
+    n = 5_000
+    rng = np.random.default_rng(15)
+    arrivals = np.cumsum(rng.exponential(200.0, size=n))
+    estimates = rng.integers(1, 4, size=n) * 4e9 * 8 / 1.6e9
+
+    def stream():
+        idc = OscarsIDC(esnet_like())
+        teardowns: list[tuple[float, int]] = []
+        costs = []
+        for now, est in zip(arrivals.tolist(), estimates.tolist()):
+            while teardowns and teardowns[0][0] <= now:
+                at, circuit_id = heapq.heappop(teardowns)
+                idc.teardown(circuit_id, now=at)
+            end = now + 660 + 3 * est
+            request = ReservationRequest("ANL", "NERSC", 1.6e9, now, end)
+            t0 = time.perf_counter()
+            vc = idc.create_reservation(request, request_time=now)
+            costs.append(time.perf_counter() - t0)
+            heapq.heappush(teardowns, (vc.start_time + est, vc.circuit_id))
+        return idc, costs
+
+    idc, costs = benchmark.pedantic(stream, rounds=3, iterations=1)
+    assert idc.scheduler.n_admitted == n and idc.scheduler.n_rejected == 0
+    per_reservation_s = benchmark.stats["mean"] / n
+    tenth = n // 10
+    growth = np.mean(costs[-tenth:]) / np.mean(costs[:tenth])
+    print(f"\n{per_reservation_s * 1e3:.3f} ms per reservation; "
+          f"last tenth / first tenth {growth:.2f}")
+    assert per_reservation_s < 0.3e-3
+    assert growth < 2.0
 
 
 def test_perf_max_min_fair_wide(benchmark):

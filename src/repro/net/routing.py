@@ -5,15 +5,14 @@ is whatever BGP/IGP yields, modeled here as the minimum-delay path.  A
 virtual-circuit setup, by contrast, may *choose* the path: OSCARS picks
 one based on current reservations (Section I, positive #2).  This module
 supplies both: the default route, k-alternative simple paths, and a
-least-congested choice given per-link committed bandwidth.
+least-congested choice given per-link committed bandwidth.  Candidate
+paths come from the topology's route memo, enumerated once per graph
+state (:meth:`~repro.net.topology.Topology.candidate_routes`).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
-
-import networkx as nx
 
 from .topology import Topology
 
@@ -50,10 +49,7 @@ def k_shortest_paths(
     topology: Topology, src: str, dst: str, k: int = 3
 ) -> list[list[str]]:
     """Up to ``k`` loop-free paths in increasing propagation delay."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gen = nx.shortest_simple_paths(topology.graph, src, dst, weight="delay_s")
-    return list(itertools.islice(gen, k))
+    return [list(nodes) for nodes, _, _ in topology.candidate_routes(src, dst, k)]
 
 
 def least_congested_path(
@@ -69,15 +65,16 @@ def least_congested_path(
     standing VCs).  Ties break toward the shorter (earlier-enumerated)
     path, so an uncongested network falls back to the IP route.
     """
-    best_path: list[str] | None = None
+    if src == dst:
+        raise ValueError(f"a circuit needs two distinct endpoints, got {src!r} twice")
+    best_path: tuple[str, ...] | None = None
     best_headroom = -1.0
-    for path in k_shortest_paths(topology, src, dst, k):
-        keys = topology.path_links(path)
+    for nodes, keys, caps in topology.candidate_routes(src, dst, k):
         headroom = min(
-            topology.link_capacity(key) - committed_bps.get(key, 0.0) for key in keys
+            cap - committed_bps.get(key, 0.0) for key, cap in zip(keys, caps)
         )
         if headroom > best_headroom:
             best_headroom = headroom
-            best_path = path
+            best_path = nodes
     assert best_path is not None  # k >= 1 and graph is connected
-    return best_path
+    return list(best_path)

@@ -14,6 +14,7 @@ of the provider network and carry SNMP counters like any backbone link.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import networkx as nx
 
@@ -38,12 +39,29 @@ class Link:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
+#: One candidate route: its nodes, canonical link keys and link capacities.
+_Route = tuple[tuple[str, ...], tuple[tuple[str, str], ...], tuple[float, ...]]
+
+
 class Topology:
-    """Mutable site/router graph with capacity and delay annotations."""
+    """Mutable site/router graph with capacity and delay annotations.
+
+    The graph changes only through :meth:`add_site`, :meth:`add_router`
+    and :meth:`add_link`; nothing else may mutate ``graph``.  Routes are
+    memoized per graph state, keyed by their query: :meth:`path` per
+    ``(src, dst)`` and :meth:`candidate_routes` per ``(src, dst, k)``.
+    Every ``add_*`` empties the memo.
+    """
 
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self._host_ids: dict[str, int] = {}
+        self._ip_routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        self._candidates: dict[tuple[str, str, int], tuple[_Route, ...]] = {}
+
+    def _changed(self) -> None:
+        self._ip_routes.clear()
+        self._candidates.clear()
 
     # -- construction --------------------------------------------------------
 
@@ -52,6 +70,7 @@ class Topology:
         if name in self._host_ids:
             raise ValueError(f"duplicate site {name!r}")
         self.graph.add_node(name, kind="site")
+        self._changed()
         host_id = len(self._host_ids)
         self._host_ids[name] = host_id
         return host_id
@@ -61,6 +80,7 @@ class Topology:
         if name in self.graph:
             raise ValueError(f"duplicate node {name!r}")
         self.graph.add_node(name, kind="router")
+        self._changed()
 
     def add_link(
         self, u: str, v: str, capacity_bps: float = 10e9, delay_s: float = 0.005
@@ -73,6 +93,7 @@ class Topology:
             raise ValueError("capacity must be positive and delay non-negative")
         link = Link(u, v, capacity_bps, delay_s)
         self.graph.add_edge(u, v, capacity_bps=capacity_bps, delay_s=delay_s)
+        self._changed()
         return link
 
     # -- queries ---------------------------------------------------------------
@@ -101,7 +122,30 @@ class Topology:
 
     def path(self, src: str, dst: str) -> list[str]:
         """Minimum-propagation-delay path (the IP-routed default route)."""
-        return nx.shortest_path(self.graph, src, dst, weight="delay_s")
+        route = self._ip_routes.get((src, dst))
+        if route is None:
+            route = tuple(nx.shortest_path(self.graph, src, dst, weight="delay_s"))
+            self._ip_routes[src, dst] = route
+        return list(route)
+
+    def candidate_routes(self, src: str, dst: str, k: int) -> tuple[_Route, ...]:
+        """Up to ``k`` loop-free routes in increasing propagation delay.
+
+        Each route carries its link keys and capacities, so callers
+        weighing alternatives never touch the graph.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        routes = self._candidates.get((src, dst, k))
+        if routes is None:
+            found = []
+            gen = nx.shortest_simple_paths(self.graph, src, dst, weight="delay_s")
+            for nodes in itertools.islice(gen, k):
+                keys = tuple(self.path_links(nodes))
+                caps = tuple(self.link_capacity(key) for key in keys)
+                found.append((tuple(nodes), keys, caps))
+            routes = self._candidates[src, dst, k] = tuple(found)
+        return routes
 
     def path_links(self, nodes: list[str]) -> list[tuple[str, str]]:
         """Canonical link keys along a node path."""

@@ -54,7 +54,7 @@ from ..gridftp.reliability import (
     RestartPolicy,
     ScheduledOutages,
 )
-from ..net.topology import esnet_like
+from ..net.topology import SITES, esnet_like
 from ..vc.circuits import BatchSignalling
 from ..vc.oscars import OscarsIDC, ReservationRejected, ReservationRequest
 from .admission import AdmissionDecision
@@ -163,6 +163,12 @@ class DaemonConfig:
             raise ValueError("max_crash_requeues must be non-negative")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
+        # requests ride esnet_like(), whose transfer endpoints are SITES
+        if self.src not in SITES or self.dst not in SITES or self.src == self.dst:
+            raise ValueError(
+                f"src and dst must be two distinct sites of {', '.join(SITES)}; "
+                f"got {self.src!r} -> {self.dst!r}"
+            )
         from ..sched.base import SCHEDULER_NAMES
 
         if self.scheduler not in SCHEDULER_NAMES():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 
 from ..net.topology import Topology
 
@@ -43,22 +44,34 @@ class _LinkBook:
 
     Reservations are kept as parallel sorted-by-start lists; peak
     commitment over a window is computed by an event sweep over the
-    overlapping entries.  Scales comfortably to tens of thousands of
-    reservations per link.
+    overlapping entries.  Consumed heads of torn-down circuits stay in the
+    book, so past windows keep answering.
+
+    Queries scan only the entries that can overlap them.  ``max_len`` is
+    one float step above the longest entry ever added (``remove`` never
+    lowers it), so an entry starting before
+    ``nextafter(t - max_len, -inf)`` ends strictly before ``t`` in exact
+    arithmetic: :meth:`first_live` bisects past those, and the entries
+    scanned still pass the exact overlap test.  A query therefore costs
+    two bisects plus the entries starting within ``max_len`` before it,
+    not the whole history; a book holding one long reservation scans
+    everything, as an unpruned book would.
     """
 
-    __slots__ = ("starts", "ends", "rates")
+    __slots__ = ("starts", "ends", "rates", "max_len")
 
     def __init__(self) -> None:
         self.starts: list[float] = []
         self.ends: list[float] = []
         self.rates: list[float] = []
+        self.max_len = 0.0
 
     def add(self, start: float, end: float, rate: float) -> None:
         i = bisect.bisect_left(self.starts, start)
         self.starts.insert(i, start)
         self.ends.insert(i, end)
         self.rates.insert(i, rate)
+        self.max_len = max(self.max_len, math.nextafter(end - start, math.inf))
 
     def remove(self, start: float, end: float, rate: float) -> None:
         i = bisect.bisect_left(self.starts, start)
@@ -69,10 +82,18 @@ class _LinkBook:
             i += 1
         raise KeyError("reservation not present on link")
 
+    def first_live(self, t: float) -> int:
+        """Index of the first entry that may still be running at ``t``;
+        every entry before it ends strictly before ``t``."""
+        cutoff = math.nextafter(t - self.max_len, -math.inf)
+        return bisect.bisect_left(self.starts, cutoff)
+
     def peak_commitment(self, start: float, end: float) -> float:
         """Maximum committed rate at any instant of [start, end)."""
+        lo = self.first_live(start)
+        hi = bisect.bisect_left(self.starts, end)
         events: list[tuple[float, float]] = []
-        for s, e, r in zip(self.starts, self.ends, self.rates):
+        for s, e, r in zip(self.starts[lo:hi], self.ends[lo:hi], self.rates[lo:hi]):
             if e <= start or s >= end:
                 continue
             events.append((max(s, start), r))
@@ -89,8 +110,10 @@ class _LinkBook:
 
     def commitment_at(self, t: float) -> float:
         """Committed rate at instant ``t``."""
+        lo = self.first_live(t)
+        hi = bisect.bisect_right(self.starts, t)
         total = 0.0
-        for s, e, r in zip(self.starts, self.ends, self.rates):
+        for s, e, r in zip(self.starts[lo:hi], self.ends[lo:hi], self.rates[lo:hi]):
             if s <= t < e:
                 total += r
         return total
@@ -170,7 +193,9 @@ class BandwidthScheduler:
         candidates = {not_before}
         for key in keys:
             book = self._book(key)
-            for s, e in zip(book.starts, book.ends):
+            # entries ending before not_before add no candidate
+            lo = book.first_live(not_before)
+            for s, e in zip(book.starts[lo:], book.ends[lo:]):
                 # commitment can only *drop* at reservation ends
                 if not_before <= e <= not_before + horizon_s:
                     candidates.add(e)

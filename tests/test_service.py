@@ -494,6 +494,15 @@ class TestDaemonConfig:
         with pytest.raises(ValueError):
             DaemonConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "endpoints",
+        [{"src": "NOPE"}, {"src": "ANL", "dst": "ANL"}, {"dst": "rt-chic"}],
+        ids=["unknown-node", "same-site", "router"],
+    )
+    def test_endpoints_must_be_two_distinct_sites(self, endpoints):
+        with pytest.raises(ValueError, match="NERSC, ANL, ORNL"):
+            DaemonConfig(socket_path="/tmp/x", **endpoints)
+
 
 # ---------------------------------------------------------------------------
 # in-process daemon integration
