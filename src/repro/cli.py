@@ -289,28 +289,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         stream=sys.stderr,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    try:
-        config = DaemonConfig(
-            socket_path=args.socket,
-            workers=args.workers,
-            time_scale=args.time_scale,
-            queue_limit=args.queue_limit,
-            tenant_quota=args.tenant_quota,
-            vc_rate_bps=args.vc_rate_bps,
-            ip_rate_bps=args.ip_rate_bps,
-            default_deadline_s=args.default_deadline,
-            reject_prob=args.reject_prob,
-            setup_timeout_prob=args.timeout_prob,
-            flaps_per_hour=args.flaps_per_hour,
-            flap_duration_s=args.flap_duration,
-            drain_grace_s=args.drain_grace,
-            chaos_ops=args.chaos_ops,
-            seed=args.seed,
-            scheduler=args.scheduler,
-        )
-    except ValueError as exc:  # e.g. an unknown --scheduler name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = DaemonConfig(
+        socket_path=args.socket,
+        workers=args.workers,
+        time_scale=args.time_scale,
+        queue_limit=args.queue_limit,
+        tenant_quota=args.tenant_quota,
+        vc_rate_bps=args.vc_rate_bps,
+        ip_rate_bps=args.ip_rate_bps,
+        default_deadline_s=args.default_deadline,
+        reject_prob=args.reject_prob,
+        setup_timeout_prob=args.timeout_prob,
+        flaps_per_hour=args.flaps_per_hour,
+        flap_duration_s=args.flap_duration,
+        drain_grace_s=args.drain_grace,
+        chaos_ops=args.chaos_ops,
+        seed=args.seed,
+        scheduler=args.scheduler,
+    )
     return run_daemon(config)
 
 
@@ -371,13 +367,10 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             report = run_loadtest_sim(params, args.seed)
         else:
             report = run_loadtest(params, args.seed, socket_path=args.socket)
-    except ValueError as exc:  # e.g. an unknown --scheduler name
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # the report's contracts, plus those run_loadtest raises itself
+        # (daemon census agreement, drain exit code, nothing lost)
         report.validate()
     except AssertionError as exc:
-        print(_json.dumps(report.as_dict(), indent=2, sort_keys=True))
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     print(_json.dumps(report.as_dict(), indent=2, sort_keys=True))
@@ -507,17 +500,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from .experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 
-    try:
-        config = ChaosConfig(
-            n_jobs=args.jobs,
-            rejection_prob=args.reject_prob,
-            setup_timeout_prob=args.timeout_prob,
-            flaps_per_hour=args.flaps_per_hour,
-        )
-        rates = [float(r) for r in args.sweep.split(",")] if args.sweep else None
-    except ValueError as exc:  # e.g. --jobs 0 or a non-numeric --sweep rate
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ChaosConfig(
+        n_jobs=args.jobs,
+        rejection_prob=args.reject_prob,
+        setup_timeout_prob=args.timeout_prob,
+        flaps_per_hour=args.flaps_per_hour,
+    )
+    rates = [float(r) for r in args.sweep.split(",")] if args.sweep else None
     if rates is not None:
         reports = chaos_sweep(rates, config=config, seed=args.seed)
     else:
@@ -547,16 +536,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .experiments.campaigns import profile_campaign
 
-    try:
-        report = profile_campaign(
-            n_jobs=args.jobs,
-            seed=args.seed,
-            allocator=args.allocator,
-            compare_oracle=args.compare_oracle,
-        )
-    except ValueError as exc:  # e.g. --jobs below 1, refused before simulating
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = profile_campaign(
+        n_jobs=args.jobs,
+        seed=args.seed,
+        allocator=args.allocator,
+        compare_oracle=args.compare_oracle,
+    )
     print(report.format())
     return 0
 
@@ -782,7 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--drain-grace", type=float, default=5.0,
                     help="real seconds SIGTERM waits before checkpointing")
     sv.add_argument("--chaos-ops", action="store_true",
-                    help="honour the 'crash' chaos op (tests/soaks only)")
+                    help="honour the 'crash' chaos op (tests and fault-storm "
+                         "load tests only)")
     sv.add_argument("--scheduler", default="fcfs", metavar="NAME",
                     help="scheduling policy: fcfs | predictive | global "
                          "(unknown names fail fast with the valid set)")
@@ -882,8 +868,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb; a refused value or unreadable file exits 2.
+
+    A verb's ``ValueError`` (a bad argument value, a spec naming an
+    unregistered scenario) or ``OSError`` (a missing spec file) becomes
+    one ``error: ...`` line on stderr, never a traceback.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

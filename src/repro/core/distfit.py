@@ -38,11 +38,6 @@ class LognormalFit:
     def mean(self) -> float:
         return self.median * math.exp(self.sigma**2 / 2.0)
 
-    @property
-    def skew_ratio(self) -> float:
-        """Implied mean/median ratio — the paper's skew framing."""
-        return math.exp(self.sigma**2 / 2.0)
-
 
 def fit_lognormal(values: np.ndarray) -> LognormalFit:
     """Fit a lognormal by MLE in log space; KS test against the fit.

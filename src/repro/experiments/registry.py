@@ -254,39 +254,27 @@ def _scenario_managed_from_workload(
     return managed_campaign_from_workload(params, seed, artifacts)
 
 
-@register_scenario("service_soak")
-def _scenario_service_soak(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
-    """Fault-storm soak of the long-lived transfer daemon.
-
-    Boots a real :class:`~repro.service.daemon.TransferDaemon` (asyncio
-    loops, Unix control socket) in-process, drives a Poisson arrival
-    storm with injected reservation rejections, signalling timeouts,
-    circuit flaps, and deliberate work-loop panics, then drains and
-    pins the service contracts (every accepted request settled,
-    overload shed explicitly, crashed loops restarted).
-    """
-    from ..service.soak import run_service_soak
-
-    return run_service_soak(dict(params), seed)
-
-
 @register_scenario("service_loadtest")
 def _scenario_service_loadtest(
     params: Mapping[str, Any], seed: int
 ) -> dict[str, Any]:
-    """Open-loop load test of the transfer daemon, with latency SLOs.
+    """Open-loop load test of the transfer daemon: latency SLOs, fault storms.
 
     Submissions fire on a seeded arrival schedule (Poisson, bursty
     on/off, or the paper's Fig. 6 diurnal shape) *regardless of response
     latency*, so overload shows up as shed fraction and latency-tail
     growth instead of silently slowing the arrivals the way a
     closed-loop storm does.  ``mode="live"`` (default) boots a real
-    in-process daemon and measures wall-clock latency; ``mode="sim"``
-    runs the deterministic discrete-event twin, whose censuses and
-    latency quantiles are bit-identical across same-seed runs.  The
-    report validates its own service contracts before being returned
-    (submission ledger, settle census, admission bound, monotone
-    quantiles).
+    in-process daemon and measures wall-clock latency; its fault storm
+    is the fault-injection params (``reject_prob``,
+    ``setup_timeout_prob``, ``flaps_per_hour``) plus ``n_crashes`` crash
+    ops that panic work loops at seeded arrivals, and the drain must
+    exit 75 with nothing lost.  ``mode="sim"`` runs the deterministic
+    discrete-event twin, whose censuses and latency quantiles are
+    bit-identical across same-seed runs (it refuses ``n_crashes``).
+    The report validates its own service contracts before being
+    returned (submission ledger, settle census, admission bound, shed
+    reasons, ``/health`` at every sample, monotone quantiles).
     """
     from ..service.loadtest import run_loadtest, run_loadtest_sim
 

@@ -68,6 +68,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from ..core.rng import derive_seed
+from .registry import scenario_names
 
 __all__ = [
     "Cell",
@@ -417,11 +418,23 @@ def load_spec(path: str | os.PathLike) -> "ExperimentSpec | PipelineSpec":
     A file with a ``[[stages]]`` array is a :class:`PipelineSpec`;
     anything else is a flat :class:`ExperimentSpec` (the degenerate
     single-stage pipeline).  The CLI's ``run`` accepts both through
-    this one entry point.
+    this one entry point.  A file naming a scenario that is not
+    registered is refused with a ``ValueError``.
     """
     data = _load_spec_data(path)
     if isinstance(data, Mapping) and "stages" in data:
-        return PipelineSpec.from_dict(
+        spec = PipelineSpec.from_dict(
             data, base_dir=os.path.dirname(os.fspath(path))
         )
-    return ExperimentSpec.from_dict(data)
+        scenarios = [stage.spec.scenario for stage in spec.stages]
+    else:
+        spec = ExperimentSpec.from_dict(data)
+        scenarios = [spec.scenario]
+    registered = scenario_names()
+    for scenario in scenarios:
+        if scenario not in registered:
+            raise ValueError(
+                f"{os.fspath(path)}: unknown scenario {scenario!r}; "
+                f"registered: {', '.join(registered)}"
+            )
+    return spec

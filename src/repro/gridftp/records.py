@@ -404,13 +404,6 @@ class TransferLogBuilder:
             self._cols[name] = grown
         self._capacity = new_cap
 
-    def append_record(self, record: TransferRecord) -> None:
-        """Append one :class:`TransferRecord` (the scalar boundary type)."""
-        self._reserve(1)
-        for name in _SCHEMA:
-            self._cols[name][self._n] = getattr(record, name)
-        self._n += 1
-
     def append_log(self, log: TransferLog) -> None:
         """Append every row of ``log`` (columnar, no per-row objects)."""
         k = len(log)
@@ -420,10 +413,6 @@ class TransferLogBuilder:
         for name in _SCHEMA:
             self._cols[name][self._n : self._n + k] = log.column(name)
         self._n += k
-
-    def append_columns(self, columns: Mapping[str, Any]) -> None:
-        """Append a columnar batch; missing columns take schema defaults."""
-        self.append_log(TransferLog(columns))
 
     def split_off(self, k: int) -> TransferLog:
         """Remove and return the first ``min(k, len(self))`` rows as a log.

@@ -234,10 +234,6 @@ class UsageStatsCollector:
         self._records.append(record)
         return True
 
-    def ingest_many(self, payloads: list[bytes]) -> int:
-        """Ingest a batch; returns the number of new records."""
-        return sum(1 for p in payloads if self.ingest(p))
-
     @property
     def n_records(self) -> int:
         return len(self._records)

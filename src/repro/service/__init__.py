@@ -19,10 +19,9 @@ stack misbehaves underneath it.  The pieces:
 * :mod:`~repro.service.daemon` — the core's asyncio driver: the daemon
   itself (control socket, supervised loops, the reserve/ride ladder,
   drain, checkpoint, exit 75) and the one params-to-config parser;
-* :mod:`~repro.service.soak` — the ``service_soak`` fault-storm
-  scenario (closed-loop correctness);
 * :mod:`~repro.service.loadtest` — the ``service_loadtest`` open-loop
-  harness: arrival generators, latency SLOs, and the deterministic
+  harness, the one that storms the daemon: arrival generators, crash
+  ops, latency SLOs and daemon-side contracts, and the deterministic
   twin, the core's discrete-event driver.
 """
 

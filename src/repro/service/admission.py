@@ -17,8 +17,8 @@ Everything here is in **wall seconds** — clients sleep their
 execution times through ``time_scale`` *before* calling
 :meth:`AdmissionController.note_service_s`.  Feeding virtual seconds in
 would tell a client to back off ``time_scale`` times too long (at the
-soak's ``time_scale=3000``, a 60-virtual-second service would read as a
-one-minute-plus *real* backoff — fifty virtual hours).
+load test's ``time_scale=3000``, a 60-virtual-second service would read
+as a one-minute-plus *real* backoff — fifty virtual hours).
 
 Rejection reasons are counted per cause (queue-full, tenant-quota,
 draining) — the shed census the status endpoint reports.
@@ -36,10 +36,13 @@ from __future__ import annotations
 
 import dataclasses
 
-__all__ = ["AdmissionDecision", "AdmissionController"]
+__all__ = ["SHED_REASONS", "AdmissionDecision", "AdmissionController"]
 
 #: floor for the retry-after hint, seconds of service time
 _MIN_RETRY_AFTER_S = 1.0
+
+#: every reason a submission is shed for: the shed census's keys
+SHED_REASONS = ("queue-full", "tenant-quota", "draining")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -47,7 +50,7 @@ class AdmissionDecision:
     """Outcome of one :meth:`AdmissionController.try_admit` call."""
 
     admitted: bool
-    #: "queue-full" | "tenant-quota" | "draining" | None when admitted
+    #: one of SHED_REASONS, or None when admitted
     reason: str | None = None
     #: suggested client backoff, seconds (rejections only)
     retry_after_s: float | None = None
@@ -92,9 +95,7 @@ class AdmissionController:
         #: EWMA of settled-request service time, seconds
         self._ewma_service_s: float | None = None
         #: rejections by reason — the shed census
-        self.shed: dict[str, int] = {
-            "queue-full": 0, "tenant-quota": 0, "draining": 0,
-        }
+        self.shed: dict[str, int] = dict.fromkeys(SHED_REASONS, 0)
 
     # -- the admission decision -------------------------------------------
 

@@ -138,7 +138,7 @@ class DaemonConfig:
     status_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
     checkpoint_path: str | None = None
-    #: honour the ``crash`` chaos op (tests and soaks only)
+    #: honour the ``crash`` chaos op (tests and fault-storm load tests)
     chaos_ops: bool = False
     #: times a request survives its work loop crashing before it fails
     max_crash_requeues: int = 2
@@ -222,23 +222,20 @@ def config_from_params(
     params: Mapping[str, Any],
     seed: int,
     socket_path: str = "(no socket)",
-    defaults: Mapping[str, Any] | None = None,
     **fixed: Any,
 ) -> DaemonConfig:
     """The one params-to-config parser of every service driver.
 
-    The live load test, the twin and the soak all read a cell's params
-    here, so a key one driver honours every driver honours.  Drivers
-    that open no socket (the twin) leave ``socket_path`` unset.
-    ``defaults`` replaces some of the table's defaults (the soak's fault
-    storm); ``fixed`` sets config fields that are not params.
+    The live load test and the twin both read a cell's params here, so
+    a key one driver honours the other honours.  Drivers that open no
+    socket (the twin) leave ``socket_path`` unset; ``fixed`` sets config
+    fields that are not params.
     """
-    table = {**_PARAM_DEFAULTS, **(defaults or {})}
     return DaemonConfig(
         socket_path=socket_path,
         seed=seed,
         **{"status_interval_s": 0.05, **fixed},
-        **{key: type(v)(params.get(key, v)) for key, v in table.items()},
+        **{k: type(v)(params.get(k, v)) for k, v in _PARAM_DEFAULTS.items()},
     )
 
 
@@ -365,8 +362,8 @@ class TransferDaemon:
 
         ``install_signals`` also decides whether the drain report is
         printed to stdout: a real daemon process emits it for its
-        caller, an embedded daemon (soak scenario, tests) only records
-        it on :attr:`drain_report`.
+        caller, an embedded daemon (the live load test, tests) only
+        records it on :attr:`drain_report`.
         """
         self._emit_report = install_signals
         loop = asyncio.get_running_loop()

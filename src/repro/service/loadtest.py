@@ -1,12 +1,13 @@
-"""Open-loop load testing of the transfer daemon, with latency SLOs.
+"""Open-loop load testing of the daemon: latency SLOs and fault storms.
 
-The soak's Poisson storm is *closed-loop*: it awaits every ``submit``
-before sleeping the next inter-arrival gap, so an overloaded daemon slows
-the arrival process down and queueing collapse hides inside a gentler
-offered load.  A real arrival process does not care how the service is
-doing — the paper's Fig. 6 time-of-day pulse keeps coming whether the
-circuits signal in one second or one minute.  This module drives the
-daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
+The one harness that storms the daemon.  Arrivals are *open-loop*: a
+closed-loop storm, which awaits every ``submit`` before sleeping the
+next gap, lets an overloaded daemon slow its own arrival process and
+hides queueing collapse inside a gentler offered load.  A real arrival
+process does not care how the service is doing — the paper's Fig. 6
+time-of-day pulse keeps coming whether the circuits signal in one
+second or one minute.  This module drives the daemon the way
+``fdtcp``'s ``loadtest/`` drives fdtd:
 
 * **arrival generators** — schedules in *virtual* service seconds:
   :func:`poisson_schedule` (memoryless), :func:`onoff_schedule`
@@ -19,7 +20,10 @@ daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
   independent asyncio task that is never awaited before the next
   arrival; latency is measured from the scheduled arrival to the settle
   response, so driver lateness and queue wait both count against the
-  SLO;
+  SLO.  ``n_crashes`` crash ops fire the same way at seeded arrival
+  indices, so one storm also checks the daemon-side contracts: crashed
+  loops restart, ``/health`` stays ok at every status sample, and an
+  embedded daemon drains to exit 75 with no accepted request lost;
 * **a deterministic twin** — :func:`run_loadtest_sim` replays the same
   arrival schedule and request mix as the *discrete-event driver* of the
   daemon's own :class:`~repro.service.core.ServiceCore`: the same
@@ -30,8 +34,8 @@ daemon the way ``fdtcp``'s ``loadtest/`` drives fdtd:
 * **an SLO report** — :class:`LoadTestReport` pins p50/p95/p99 request
   latency (via :class:`~repro.core.streaming.QuantileSketch`),
   scheduler throughput, the shed census by reason, the degradation mix
-  (VC vs routed-IP rungs), and the admission bound sampled throughout
-  the storm.
+  (VC vs routed-IP rungs), the admission bound and the daemon's health
+  sampled throughout the storm, and the work-loop restarts.
 """
 
 from __future__ import annotations
@@ -52,10 +56,11 @@ from ..core.rng import ensure_rng
 from ..core.streaming import QuantileSketch
 from ..vc.circuits import BatchSignalling
 from ..workload.diurnal import DiurnalProfile, sample_arrivals
+from .admission import SHED_REASONS
 from .api import AsyncServiceClient
 from .budget import PathChoice, TransferPlan
 from .core import InvalidSubmission, ServiceCore, ServiceRequest
-from .daemon import TransferDaemon, config_from_params
+from .daemon import EXIT_DRAINED, TransferDaemon, config_from_params
 from .health import SETTLED_STATES, ServiceMetrics
 
 if TYPE_CHECKING:  # the sched package imports this module; stay lazy
@@ -392,6 +397,10 @@ class LoadTestReport:
     goodput_bps: float = 0.0
     #: Jain fairness index over per-tenant success counts (None untracked)
     fairness_jain: float | None = None
+    #: work-loop restarts during the storm (live driver; the twin has none)
+    loop_restarts: int = 0
+    #: ``/status`` samples whose ``/health`` verdict was not ok
+    n_unhealthy_samples: int = 0
 
     @property
     def n_settled(self) -> int:
@@ -429,6 +438,9 @@ class LoadTestReport:
             )
         if sum(self.shed.values()) != self.n_shed:
             raise AssertionError("shed census disagrees with n_shed")
+        unknown = sorted(set(self.shed) - set(SHED_REASONS))
+        if unknown:
+            raise AssertionError(f"unknown shed reason(s) {unknown}")
         if self.n_settled != self.n_accepted:
             raise AssertionError(
                 f"{self.n_accepted - self.n_settled} accepted request(s) "
@@ -440,6 +452,11 @@ class LoadTestReport:
             raise AssertionError(
                 f"admission bound violated: outstanding reached "
                 f"{self.outstanding_max} > limit {self.outstanding_bound}"
+            )
+        if self.n_unhealthy_samples:
+            raise AssertionError(
+                f"/health was not ok at {self.n_unhealthy_samples} "
+                f"status sample(s)"
             )
         lats = (self.latency_p50_s, self.latency_p95_s, self.latency_p99_s)
         if any(v is not None for v in lats):
@@ -474,6 +491,8 @@ def _report_from_counts(
     scheduler: str = "fcfs",
     bytes_moved: float = 0.0,
     tenant_succeeded: Mapping[str, int] | None = None,
+    loop_restarts: int = 0,
+    n_unhealthy_samples: int = 0,
 ) -> LoadTestReport:
     lat = recorder.summary()
     n_offered = counts.n_submitted
@@ -514,6 +533,8 @@ def _report_from_counts(
             bytes_moved * 8.0 / duration_s if duration_s > 0 else 0.0
         ),
         fairness_jain=_jain_index(tenant_succeeded),
+        loop_restarts=loop_restarts,
+        n_unhealthy_samples=n_unhealthy_samples,
     )
 
 
@@ -538,21 +559,33 @@ def _jain_index(counts: Mapping[str, int] | None) -> float | None:
 # the open-loop live driver
 
 
+async def _request_once(
+    socket_path: str, body: dict[str, Any]
+) -> dict[str, Any]:
+    """One control op over its own connection."""
+    client = await AsyncServiceClient.connect(socket_path)
+    try:
+        return await client.request(body)
+    finally:
+        await client.close()
+
+
 async def _drive_open_loop(
     socket_path: str,
     schedule_virtual: np.ndarray,
     mix: RequestMix,
+    crash_at: set[int],
     time_scale: float,
     sample_interval_s: float,
     request_timeout_s: float,
 ) -> dict[str, Any]:
-    """Fire every submission on schedule; never wait for a response first."""
+    """Fire every submission and crash op on schedule, never awaiting one."""
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     responses: list[dict[str, Any] | None] = [None] * len(mix)
     latencies: list[float | None] = [None] * len(mix)
     outstanding_samples: list[int] = []
-    bound_seen = 0
+    n_unhealthy = 0
     storm_over = asyncio.Event()
 
     async def fire(i: int) -> None:
@@ -574,14 +607,23 @@ async def _drive_open_loop(
         responses[i] = resp
         latencies[i] = loop.time() - t_sched
 
+    async def crash() -> None:
+        resp = await _request_once(socket_path, {"op": "crash"})
+        if not resp.get("ok"):
+            raise ValueError(
+                f"the daemon refused the crash op ({resp.get('error')}); "
+                f"n_crashes needs a daemon started with --chaos-ops"
+            )
+
     async def sample() -> None:
-        nonlocal bound_seen
+        nonlocal n_unhealthy
         client = await AsyncServiceClient.connect(socket_path)
         try:
             while not storm_over.is_set():
                 st = (await client.request({"op": "status"}))["status"]
                 outstanding_samples.append(int(st["outstanding"]))
-                bound_seen = int(st["queue_limit"])
+                if not st["health"]["ok"]:
+                    n_unhealthy += 1
                 try:
                     await asyncio.wait_for(
                         storm_over.wait(), timeout=sample_interval_s
@@ -600,6 +642,8 @@ async def _drive_open_loop(
                 await asyncio.sleep(delay)
             # open loop: the task is NOT awaited before the next arrival
             tasks.append(asyncio.create_task(fire(i)))
+            if i in crash_at:
+                tasks.append(asyncio.create_task(crash()))
         await asyncio.gather(*tasks)
     finally:
         for t in tasks:
@@ -611,7 +655,7 @@ async def _drive_open_loop(
         "responses": responses,
         "latencies": latencies,
         "outstanding_samples": outstanding_samples,
-        "bound_seen": bound_seen,
+        "n_unhealthy_samples": n_unhealthy,
         "duration_s": loop.time() - t0,
     }
 
@@ -645,8 +689,9 @@ def _classify(
             reason = str(resp.get("reason"))
             shed[reason] = shed.get(reason, 0) + 1
             hint = resp.get("retry_after_s")
-            if hint is not None:
-                retry_after_max = max(retry_after_max or 0.0, float(hint))
+            if hint is None or hint <= 0:
+                raise AssertionError(f"shed without a retry-after: {resp!r}")
+            retry_after_max = max(retry_after_max or 0.0, float(hint))
         elif str(resp.get("error", "")).startswith("invalid submission"):
             counts.n_invalid += 1
         else:
@@ -663,27 +708,51 @@ def run_loadtest(
 
     With ``socket_path=None`` a daemon is booted in-process from
     ``params`` (real asyncio loops, real Unix control socket) and
-    drained afterwards; otherwise the storm drives an already-running
-    daemon at ``socket_path`` and the daemon is left serving.  The
-    arrival schedule and request mix are seeded, so the *offered* load
+    drained afterwards; the drain must exit 75 with no accepted request
+    lost.  Otherwise the storm drives an already-running daemon at
+    ``socket_path`` and the daemon is left serving.  Either way the
+    daemon's counters are read as ``/status`` deltas across the storm
+    and must agree with the client-side censuses.  ``n_crashes`` crash
+    ops fire at seeded arrival indices; an external daemon honours them
+    only when started with ``--chaos-ops``.  The arrival schedule,
+    request mix and crash indices are seeded, so the *offered* load
     replays exactly; the live censuses depend on real scheduling (use
     :func:`run_loadtest_sim` for the deterministic twin).
     """
     rng = np.random.default_rng(seed)
     schedule = build_schedule(params, rng)
     mix = RequestMix.from_params(params, rng)
+    n_crashes = int(params.get("n_crashes", 0))
+    if n_crashes < 0:
+        raise ValueError("n_crashes must be >= 0")
+    # drawn after the schedule and the mix, so those replay unchanged
+    crash_at = set(
+        rng.choice(len(mix), size=min(n_crashes, len(mix)), replace=False)
+        .tolist()
+    )
     time_scale = float(params.get("time_scale", 3000.0))
     sample_interval_s = float(params.get("sample_interval_s", 0.01))
     request_timeout_s = float(params.get("request_timeout_s", 120.0))
     t_start = time.perf_counter()
 
+    async def storm(sock: str) -> tuple[dict[str, Any], ...]:
+        """The storm bracketed by two ``/status`` reads."""
+        before = await _request_once(sock, {"op": "status"})
+        raw = await _drive_open_loop(
+            sock, schedule, mix, crash_at, time_scale,
+            sample_interval_s, request_timeout_s,
+        )
+        after = await _request_once(sock, {"op": "status"})
+        return raw, before["status"], after["status"]
+
     if socket_path is None:
         with tempfile.TemporaryDirectory(prefix="repro-loadtest-") as tmp:
-            sock = os.path.join(tmp, "svc.sock")
-            config = config_from_params(params, seed, sock)
-            time_scale = config.time_scale
+            config = config_from_params(
+                params, seed, os.path.join(tmp, "svc.sock"),
+                chaos_ops=n_crashes > 0,
+            )
 
-            async def body() -> dict[str, Any]:
+            async def embedded() -> tuple[dict[str, Any], ...]:
                 daemon = TransferDaemon(config)
                 ready = asyncio.Event()
                 serve = asyncio.create_task(
@@ -691,62 +760,39 @@ def run_loadtest(
                 )
                 await asyncio.wait_for(ready.wait(), timeout=10)
                 try:
-                    raw = await _drive_open_loop(
-                        sock, schedule, mix, time_scale,
-                        sample_interval_s, request_timeout_s,
-                    )
+                    out = await storm(config.socket_path)
                 finally:
                     daemon.request_drain()
-                    await asyncio.wait_for(serve, timeout=60)
-                raw["daemon_metrics"] = daemon.metrics.as_dict()
-                raw["daemon_shed"] = dict(daemon.admission.shed)
-                return raw
+                    exit_code = await asyncio.wait_for(serve, timeout=60)
+                if exit_code != EXIT_DRAINED:
+                    raise AssertionError(
+                        f"the drain exited {exit_code}, not {EXIT_DRAINED}"
+                    )
+                n_lost = daemon.drain_report["metrics"]["n_lost"]
+                if n_lost:
+                    raise AssertionError(
+                        f"the drain lost {n_lost} accepted request(s)"
+                    )
+                return out
 
-            raw = asyncio.run(body())
+            raw, before, after = asyncio.run(embedded())
     else:
-        async def body() -> dict[str, Any]:
-            client = await AsyncServiceClient.connect(socket_path)
-            try:
-                before = (await client.request({"op": "status"}))["status"]
-            finally:
-                await client.close()
-            raw = await _drive_open_loop(
-                socket_path, schedule, mix, time_scale,
-                sample_interval_s, request_timeout_s,
-            )
-            client = await AsyncServiceClient.connect(socket_path)
-            try:
-                after = (await client.request({"op": "status"}))["status"]
-            finally:
-                await client.close()
-            raw["daemon_metrics"] = {
-                k: after["metrics"][k] - before["metrics"][k]
-                for k in after["metrics"]
-            }
-            raw["daemon_shed"] = {
-                k: after["shed"][k] - before["shed"].get(k, 0)
-                for k in after["shed"]
-            }
-            return raw
-
-        raw = asyncio.run(body())
+        raw, before, after = asyncio.run(storm(socket_path))
 
     wall_s = time.perf_counter() - t_start
     recorder = LatencyRecorder()
     counts, shed, paths, retry_after_max = _classify(
         raw["responses"], raw["latencies"], recorder
     )
-    # the daemon's own ledger must agree with the client-side censuses
-    dm = raw["daemon_metrics"]
-    for key in ("n_accepted", "n_shed", "n_invalid"):
-        if getattr(counts, key) != dm[key]:
+    # the daemon's own ledger, as deltas across the storm, must agree
+    # with the client-side censuses
+    for key in ("n_submitted", "n_accepted", "n_shed", "n_invalid"):
+        delta = after["metrics"][key] - before["metrics"][key]
+        if getattr(counts, key) != delta:
             raise AssertionError(
                 f"client-side {key}={getattr(counts, key)} disagrees with "
-                f"the daemon's {key}={dm[key]}"
+                f"the daemon's {key}={delta}"
             )
-    # the bound comes from the daemon's own /status (works for external
-    # daemons too); fall back to the configured limit if sampling missed
-    bound = int(raw["bound_seen"]) or int(params.get("queue_limit", 16))
     return _report_from_counts(
         mode="live",
         params=params,
@@ -758,9 +804,13 @@ def run_loadtest(
         duration_s=raw["duration_s"],
         wall_s=wall_s,
         outstanding_samples=raw["outstanding_samples"],
-        outstanding_bound=bound,
+        outstanding_bound=after["queue_limit"],
         retry_after_max_s=retry_after_max,
         time_scale=time_scale,
+        loop_restarts=(
+            after["health"]["n_restarts"] - before["health"]["n_restarts"]
+        ),
+        n_unhealthy_samples=raw["n_unhealthy_samples"],
     )
 
 
@@ -792,10 +842,14 @@ def run_loadtest_sim(
 
     Pass ``scheduler`` to drive a pre-built policy object (the
     prediction-error cost curve injects biased predictors this way);
-    otherwise ``params["scheduler"]`` names the policy.
+    otherwise ``params["scheduler"]`` names the policy.  The twin has
+    no work loops to crash, so it refuses ``n_crashes``.
     """
     from ..sched.base import make_scheduler
 
+    if int(params.get("n_crashes", 0)):
+        raise ValueError("the twin has no loops to crash: n_crashes "
+                         "needs the live driver")
     rng = np.random.default_rng(seed)
     schedule = build_schedule(params, rng)
     mix = RequestMix.from_params(params, rng)

@@ -43,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -406,10 +405,6 @@ class FluidSimulator:
             job.submit_time, lambda: self._on_arrival(flow_id, job, vc, explicit_path)
         )
         return flow_id
-
-    def submit_all(self, jobs: Sequence[TransferJob]) -> list[int]:
-        """Queue many best-effort jobs."""
-        return [self.submit(j) for j in jobs]
 
     # -- event handlers -------------------------------------------------------
 

@@ -43,10 +43,6 @@ class InterDomainCircuit:
     usable_start: float
     end_time: float
 
-    @property
-    def setup_complete_time(self) -> float:
-        return self.usable_start
-
 
 class IdcpChain:
     """Sequential IDCP signalling across an ordered list of domains."""

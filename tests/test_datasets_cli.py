@@ -151,6 +151,13 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "peak RSS" in out and "FAIL" not in out
 
+    def test_bad_chunk_size_is_refused(self, capsys):
+        assert main(["analyze", "slac-bnl", "--n", "1000",
+                     "--chunk-size", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chunk_size must be >= 1\n"
+
     def test_analyze_rss_budget_fail(self, capsys):
         # an impossible budget must fail loudly with a nonzero exit
         assert main(["analyze", "slac-bnl", "--n", "5000",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import pathlib
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.experiments import (
     canonical_json,
     cell_key,
     get_scenario,
+    load_spec,
     register_scenario,
     scenario_names,
 )
@@ -500,6 +502,45 @@ class TestCliRun:
         rc = main(["run", str(spec), "--no-cache"])
         assert rc == 0
         assert "quarantined" not in capsys.readouterr().out
+
+    def test_missing_spec_file_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        missing = tmp_path / "nonexistent.toml"
+        assert main(["run", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file")
+        assert captured.err.count("\n") == 1
+
+    def test_spec_naming_an_unregistered_scenario_is_refused(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        # e.g. an old spec naming a scenario since folded into another
+        path = tmp_path / "old.toml"
+        path.write_text('name = "old"\nscenario = "retired"\n')
+        assert main(["run", str(path), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: {path}: unknown scenario 'retired'; registered: "
+        )
+        assert "service_loadtest" in captured.err
+
+
+_EXAMPLE_SPECS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "examples" / "specs")
+    .glob("*.toml")
+)
+
+
+@pytest.mark.parametrize("path", _EXAMPLE_SPECS, ids=lambda p: p.name)
+def test_example_spec_plans(path):
+    """Every shipped example loads and plans, executing nothing."""
+    plans = Runner().dry_run(load_spec(path))
+    assert plans and all(plan.n_cells > 0 for plan in plans)
 
 
 # -- registered here so the NaN-producing scenario exists for the Runner ----

@@ -10,19 +10,29 @@ shape), the request mix, the latency recorder, and the
   sheds against the admission bound, underload settles everything;
 * the **live driver** (:func:`run_loadtest`): a real in-process daemon
   under a genuinely open-loop storm — the ledger balances against the
-  daemon's own counters and the report validates.
+  daemon's own counters and the report validates — including the fault
+  storm: injected faults plus crash ops, with loops restarting,
+  ``/health`` ok at every sample and a clean drain; and an external
+  daemon driven over its socket.
 """
 
+import asyncio
+import contextlib
+import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from repro.service.admission import SHED_REASONS
+from repro.service.daemon import EXIT_DRAINED, DaemonConfig, TransferDaemon
 from repro.service.loadtest import (
     FIG6_HOURLY,
     LatencyRecorder,
     RequestMix,
+    _classify,
     build_schedule,
     diurnal_schedule,
     fig6_profile,
@@ -310,6 +320,60 @@ class TestSimLoadtest:
 # the live open-loop driver
 
 
+#: the fault storm: injected faults plus one crash op, at a mean offered
+#: rate of one request per virtual minute.  The bounds admit all 16
+#: requests, so no submission is shed and the invalid census is exactly
+#: the mix's
+_STORM = {
+    "n_requests": 16,
+    "n_tenants": 2,
+    "rate_per_s": 1 / 60,
+    "invalid_frac": 0.1,
+    "queue_limit": 16,
+    "tenant_quota": 16,
+    "time_scale": 3000.0,
+    "n_crashes": 1,
+    "reject_prob": 0.3,
+    "setup_timeout_prob": 0.2,
+    "flaps_per_hour": 12.0,
+}
+
+
+@contextlib.contextmanager
+def _external_daemon(tmp_path, **fields):
+    """A daemon serving on its own thread and event loop, drained on exit.
+
+    Yields its socket path; the storm's client runs in the test's
+    thread, as it would against a separately started daemon.
+    """
+    daemon = TransferDaemon(DaemonConfig(
+        socket_path=str(tmp_path / "ext.sock"), time_scale=3000.0, **fields
+    ))
+    serving = threading.Event()
+    loops, exit_codes = [], []
+
+    async def serve():
+        loops.append(asyncio.get_running_loop())
+        ready = asyncio.Event()
+        task = asyncio.create_task(
+            daemon.serve(ready=ready, install_signals=False)
+        )
+        await ready.wait()
+        serving.set()
+        exit_codes.append(await task)
+
+    thread = threading.Thread(target=asyncio.run, args=(serve(),))
+    thread.start()
+    assert serving.wait(10), "the external daemon never started serving"
+    try:
+        yield daemon.config.socket_path
+    finally:
+        loops[0].call_soon_threadsafe(daemon.request_drain)
+        thread.join(60)
+    assert exit_codes == [EXIT_DRAINED]
+    assert daemon.drain_report["metrics"]["n_lost"] == 0
+
+
 class TestLiveLoadtest:
     def test_in_process_storm_validates(self):
         report = run_loadtest(
@@ -364,6 +428,99 @@ class TestLiveLoadtest:
         (config,) = configs
         assert config.vc_safety_factor == 2.0
         assert config.batch_window_s == 30.0
+
+    def test_fault_storm_keeps_the_daemon_contracts(self):
+        seed = 5
+        report = run_loadtest(_STORM, seed)
+        report.validate()  # ledger, bound, shed reasons, health samples
+        # the crash op fired, and supervision restarted the loop it hit
+        assert report.loop_restarts >= 1
+        assert report.n_unhealthy_samples == 0
+        assert report.n_outstanding_samples > 0
+        # every seeded invalid submission was refused, no more, no less
+        rng = np.random.default_rng(seed)
+        build_schedule(_STORM, rng)
+        mix = RequestMix.from_params(_STORM, rng)
+        assert report.n_invalid == sum(item["invalid"] for item in mix.items)
+        json.dumps(report.as_dict())
+
+    def test_overload_storm_with_crashes_sheds_for_known_reasons(self):
+        report = run_loadtest(
+            {**_STORM, "n_requests": 60, "rate_per_s": 2.0, "n_crashes": 3},
+            seed=2,
+        )
+        report.validate()
+        assert report.n_shed > 0
+        assert set(report.shed) <= set(SHED_REASONS)
+        assert report.loop_restarts >= 1
+
+    def test_twin_refuses_crash_ops(self):
+        with pytest.raises(ValueError, match="n_crashes"):
+            run_loadtest_sim({**_STORM, "n_crashes": 1}, seed=0)
+
+    def test_negative_crash_count_refused(self):
+        with pytest.raises(ValueError, match="n_crashes"):
+            run_loadtest({**_STORM, "n_crashes": -1}, seed=0)
+
+    def test_external_daemon_without_chaos_ops_refuses_crashes(
+        self, tmp_path
+    ):
+        params = {**_STORM, "reject_prob": 0.0, "setup_timeout_prob": 0.0}
+        with _external_daemon(tmp_path) as socket_path:
+            # two storms on one daemon: the census checks read deltas
+            for seed in (1, 2):
+                run_loadtest(
+                    {**params, "n_crashes": 0}, seed, socket_path
+                ).validate()
+            with pytest.raises(ValueError, match="--chaos-ops"):
+                run_loadtest(params, 3, socket_path)
+
+    def test_unhealthy_samples_are_counted_and_refused(self, tmp_path):
+        # a heartbeat older than its timeout at every sample: /health
+        # is never ok, so every status sample counts against the run
+        with _external_daemon(
+            tmp_path, status_interval_s=5.0, heartbeat_timeout_s=1e-6
+        ) as socket_path:
+            report = run_loadtest({**_STORM, "n_crashes": 0}, 4, socket_path)
+        assert report.n_unhealthy_samples == report.n_outstanding_samples > 0
+        with pytest.raises(AssertionError, match="/health"):
+            report.validate()
+
+    @pytest.mark.parametrize("hint", [None, 0.0])
+    def test_shed_without_a_positive_retry_after_is_refused(self, hint):
+        shed = {"ok": False, "status": "rejected", "reason": "queue-full",
+                "retry_after_s": hint}
+        with pytest.raises(AssertionError, match="retry-after"):
+            _classify([shed], [None], LatencyRecorder())
+
+    @pytest.mark.parametrize("broken", [
+        lambda r: {"n_accepted": r.n_accepted + 1},
+        lambda r: {"outstanding_max": r.outstanding_bound + 1},
+        lambda r: {"shed": {**r.shed, "mystery": 0}},
+        lambda r: {"n_unhealthy_samples": 1},
+    ], ids=["ledger", "bound", "shed-reason", "unhealthy"])
+    def test_validate_refuses_a_broken_report(self, broken):
+        report = _sim({"n_requests": 60})
+        report.validate()
+        with pytest.raises(AssertionError):
+            dataclasses.replace(report, **broken(report)).validate()
+
+    def test_cli_reports_a_broken_contract_as_fail(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+        from repro.service import loadtest
+
+        def lost_one(params, seed, socket_path=None):
+            raise AssertionError("the drain lost 1 accepted request(s)")
+
+        monkeypatch.setattr(loadtest, "run_loadtest", lost_one)
+        assert cli.main(["loadtest", "--n", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "FAIL: the drain lost 1 accepted request(s)\n"
+        )
 
     def test_registered_as_a_scenario(self):
         from repro.experiments.registry import get_scenario

@@ -35,7 +35,6 @@ from repro.service.daemon import (
     TransferDaemon,
 )
 from repro.service.health import HealthMonitor, ServiceMetrics
-from repro.service.soak import run_service_soak
 from repro.service.supervisor import Supervisor
 from repro.vc.circuits import BatchSignalling
 
@@ -1063,43 +1062,3 @@ class TestRetryAfterClockDomain:
         # signalling alone is up to 61); its wall footprint was tens of
         # milliseconds.  The hint must be in the client's clock domain.
         assert 0 < rej["retry_after_s"] < 5.0
-
-
-# ---------------------------------------------------------------------------
-# the soak scenario
-
-
-class TestServiceSoak:
-    def test_soak_contracts_hold_under_a_fault_storm(self):
-        result = run_service_soak(
-            {
-                "n_requests": 16,
-                "n_tenants": 2,
-                "n_crashes": 1,
-                "queue_limit": 8,
-                "tenant_quota": 4,
-                "time_scale": 3000.0,
-            },
-            seed=5,
-        )
-        json.dumps(result)  # cacheable
-        assert result["exit_code"] == EXIT_DRAINED
-        assert result["n_lost"] == 0
-        # the full ledger: every submission is accepted, shed, or invalid
-        assert result["n_submitted"] == 16
-        assert (
-            result["n_accepted"] + result["n_shed"] + result["n_invalid"]
-            == 16
-        )
-        assert result["n_invalid"] == result["n_invalid_client_side"] == 2
-        assert result["loop_restarts"] >= 1
-        assert result["dead_loops"] == []
-        assert result["mid_outstanding"] <= result["max_outstanding_bound"]
-        # the bound held at *every* sampled observation of the storm
-        assert result["n_outstanding_samples"] > 0
-        assert result["outstanding_max"] <= result["max_outstanding_bound"]
-
-    def test_soak_is_registered_as_a_scenario(self):
-        from repro.experiments.registry import get_scenario
-
-        assert callable(get_scenario("service_soak"))
