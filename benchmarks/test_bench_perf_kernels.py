@@ -8,6 +8,7 @@ failure, not a mystery slowdown.
 """
 
 import heapq
+import math
 import time
 
 import numpy as np
@@ -17,10 +18,12 @@ from repro.core.sessions import group_sessions
 from repro.core.snmp_correlation import attributed_bytes
 from repro.core.stats import binned_medians
 from repro.core.vc_suitability import suitability_table
+from repro.gridftp.server import host_link
 from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
 from repro.net.snmp import SnmpCollector
 from repro.net.topology import esnet_like
+from repro.sim.experiment import default_dtns
 from repro.sim.probe import SimProbe
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 
@@ -162,6 +165,55 @@ def test_perf_max_min_fair_wide(benchmark):
     rates = benchmark(max_min_fair, flows, caps)
     assert len(rates) == 500
     assert benchmark.stats["mean"] < 2.0
+
+
+def test_perf_small_frontier_solves(benchmark):
+    """400 simulator-shaped frontiers of 1-8 flows, each one recompute.
+
+    The fluid simulator re-solves ~4 flows per allocator pass.  Each
+    flow here crosses an ESnet-like backbone path between two of seven
+    sites plus both sites' host pseudo links, with weight 1/2/4/8 and a
+    greedy or finite demand.  At this size a solve is a few passes over
+    a handful of flows, where NumPy's fixed per-call cost would dominate:
+    routing small frontiers to the vectorized kernel shows up here as a
+    failure.
+    """
+    topology = esnet_like()
+    caps = {link.key: link.capacity_bps for link in topology.links()}
+    caps.update(default_dtns(topology).pseudo_capacities())
+    sites = ("NERSC", "ANL", "ORNL", "SLAC", "BNL", "LANL", "NICS")
+    rng = np.random.default_rng(17)
+    problems = []
+    for n_flows in range(1, 9):
+        for _ in range(50):
+            flows = []
+            for _ in range(n_flows):
+                src, dst = (sites[int(i)] for i in rng.choice(7, size=2, replace=False))
+                links = topology.path_links(topology.path(src, dst))
+                flows.append((
+                    tuple(links) + (host_link(src), host_link(dst)),
+                    float(rng.choice([math.inf, rng.uniform(1e8, 4e9)])),
+                    float(rng.choice([1.0, 2.0, 4.0, 8.0])),
+                ))
+            problems.append(flows)
+
+    def build():
+        allocs = []
+        for flows in problems:
+            alloc = MaxMinAllocator(caps)
+            for fid, (links, demand, weight) in enumerate(flows):
+                alloc.add_flow(fid, links, demand_bps=demand, weight=weight)
+            allocs.append(alloc)
+        return (allocs,), {}
+
+    def solve(allocs):
+        return [alloc.recompute() for alloc in allocs]
+
+    solved = benchmark.pedantic(solve, setup=build, rounds=10)
+    assert [len(rates) for rates in solved] == [len(p) for p in problems]
+    per_solve_s = benchmark.stats["mean"] / len(problems)
+    print(f"\n{per_solve_s * 1e6:.0f} us per solve of 1-8 flows")
+    assert per_solve_s < 200e-6
 
 
 def _clustered_workload(n_clusters=500, flows_per=20, seed=2):

@@ -1,4 +1,4 @@
-"""Incremental, vectorized weighted max-min fairness.
+"""Incremental weighted max-min fairness.
 
 :func:`repro.net.flows.max_min_fair` recomputes every flow's rate from
 scratch, which makes a fluid campaign cost O(events x flows x links) —
@@ -16,10 +16,12 @@ change instead:
   of the touched flows — progressive filling decomposes exactly across
   components, because flows in different components never compete for a
   link;
-* the progressive-filling inner loop is **vectorized** over numpy
-  arrays (rates, demands, weights, a CSR-style incidence), so even a
-  full recompute of a 10k-flow component is array work, not a Python
-  loop.
+* the progressive-filling solve has **two arms**, picked by frontier
+  size alone: below :data:`_SCALAR_MAX_FLOWS` flows it runs the scalar
+  loop :func:`repro.net.flows._progressive_fill` over integer link ids;
+  at and above it, :func:`_fill_vectorized`, the same loop over numpy
+  arrays (rates, demands, weights, a CSR-style incidence), so a full
+  recompute of a 10k-flow component is array work, not a Python loop.
 
 The dirty-set invariant: between calls to :meth:`recompute`, the set of
 flows whose stored rate may disagree with the weighted max-min optimum
@@ -60,12 +62,49 @@ restricted to the frontier.  ``level_frontier=False`` keeps the plain
 connected-component closure as an escape hatch (and as the baseline
 the benches compare against).
 
-The reference oracle stays :func:`~repro.net.flows.max_min_fair`; the
-equivalence is pinned by randomized incremental-vs-oracle property
-tests (``tests/test_allocator.py``).  The vectorized kernel performs
-the *same arithmetic in the same order* as the oracle (flow-major
-accumulation, identical freeze thresholds), so rates agree to the last
-bit on well-conditioned inputs, not just to a tolerance.
+**The crossover.**  A numpy pass costs ~20 array calls whatever the
+frontier size, a scalar pass about a microsecond per flow-link pair.
+On the frontiers the simulator solves (~4 flows on average in the
+``sim_contention`` benchmark) the numpy kernel spent most of its time
+in that fixed cost.  Per solve, on a 2-vCPU Xeon, over the seed-4
+``sim_contention`` frontiers (up to 8 flows) and over synthetic
+frontiers of the same shape (ESnet-like paths plus two host pseudo
+links, weights 1/2/4/8):
+
+===========  ===========  ============
+flows        scalar loop  numpy kernel
+===========  ===========  ============
+1            ~10 us       ~70 us
+4            ~35 us       ~140 us
+8            ~65 us       ~205 us
+32           ~240 us      ~600 us
+64           ~370 us      ~480 us
+128          ~750 us      ~730 us
+256          ~1.4 ms      ~0.9 ms
+===========  ===========  ============
+
+so the two cost the same near 128 flows, where the arms switch.  Flows
+crossing fewer links make the scalar pass cheaper and move the
+crossover up (near 190 flows on the 4-link chains of the 10k-flow
+benches, whose frontiers hold ~370 flows).  Both arms perform the
+*same arithmetic in the same order* (flow-major accumulation,
+identical relative freeze thresholds): the arm changes the cost, never
+a bit of the rates or of the level records.
+
+The reference oracle :func:`~repro.net.flows.max_min_fair` maps its
+link keys to ids and runs the same scalar loop, so the oracle and the
+small arm are one implementation.  The numpy kernel is the independent
+check: ``tests/test_allocator.py::TestSolveArms`` solves the same
+frontiers (both sides of the crossover, frozen peers outside them,
+zero-capacity links, greedy and link-less flows) through both arms and
+requires ``==`` on the rates, ``_levels``, ``_link_sat`` and
+``_link_headroom``.  Randomized incremental-vs-oracle property tests in
+the same file pin the dirty-set and frontier logic.
+
+Inputs are refused at the mutation API, with ``ValueError``, before
+they can reach a solve: a NaN demand, a NaN or infinite weight, and a
+negative, NaN or infinite capacity.  An infinite demand (a greedy flow)
+and a zero capacity (an outage) are legal.
 """
 
 from __future__ import annotations
@@ -76,9 +115,19 @@ from collections.abc import Iterable, Mapping
 
 import numpy as np
 
+from .flows import (
+    _EPS,
+    _check_capacity,
+    _check_demand,
+    _check_weight,
+    _progressive_fill,
+)
+
 __all__ = ["MaxMinAllocator"]
 
-_EPS = 1e-9  # freeze tolerance, identical to the oracle's
+#: frontiers of fewer flows run the scalar loop, larger ones the NumPy
+#: kernel (the measured crossover, see the module docstring)
+_SCALAR_MAX_FLOWS = 128
 #: relative slack on level comparisons when building the frontier —
 #: generous on purpose: including a flow that could not move is wasted
 #: work, excluding one that can move is a wrong answer.
@@ -193,8 +242,7 @@ class MaxMinAllocator:
 
     def update_capacity(self, key: tuple[str, str], capacity_bps: float) -> None:
         """Set (or create) link ``key``'s capacity; dirties flows on it."""
-        if capacity_bps < 0:
-            raise ValueError("capacity must be non-negative")
+        _check_capacity(capacity_bps)
         old = self._cap.get(key)
         if old == capacity_bps:
             return
@@ -227,10 +275,8 @@ class MaxMinAllocator:
         """Register a flow; its component is re-solved on next recompute."""
         if flow_id in self._flows:
             raise ValueError(f"flow {flow_id} already present")
-        if demand_bps < 0:
-            raise ValueError("demand must be non-negative")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
+        _check_demand(demand_bps)
+        _check_weight(weight)
         links = tuple(links)
         for key in links:
             if key not in self._cap:
@@ -286,6 +332,10 @@ class MaxMinAllocator:
         entry = self._flows.get(flow_id)
         if entry is None:
             raise KeyError(f"unknown flow {flow_id}")
+        if demand_bps is not None:
+            _check_demand(demand_bps)
+        if weight is not None:
+            _check_weight(weight)
         if links is None and weight is None and demand_bps is not None:
             # demand-only edit: the flow's consumption curve is w*t up to
             # min(old freeze level, new demand level) either way
@@ -316,12 +366,8 @@ class MaxMinAllocator:
             for key in new_links:
                 self._link_flows.setdefault(key, set()).add(flow_id)
         if demand_bps is not None:
-            if demand_bps < 0:
-                raise ValueError("demand must be non-negative")
             entry.demand_bps = float(demand_bps)
         if weight is not None:
-            if weight <= 0:
-                raise ValueError("weight must be positive")
             entry.weight = float(weight)
         self._dirty_flows.add(flow_id)
 
@@ -356,16 +402,16 @@ class MaxMinAllocator:
         (never solved) are always included.
         """
         cut = cutoff * (1.0 - _LEVEL_SLACK)
-
-        def movable(fid: int) -> bool:
-            level = self._levels.get(fid)
-            return level is None or level >= cut
-
+        levels = self._levels
+        link_flows = self._link_flows
         seeds: set[int] = {fid for fid in self._dirty_flows if fid in self._flows}
         for key in self._dirty_links:
-            for fid in self._link_flows.get(key, ()):
-                if movable(fid):
+            for fid in link_flows.get(key, ()):
+                if levels.get(fid, math.inf) >= cut:
                     seeds.add(fid)
+        # a link's movable flows are pushed the first time any frontier
+        # flow reaches it; a dirty link's are already among the seeds
+        expanded = set(self._dirty_links)
         frontier: set[int] = set()
         stack = list(seeds)
         while stack:
@@ -374,8 +420,11 @@ class MaxMinAllocator:
                 continue
             frontier.add(fid)
             for key in self._flows[fid].links:
-                for peer in self._link_flows.get(key, ()):
-                    if peer not in frontier and movable(peer):
+                if key in expanded:
+                    continue
+                expanded.add(key)
+                for peer in link_flows[key]:
+                    if peer not in frontier and levels.get(peer, math.inf) >= cut:
                         stack.append(peer)
         return sorted(frontier)
 
@@ -421,106 +470,132 @@ class MaxMinAllocator:
         return self.recompute()
 
     def _solve(self, fids: list[int]) -> dict[int, float]:
-        """Vectorized progressive filling over one component."""
-        n = len(fids)
-        entries = [self._flows[fid] for fid in fids]
-        w = np.array([e.weight for e in entries])
-        d = np.array([e.demand_bps for e in entries])
-        counts = np.array([len(e.links) for e in entries], dtype=np.intp)
+        """Progressive filling over one frontier, against residual capacity.
 
-        # link universe of the component, in first-seen (flow-major) order
+        Frontiers below :data:`_SCALAR_MAX_FLOWS` flows, where the two
+        arms cost the same (measured in the module docstring), run the
+        scalar loop :func:`~repro.net.flows._progressive_fill`, which
+        the oracle shares; larger ones run :func:`_fill_vectorized`.
+        Both see the same link ids, residual capacities and flow order
+        and perform the same arithmetic, so the arm changes the cost,
+        never a bit of the answer.  The NumPy kernel is therefore the
+        independent check on the shared loop
+        (``tests/test_allocator.py::TestSolveArms``).
+        """
+        link_flows = self._link_flows
+        entries = [self._flows[fid] for fid in fids]
+        # link universe of the frontier, in first-seen (flow-major) order
         link_ids: dict[tuple[str, str], int] = {}
-        flat = np.empty(int(counts.sum()), dtype=np.intp)
-        pos = 0
-        for e in entries:
-            for key in e.links:
-                idx = link_ids.get(key)
-                if idx is None:
-                    idx = link_ids[key] = len(link_ids)
-                flat[pos] = idx
-                pos += 1
-        n_links = len(link_ids)
+        flow_links = [
+            [link_ids.setdefault(key, len(link_ids)) for key in e.links]
+            for e in entries
+        ]
         solving = set(fids)
-        caps0 = np.empty(n_links)
-        for key, idx in link_ids.items():
+        caps = []
+        for key in link_ids:
             cap = self._cap[key]
             # frontier mode: frozen non-frontier flows keep their rates;
             # they show up here as pre-committed capacity, subtracted in
             # sorted-id order so reruns are bit-for-bit reproducible.
             # (Component mode never hits this: the closure is link-tight.)
-            for peer in sorted(self._link_flows.get(key, ())):
-                if peer not in solving:
+            frozen = link_flows[key] - solving
+            if frozen:
+                for peer in sorted(frozen):
                     cap -= self._rates[peer]
-            caps0[idx] = max(cap, 0.0)
-        remaining = caps0.copy()
-        thresh = _EPS * np.maximum(caps0, 1.0)
-        # relative demand slack, mirroring the oracle: at bps scale one
-        # ulp dwarfs an absolute 1e-9, and a flow stranded one rounding
-        # error below its demand must still freeze
-        d_slack = _EPS * np.maximum(np.where(np.isfinite(d), d, 1.0), 1.0)
+                cap = max(cap, 0.0)
+            caps.append(cap)
+        demands = [e.demand_bps for e in entries]
+        weights = [e.weight for e in entries]
+        fill = _progressive_fill if len(fids) < _SCALAR_MAX_FLOWS else _fill_vectorized
+        rates, remaining = fill(flow_links, demands, weights, caps)
 
-        rate = np.zeros(n)
-        active = counts > 0
-        # flows with no links are only demand-capped (oracle semantics)
-        zero = ~active
-        rate[zero] = np.where(np.isfinite(d[zero]), d[zero], np.inf)
-
-        while active.any():
-            idx = np.flatnonzero(active)
-            cnt = counts[idx]
-            flat_act = flat[np.repeat(active, counts)]
-            offsets = np.zeros(idx.size, dtype=np.intp)
-            np.cumsum(cnt[:-1], out=offsets[1:])
-            # per-unit-weight headroom on each used link, flow-major sums
-            link_weight = np.zeros(n_links)
-            np.add.at(link_weight, flat_act, np.repeat(w[idx], cnt))
-            link_inc = np.full(n_links, np.inf)
-            used = link_weight > 0
-            link_inc[used] = remaining[used] / link_weight[used]
-            link_limited = np.minimum.reduceat(link_inc[flat_act], offsets)
-            demand_room = (d[idx] - rate[idx]) / w[idx]
-            inc = float(np.minimum(link_limited, demand_room).min())
-            if not math.isfinite(inc):
-                raise RuntimeError(
-                    "unbounded allocation: flow without binding constraint"
-                )
-            inc = max(inc, 0.0)
-
-            delta = inc * w[idx]
-            rate[idx] += delta
-            np.subtract.at(remaining, flat_act, np.repeat(delta, cnt))
-            np.maximum(remaining, 0.0, out=remaining)  # numerical dust
-
-            # freeze flows at demand, or on a saturated link
-            at_demand = rate[idx] >= d[idx] - d_slack[idx]
-            saturated = (
-                np.minimum.reduceat((remaining - thresh)[flat_act], offsets) <= 0.0
-            )
-            freeze = at_demand | saturated
-            if not freeze.any():
-                raise RuntimeError("progressive filling made no progress")
-            clamp = idx[at_demand]
-            rate[clamp] = np.minimum(rate[clamp], d[clamp])
-            active[idx[freeze]] = False
-
-        changed = {fid: float(rate[i]) for i, fid in enumerate(fids)}
+        changed = dict(zip(fids, rates))
         self._rates.update(changed)
-
         # refresh the level records the frontier bound reasons from
-        for i, fid in enumerate(fids):
-            self._levels[fid] = float(rate[i]) / w[i] if w[i] > 0 else math.inf
-        for key, idx in link_ids.items():
-            head = float(remaining[idx])
-            if head <= float(thresh[idx]):
+        levels = self._levels
+        for fid, r, w in zip(fids, rates, weights):
+            levels[fid] = r / w
+        for key, head, cap in zip(link_ids, remaining, caps):
+            if head <= _EPS * max(cap, 1.0):
                 # a link saturates exactly when its last active flows
                 # freeze, so its saturation level is the max freeze
                 # level over its flows (0.0 default errs conservative)
                 self._link_sat[key] = max(
-                    (self._levels.get(g, 0.0) for g in self._link_flows.get(key, ())),
-                    default=0.0,
+                    [levels.get(g, 0.0) for g in link_flows[key]], default=0.0
                 )
             else:
                 self._link_sat[key] = math.inf
             self._link_headroom[key] = head
             self._link_pending_w.pop(key, None)
         return changed
+
+
+def _fill_vectorized(
+    flow_links: list[list[int]],
+    demands: list[float],
+    weights: list[float],
+    caps: list[float],
+) -> tuple[list[float], list[float]]:
+    """:func:`~repro.net.flows._progressive_fill` over NumPy arrays.
+
+    Same inputs, outputs and arithmetic in the same order: per-link
+    weight sums and subtractions accumulate flow-major (``np.add.at``
+    and ``np.subtract.at`` apply repeated indexes in order), and the
+    freeze thresholds are the same relative slacks.  Each pass costs a
+    fixed ~20 NumPy calls, which a large frontier amortizes.
+    """
+    n = len(flow_links)
+    w = np.array(weights)
+    d = np.array(demands)
+    counts = np.array([len(row) for row in flow_links], dtype=np.intp)
+    flat = np.fromiter(
+        (k for row in flow_links for k in row), dtype=np.intp, count=int(counts.sum())
+    )
+    n_links = len(caps)
+    caps0 = np.array(caps, dtype=float)
+    remaining = caps0.copy()
+    thresh = _EPS * np.maximum(caps0, 1.0)
+    # relative demand slack, as in the scalar loop: at bps scale one
+    # ulp dwarfs an absolute 1e-9, and a flow stranded one rounding
+    # error below its demand must still freeze
+    d_slack = _EPS * np.maximum(np.where(np.isfinite(d), d, 1.0), 1.0)
+
+    rate = np.zeros(n)
+    active = counts > 0
+    # flows with no links are only demand-capped
+    rate[~active] = d[~active]
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        cnt = counts[idx]
+        flat_act = flat[np.repeat(active, counts)]
+        offsets = np.zeros(idx.size, dtype=np.intp)
+        np.cumsum(cnt[:-1], out=offsets[1:])
+        # per-unit-weight headroom on each used link, flow-major sums
+        link_weight = np.zeros(n_links)
+        np.add.at(link_weight, flat_act, np.repeat(w[idx], cnt))
+        link_inc = np.full(n_links, np.inf)
+        used = link_weight > 0
+        link_inc[used] = remaining[used] / link_weight[used]
+        link_limited = np.minimum.reduceat(link_inc[flat_act], offsets)
+        demand_room = (d[idx] - rate[idx]) / w[idx]
+        inc = float(np.minimum(link_limited, demand_room).min())
+        if not math.isfinite(inc):
+            raise RuntimeError("unbounded allocation: flow without binding constraint")
+        inc = max(inc, 0.0)
+
+        delta = inc * w[idx]
+        rate[idx] += delta
+        np.subtract.at(remaining, flat_act, np.repeat(delta, cnt))
+        np.maximum(remaining, 0.0, out=remaining)  # numerical dust
+
+        # freeze flows at demand, or on a saturated link
+        at_demand = rate[idx] >= d[idx] - d_slack[idx]
+        saturated = np.minimum.reduceat((remaining - thresh)[flat_act], offsets) <= 0.0
+        freeze = at_demand | saturated
+        if not freeze.any():
+            raise RuntimeError("progressive filling made no progress")
+        clamp = idx[at_demand]
+        rate[clamp] = np.minimum(rate[clamp], d[clamp])
+        active[idx[freeze]] = False
+    return rate.tolist(), remaining.tolist()

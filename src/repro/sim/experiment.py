@@ -18,9 +18,10 @@ Two allocation strategies implement those passes:
   a pair of stateful :class:`~repro.net.allocator.MaxMinAllocator`\\ s
   (one per pass).  Arrivals, completions, capacity changes and circuit
   events dirty only the flows they touch; each timestamp batch then
-  triggers ONE reallocation of the affected connected component, solved
-  vectorized.  Campaign cost scales with *change*, not with the number
-  of concurrent flows.
+  triggers ONE reallocation of the flows whose rate can move (the
+  allocator's level frontier, a few flows on average), solved by a
+  scalar loop when small and by a NumPy kernel when large.  Campaign
+  cost scales with *change*, not with the number of concurrent flows.
 * ``allocator="oracle"`` re-runs the pure-Python
   :func:`~repro.net.flows.max_min_fair` oracle over all active flows at
   every settle point — the reference the incremental path is tested
@@ -140,7 +141,7 @@ class FluidSimulator:
         and the flow pays the reconnect cost after restoration.  ``None``
         keeps the pre-fault-injection behaviour (a stall loses nothing).
     allocator:
-        ``"incremental"`` (default) for the dirty-set vectorized kernel;
+        ``"incremental"`` (default) for the dirty-set allocator;
         ``"oracle"`` for the full-recompute reference path.
     probe:
         A :class:`~repro.sim.probe.SimProbe` to count into; one is
@@ -159,8 +160,6 @@ class FluidSimulator:
         restart_policy: RestartPolicy | None = None,
         allocator: str = "incremental",
         probe: SimProbe | None = None,
-        level_frontier: bool = True,
-        measure_component: bool = False,
     ) -> None:
         if allocator not in ("incremental", "oracle"):
             raise ValueError(f"unknown allocator strategy {allocator!r}")
@@ -171,8 +170,6 @@ class FluidSimulator:
         self.ssthresh_bytes = ssthresh_bytes
         self.restart_policy = restart_policy
         self.allocator = allocator
-        self.level_frontier = level_frontier
-        self.measure_component = measure_component
         self.probe = probe if probe is not None else SimProbe()
         self.snmp = SnmpCollector(snmp_t0, snmp_bin_seconds)
         self._flows: dict[int, _Flow] = {}
@@ -561,18 +558,8 @@ class FluidSimulator:
             key: self._link_capacity_now(key, raw)
             for key, raw in self._raw_caps.items()
         }
-        self._be_alloc = MaxMinAllocator(
-            now_caps,
-            probe=self.probe,
-            level_frontier=self.level_frontier,
-            measure_component=self.measure_component,
-        )
-        self._vc_alloc = MaxMinAllocator(
-            pseudo,
-            probe=self.probe,
-            level_frontier=self.level_frontier,
-            measure_component=self.measure_component,
-        )
+        self._be_alloc = MaxMinAllocator(now_caps, probe=self.probe)
+        self._vc_alloc = MaxMinAllocator(pseudo, probe=self.probe)
 
     def _admit(self, flow: _Flow) -> None:
         """Enter an activated flow into its allocator pass."""

@@ -3,15 +3,22 @@
 The contract pinned here: after ANY sequence of add_flow / remove_flow /
 update_capacity / update_flow calls, the allocator's rates match a fresh
 oracle solve of the same flow set within 1e-6 relative — and recompute()
-touches only the connected component of the change.
+touches only the connected component of the change.  The oracle shares
+the allocator's scalar loop, so ``TestSolveArms`` checks that loop
+against the independent NumPy kernel, bit for bit.
 """
 
+import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.allocator import MaxMinAllocator
+import repro.net.allocator as allocator_module
+from repro.net.allocator import _SCALAR_MAX_FLOWS, MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
 from repro.sim.probe import SimProbe
 
@@ -106,15 +113,37 @@ class TestValidation:
 
     def test_bad_weight_and_demand_rejected(self):
         alloc = MaxMinAllocator({("a", "b"): 10.0})
-        with pytest.raises(ValueError):
-            alloc.add_flow(1, [("a", "b")], weight=0.0)
-        with pytest.raises(ValueError):
-            alloc.add_flow(1, [("a", "b")], demand_bps=-1.0)
+        for weight in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                alloc.add_flow(1, [("a", "b")], weight=weight)
+        for demand in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                alloc.add_flow(1, [("a", "b")], demand_bps=demand)
+        assert 1 not in alloc
 
     def test_rate_of_unknown_flow_raises(self):
         alloc = MaxMinAllocator()
         with pytest.raises(KeyError):
             alloc.rate(7)
+
+    @pytest.mark.parametrize("capacity", [math.inf, math.nan])
+    def test_non_finite_capacity_rejected(self, capacity):
+        alloc = MaxMinAllocator()
+        with pytest.raises(ValueError):
+            alloc.update_capacity(("a", "b"), capacity)
+        with pytest.raises(ValueError):
+            MaxMinAllocator({("a", "b"): capacity})
+
+    def test_non_finite_update_rejected_before_any_change(self):
+        alloc = MaxMinAllocator({("a", "b"): 10.0, ("c", "d"): 10.0})
+        alloc.add_flow(1, [("a", "b")])
+        alloc.recompute()
+        with pytest.raises(ValueError):
+            alloc.update_flow(1, demand_bps=math.nan)
+        with pytest.raises(ValueError):
+            alloc.update_flow(1, links=[("c", "d")], weight=math.inf)
+        assert not alloc.dirty
+        assert alloc.flow_links(1) == (("a", "b"),)
 
 
 class TestIncrementality:
@@ -339,23 +368,28 @@ class TestLevelFrontier:
             assert_matches_oracle(alloc)
 
     def test_clean_build_is_bit_exact_vs_oracle(self):
-        """A from-scratch solve replays the oracle's exact arithmetic."""
+        """A from-scratch solve replays the oracle's exact arithmetic.
+
+        20 flows run the scalar loop the oracle shares; the larger size
+        runs the NumPy kernel, an independent implementation.
+        """
         rng = np.random.default_rng(42)
         caps = {(f"n{i}", f"n{i + 1}"): float(rng.uniform(5.0, 25.0))
                 for i in range(8)}
         links = list(caps)
-        alloc = MaxMinAllocator(caps, level_frontier=True)
-        specs = []
-        for fid in range(20):
-            k = int(rng.integers(1, 4))
-            start = int(rng.integers(0, len(links) - k))
-            flow_links = tuple(links[start:start + k])
-            demand = float(rng.choice([math.inf, rng.uniform(0.5, 20.0)]))
-            weight = float(rng.choice([1.0, 2.0, 4.0]))
-            alloc.add_flow(fid, flow_links, demand_bps=demand, weight=weight)
-            specs.append(FlowSpec(flow_id=fid, links=flow_links,
-                                  demand_bps=demand, weight=weight))
-        assert alloc.recompute() == max_min_fair(specs, dict(caps))
+        for n_flows in (20, 2 * _SCALAR_MAX_FLOWS):
+            alloc = MaxMinAllocator(caps, level_frontier=True)
+            specs = []
+            for fid in range(n_flows):
+                k = int(rng.integers(1, 4))
+                start = int(rng.integers(0, len(links) - k))
+                flow_links = tuple(links[start:start + k])
+                demand = float(rng.choice([math.inf, rng.uniform(0.5, 20.0)]))
+                weight = float(rng.choice([1.0, 2.0, 4.0]))
+                alloc.add_flow(fid, flow_links, demand_bps=demand, weight=weight)
+                specs.append(FlowSpec(flow_id=fid, links=flow_links,
+                                      demand_bps=demand, weight=weight))
+            assert alloc.recompute() == max_min_fair(specs, dict(caps))
 
     def test_frontier_off_matches_frontier_on(self):
         rng = np.random.default_rng(7)
@@ -413,3 +447,103 @@ class TestLevelFrontier:
         alloc.recompute()
         assert probe.n_flows_touched == before
         assert_matches_oracle(alloc)
+
+
+# -- the two solve arms ------------------------------------------------------
+
+
+@st.composite
+def allocator_churn(draw):
+    """A solved allocator's flow set plus perturbations for a re-solve.
+
+    Frontier sizes land on both sides of the crossover.  Links may have
+    zero capacity, demands may be infinite, flows may have no links, and
+    the re-solve leaves frozen flows outside its frontier, so residual
+    capacities are exercised.
+    """
+    n_links = draw(st.integers(1, 10))
+    caps = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e6, 1e10)),
+        min_size=n_links, max_size=n_links,
+    ))
+    n_flows = draw(st.integers(1, 2 * _SCALAR_MAX_FLOWS))
+    flows = draw(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, n_links - 1), max_size=4, unique=True),
+            st.one_of(st.just(math.inf), st.floats(0.0, 5e9)),
+            # stream counts sum exactly; fractional weights make the
+            # per-link sums depend on their order too
+            st.one_of(st.sampled_from([1.0, 2.0, 4.0, 8.0]), st.floats(0.1, 16.0)),
+        ),
+        min_size=n_flows, max_size=n_flows,
+    ))
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["remove", "demand", "capacity"]),
+            st.integers(0, 10**6),
+            st.one_of(st.just(0.0), st.floats(1e6, 1e10)),
+        ),
+        min_size=1, max_size=6,
+    ))
+    subset = draw(st.lists(st.booleans(), min_size=n_flows, max_size=n_flows))
+    return caps, flows, ops, subset
+
+
+def _solve_both_arms(alloc: MaxMinAllocator, fids=None) -> MaxMinAllocator:
+    """Solve a copy through each arm; assert identical records.
+
+    ``fids=None`` recomputes the pending frontier; a list of flow ids
+    re-solves exactly those against the rest, frozen.
+    """
+    scalar, vector = copy.deepcopy(alloc), copy.deepcopy(alloc)
+    with mock.patch.object(allocator_module, "_SCALAR_MAX_FLOWS", math.inf):
+        got_scalar = scalar.recompute() if fids is None else scalar._solve(fids)
+    with mock.patch.object(allocator_module, "_SCALAR_MAX_FLOWS", 0):
+        got_vector = vector.recompute() if fids is None else vector._solve(fids)
+    assert got_scalar == got_vector
+    assert scalar._rates == vector._rates
+    assert scalar._levels == vector._levels
+    assert scalar._link_sat == vector._link_sat
+    assert scalar._link_headroom == vector._link_headroom
+    return scalar
+
+
+class TestSolveArms:
+    """The scalar loop and the NumPy kernel agree to the last bit."""
+
+    @given(allocator_churn())
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_loop_matches_numpy_kernel(self, churn):
+        caps, flows, ops, subset = churn
+        keys = [(f"n{i}", f"n{i + 1}") for i in range(len(caps))]
+        alloc = MaxMinAllocator(dict(zip(keys, caps)))
+        for fid, (links, demand, weight) in enumerate(flows):
+            alloc.add_flow(fid, [keys[k] for k in links],
+                           demand_bps=demand, weight=weight)
+        alloc = _solve_both_arms(alloc)  # clean build: every flow
+        # a drawn subset against the others, frozen at their rates
+        _solve_both_arms(alloc, [fid for fid, keep in enumerate(subset) if keep])
+        for op, pick, value in ops:
+            fids = sorted(alloc._flows)
+            if op == "capacity":
+                alloc.update_capacity(keys[pick % len(keys)], value)
+            elif not fids:
+                continue
+            elif op == "remove":
+                alloc.remove_flow(fids[pick % len(fids)])
+            else:
+                alloc.update_flow(fids[pick % len(fids)], demand_bps=value)
+        _solve_both_arms(alloc)  # the frontier the perturbations leave
+
+    def test_frontier_size_picks_the_arm(self):
+        """Frontiers below the crossover never reach the NumPy kernel."""
+        for n_flows, want in ((_SCALAR_MAX_FLOWS - 1, 0), (_SCALAR_MAX_FLOWS, 1)):
+            alloc = MaxMinAllocator({("a", "b"): 1e9})
+            for fid in range(n_flows):
+                alloc.add_flow(fid, [("a", "b")])
+            with mock.patch.object(
+                allocator_module, "_fill_vectorized",
+                wraps=allocator_module._fill_vectorized,
+            ) as kernel:
+                alloc.recompute()
+            assert kernel.call_count == want

@@ -78,6 +78,27 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FlowSpec(0, (L1,), weight=0)
 
+    def test_nan_demand(self):
+        with pytest.raises(ValueError):
+            FlowSpec(0, (L1,), demand_bps=math.nan)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight(self, weight):
+        with pytest.raises(ValueError):
+            FlowSpec(0, (L1,), weight=weight)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_non_finite_capacity(self, capacity):
+        """An infinite link would read as saturated from the start."""
+        flows = [FlowSpec(1, (L1,), demand_bps=5.0),
+                 FlowSpec(2, (L1,), demand_bps=10.0)]
+        with pytest.raises(ValueError):
+            max_min_fair(flows, {L1: capacity})
+
+    def test_greedy_flow_over_outage_is_legal(self):
+        rates = max_min_fair([FlowSpec(0, (L1,), demand_bps=math.inf)], {L1: 0.0})
+        assert rates == {0: 0.0}
+
 
 @st.composite
 def allocation_problem(draw):
