@@ -13,10 +13,11 @@ import time
 
 import numpy as np
 
-from repro.core.sessions import group_sessions, group_sessions_reference
+from repro.core.sessions import group_sessions
 from repro.core.streaming import StreamAnalysis
 from repro.gridftp.records import TransferLog
 from repro.workload.synth import generate_stream
+from tests.oracles import group_sessions_reference
 
 #: conservative floor — the pipeline measures ~300-500k transfers/s; a
 #: de-vectorization or an accidental O(n) accumulator drops well below

@@ -23,7 +23,6 @@ from .sessions import (
     GapReportRow,
     SessionSet,
     group_sessions,
-    group_sessions_reference,
     session_gap_report,
     sessionize_chunks,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "GapReportRow",
     "SessionSet",
     "group_sessions",
-    "group_sessions_reference",
     "sessionize_chunks",
     "session_gap_report",
     "QuantileSketch",

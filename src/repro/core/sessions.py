@@ -23,7 +23,6 @@ from .stats import SixNumberSummary, six_number_summary
 __all__ = [
     "SessionSet",
     "group_sessions",
-    "group_sessions_reference",
     "sessionize_chunks",
     "session_gap_report",
     "GapReportRow",
@@ -104,26 +103,6 @@ class SessionSet:
         return int(np.count_nonzero(self.n_transfers >= k))
 
 
-def _group_one_pair(start: np.ndarray, end: np.ndarray, g: float) -> np.ndarray:
-    """Session ids (0-based, in time order) for one host pair.
-
-    ``start``/``end`` must already be sorted by ``start``.  A new session
-    begins at transfer *i* when ``start[i] - max(end[0..i-1]) > g``.  The
-    running max handles overlapping transfers: a long transfer keeps the
-    session open across later short ones.
-    """
-    n = start.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    # prev_max_end[i] = max(end[0..i-1]); prev_max_end[0] unused
-    cummax_end = np.maximum.accumulate(end)
-    gaps = np.empty(n, dtype=np.float64)
-    gaps[0] = -np.inf
-    gaps[1:] = start[1:] - cummax_end[:-1]
-    breaks = gaps > g
-    return np.cumsum(breaks).astype(np.int64)
-
-
 def _empty_session_set(g: float, slog: TransferLog) -> SessionSet:
     z = np.zeros(0)
     zi = np.zeros(0, dtype=np.int64)
@@ -156,9 +135,9 @@ def group_sessions(log: TransferLog, g: float) -> SessionSet:
 
     This is now a thin wrapper that pushes the whole sorted log through
     the streaming kernel as a single chunk: one lexsort by (pair, start)
-    plus a segmented scan, instead of the per-pair Python loop of
-    :func:`group_sessions_reference` (kept as the bit-exact oracle — the
-    two produce identical session ids, durations and totals).
+    plus a segmented scan, instead of a per-pair Python loop (kept in
+    the test suite as the bit-exact oracle — the two produce identical
+    session ids, durations and totals).
     """
     _validate_groupable(log, g)
     slog = log.sorted_by_start()
@@ -247,58 +226,6 @@ def sessionize_chunks(
         remote_host=np.concatenate(cl_remote)[order],
         transfer_session=transfer_session,
         source=source,
-    )
-
-
-def group_sessions_reference(log: TransferLog, g: float) -> SessionSet:
-    """The original per-pair-loop grouper, kept as the bit-exact oracle.
-
-    O(unique pairs) Python iterations with a full-log scan each — correct
-    and simple, but quadratic-ish on many-pair logs.  Tests pin
-    :func:`group_sessions` (the streaming fast path) against this.
-    """
-    _validate_groupable(log, g)
-    slog = log.sorted_by_start()
-    n = len(slog)
-    if n == 0:
-        return _empty_session_set(g, slog)
-
-    # Partition the sorted log by host pair; group each pair independently,
-    # then assign globally unique session ids.
-    pair_key = slog.local_host.astype(np.int64) * (2**32) + (
-        slog.remote_host.astype(np.int64) + 2**31
-    )
-    session_of = np.empty(n, dtype=np.int64)
-    next_id = 0
-    for key in np.unique(pair_key):
-        idx = np.flatnonzero(pair_key == key)
-        local_ids = _group_one_pair(slog.start[idx], slog.end[idx], g)
-        session_of[idx] = local_ids + next_id
-        next_id += int(local_ids[-1]) + 1
-
-    n_sessions = next_id
-    starts = np.full(n_sessions, np.inf)
-    ends = np.full(n_sessions, -np.inf)
-    np.minimum.at(starts, session_of, slog.start)
-    np.maximum.at(ends, session_of, slog.end)
-    total_size = np.zeros(n_sessions)
-    np.add.at(total_size, session_of, slog.size)
-    counts = np.bincount(session_of, minlength=n_sessions).astype(np.int64)
-    lhost = np.zeros(n_sessions, dtype=np.int64)
-    rhost = np.zeros(n_sessions, dtype=np.int64)
-    lhost[session_of] = slog.local_host
-    rhost[session_of] = slog.remote_host
-
-    return SessionSet(
-        g=g,
-        start=starts,
-        duration=ends - starts,
-        total_size=total_size,
-        n_transfers=counts,
-        local_host=lhost,
-        remote_host=rhost,
-        transfer_session=session_of,
-        source=slog,
     )
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "split_by_quartile",
     "BinnedMedians",
     "binned_medians",
-    "binned_medians_reference",
     "pearson_correlation",
     "interquartile_range",
     "box_stats",
@@ -193,8 +192,8 @@ def binned_medians(
     per-group median read off by index arithmetic — no Python loop over
     bins.  Bit-equal to per-group ``np.median`` (the even-count case is
     the same mean of the two middle elements); with NaNs in ``y`` it
-    falls back to :func:`binned_medians_reference`, which propagates
-    them the way ``np.median`` does.
+    falls back to the per-bin ``np.median`` loop, which propagates them
+    the way ``np.median`` does.
     """
     ids, y, x_min, empty = _bin_ids(x, y, bin_width, x_min, x_max)
     if empty is not None:
@@ -217,21 +216,6 @@ def binned_medians(
         median=medians,
         count=counts.astype(np.int64),
     )
-
-
-def binned_medians_reference(
-    x: Sequence[float] | np.ndarray,
-    y: Sequence[float] | np.ndarray,
-    bin_width: float,
-    x_min: float = 0.0,
-    x_max: float | None = None,
-) -> BinnedMedians:
-    """Per-group ``np.median`` loop: the oracle :func:`binned_medians`
-    is pinned against."""
-    ids, y, x_min, empty = _bin_ids(x, y, bin_width, x_min, x_max)
-    if empty is not None:
-        return empty
-    return _medians_by_group_loop(ids, y, x_min, bin_width)
 
 
 def _bin_ids(x, y, bin_width, x_min, x_max):

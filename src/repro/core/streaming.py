@@ -19,7 +19,7 @@ Contracts (see DESIGN.md section 13):
   state per (local, remote) host pair across chunk boundaries and emits
   closed sessions incrementally.  Collected over any split, its output
   is byte-identical to the one-shot grouper (pinned by tests against
-  :func:`repro.core.sessions.group_sessions_reference`).
+  the per-pair reference loop in the test suite).
 * **Accumulators** — :class:`StreamingMoments` (count/sum/mean/CV) and
   :class:`QuantileSketch` (bounded-memory quantiles with a pinned
   tolerance) reduce values in fixed-size blocks aligned to global

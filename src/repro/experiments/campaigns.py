@@ -43,11 +43,11 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.rng import ensure_rng
-from ..faults.injector import FaultInjector, merge_intervals
+from ..faults.injector import FaultInjector, merge_intervals, storm_injector
 from ..faults.recovery import BackoffPolicy, RecoveryStats
-from ..faults.spec import FaultKind, FaultSpec
+from ..faults.spec import FaultKind
 from ..gridftp.client import TransferJob
-from ..gridftp.reliability import RestartPolicy
+from ..gridftp.reliability import RestartPolicy, ScheduledOutages
 from ..gridftp.transfer_service import ManagedTransferService, TaskState
 from ..net.topology import esnet_like
 from ..sim.experiment import FluidSimulator, default_dtns
@@ -135,40 +135,6 @@ class ChaosConfig:
     def est_duration_s(self, i: int) -> float:
         """Fault-free transfer time at the circuit rate."""
         return self.job_size(i) * 8.0 / self.vc_rate_bps
-
-    def build_injector(self, seed: int) -> FaultInjector:
-        """The injector this config describes (deterministic under seed)."""
-        specs = []
-        if self.rejection_prob > 0:
-            specs.append(
-                FaultSpec(FaultKind.IDC_REJECTION, probability=self.rejection_prob)
-            )
-        if self.setup_timeout_prob > 0:
-            specs.append(
-                FaultSpec(
-                    FaultKind.VC_SETUP_TIMEOUT,
-                    probability=self.setup_timeout_prob,
-                    extra_delay_s=self.setup_extra_delay_s,
-                )
-            )
-        if self.flaps_per_hour > 0:
-            specs.append(
-                FaultSpec(
-                    FaultKind.CIRCUIT_FLAP,
-                    rate_per_hour=self.flaps_per_hour,
-                    duration_s=self.flap_duration_s,
-                )
-            )
-        if self.endpoint_outages_per_hour > 0:
-            specs.append(
-                FaultSpec(
-                    FaultKind.ENDPOINT_OUTAGE,
-                    rate_per_hour=self.endpoint_outages_per_hour,
-                    duration_s=self.endpoint_outage_s,
-                    target=self.dst,
-                )
-            )
-        return FaultInjector(specs, seed=seed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -363,7 +329,17 @@ def run_chaos(
     policy object is built for the chaos run and another for its clean
     twin, so learning policies never leak state between the pair.
     """
-    injector = config.build_injector(seed)
+    injector = storm_injector(
+        seed,
+        rejection_prob=config.rejection_prob,
+        setup_timeout_prob=config.setup_timeout_prob,
+        setup_extra_delay_s=config.setup_extra_delay_s,
+        flaps_per_hour=config.flaps_per_hour,
+        flap_duration_s=config.flap_duration_s,
+        endpoint_outages_per_hour=config.endpoint_outages_per_hour,
+        endpoint_outage_s=config.endpoint_outage_s,
+        endpoint=config.dst,
+    )
     chaos_walls, modes, flap_counts, stats, sim = _run_campaign(
         config,
         injector,
@@ -414,8 +390,8 @@ def run_chaos(
         n_flaps_injected=sum(flap_counts),
         n_circuit_flaps_seen=sim.n_circuit_flaps,
         marker_rollback_bytes=sim.marker_rollback_bytes,
-        n_idc_rejections=injector.count(FaultKind.IDC_REJECTION),
-        n_setup_timeouts=injector.count(FaultKind.VC_SETUP_TIMEOUT),
+        n_idc_rejections=injector.count(FaultKind.IDC_REJECTION) if injector else 0,
+        n_setup_timeouts=injector.count(FaultKind.VC_SETUP_TIMEOUT) if injector else 0,
         flaps_per_hour=config.flaps_per_hour,
         rejection_prob=config.rejection_prob,
         setup_timeout_prob=config.setup_timeout_prob,
@@ -626,20 +602,6 @@ class ManagedChaosConfig:
         """Fault-free wall clock of one task's file batch."""
         return self.files_per_task * self.file_bytes * 8.0 / self.rate_bps
 
-    def build_injector(self, seed: int) -> FaultInjector | None:
-        if self.flaps_per_hour <= 0:
-            return None
-        return FaultInjector(
-            [
-                FaultSpec(
-                    FaultKind.CIRCUIT_FLAP,
-                    rate_per_hour=self.flaps_per_hour,
-                    duration_s=self.flap_duration_s,
-                )
-            ],
-            seed=seed,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class ManagedChaosReport:
@@ -678,7 +640,11 @@ def run_managed_chaos(
     endpoint-pair rate (default ``"fcfs"``: the nominal ``rate_bps``,
     bit-exact with the historical campaign).
     """
-    injector = config.build_injector(seed)
+    injector = storm_injector(
+        seed,
+        flaps_per_hour=config.flaps_per_hour,
+        flap_duration_s=config.flap_duration_s,
+    )
     sched = _campaign_scheduler(config.rate_bps, FallbackPolicy(), scheduler)
     service = ManagedTransferService(
         rate_for=lambda _s, _d: sched.rate_advice(config.file_bytes),
@@ -703,12 +669,11 @@ def run_managed_chaos(
         if injector is not None:
             # the window the task could plausibly occupy, chaos included
             window_end = submitted + 3.0 * clean_wall + 600.0
-            intervals = merge_intervals(
+            schedule = ScheduledOutages(
                 injector.flap_intervals(submitted, window_end)
             )
-            if intervals:
-                service.bind_outages(tid, intervals)
-                n_flaps += len(intervals)
+            service.bind_outages(tid, schedule)
+            n_flaps += schedule.n_flaps
     probe = SimProbe()
     log = service.run(rng=ensure_rng(seed), probe=probe)
     states = service.states()

@@ -3,7 +3,8 @@
 * :mod:`~repro.faults.spec` — the fault taxonomy (:class:`FaultKind`,
   :class:`FaultSpec`) and the injection audit record
 * :mod:`~repro.faults.injector` — :class:`FaultInjector`, the seeded
-  deterministic fault source simulations arm themselves with
+  deterministic fault source simulations arm themselves with, and
+  :func:`storm_injector`, the one mapping from storm knobs to specs
 * :mod:`~repro.faults.recovery` — :class:`BackoffPolicy` retries,
   :func:`reserve_with_retry`, and the shared :class:`RecoveryStats`
 
@@ -14,7 +15,7 @@ endpoints), and *recovered* at the layer that really owns the remedy
 policy, restart markers in the GridFTP reliability layer).
 """
 
-from .injector import FaultInjector
+from .injector import FaultInjector, storm_injector
 from .recovery import BackoffPolicy, RecoveryStats, reserve_with_retry
 from .spec import (
     PER_REQUEST_KINDS,
@@ -26,6 +27,7 @@ from .spec import (
 
 __all__ = [
     "FaultInjector",
+    "storm_injector",
     "BackoffPolicy",
     "RecoveryStats",
     "reserve_with_retry",

@@ -26,7 +26,7 @@ import numpy as np
 
 from .spec import FaultKind, FaultSpec, InjectedFault
 
-__all__ = ["FaultInjector", "merge_intervals"]
+__all__ = ["FaultInjector", "merge_intervals", "storm_injector"]
 
 
 def merge_intervals(
@@ -180,3 +180,56 @@ class FaultInjector:
     def count(self, kind: FaultKind) -> int:
         """Faults of one kind fired so far."""
         return sum(1 for f in self.events if f.kind is kind)
+
+
+def storm_injector(
+    seed: int,
+    *,
+    rejection_prob: float = 0.0,
+    setup_timeout_prob: float = 0.0,
+    setup_extra_delay_s: float = 120.0,
+    flaps_per_hour: float = 0.0,
+    flap_duration_s: float = 30.0,
+    endpoint_outages_per_hour: float = 0.0,
+    endpoint_outage_s: float = 30.0,
+    endpoint: str | None = None,
+) -> FaultInjector | None:
+    """The injector of one fault storm; None when every knob is off.
+
+    The one mapping from the storm knobs that the chaos campaign, the
+    managed-service campaign and the daemon expose to fault specs.  A
+    knob at zero adds no spec, and the specs added keep one order —
+    IDC rejection, setup timeout, circuit flap, endpoint outage (at
+    ``endpoint``) — so the child generator each spec draws from, its
+    index in the injector's ``SeedSequence`` spawn, depends only on
+    which knobs are on.
+    """
+    specs: list[FaultSpec] = []
+    if rejection_prob > 0:
+        specs.append(FaultSpec(FaultKind.IDC_REJECTION, probability=rejection_prob))
+    if setup_timeout_prob > 0:
+        specs.append(
+            FaultSpec(
+                FaultKind.VC_SETUP_TIMEOUT,
+                probability=setup_timeout_prob,
+                extra_delay_s=setup_extra_delay_s,
+            )
+        )
+    if flaps_per_hour > 0:
+        specs.append(
+            FaultSpec(
+                FaultKind.CIRCUIT_FLAP,
+                rate_per_hour=flaps_per_hour,
+                duration_s=flap_duration_s,
+            )
+        )
+    if endpoint_outages_per_hour > 0:
+        specs.append(
+            FaultSpec(
+                FaultKind.ENDPOINT_OUTAGE,
+                rate_per_hour=endpoint_outages_per_hour,
+                duration_s=endpoint_outage_s,
+                target=endpoint,
+            )
+        )
+    return FaultInjector(specs, seed=seed) if specs else None

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..core.rng import ensure_rng
+from ..faults.injector import merge_intervals
 
 __all__ = [
     "FaultModel",
@@ -164,82 +165,28 @@ class ReliableTransferService:
         size_bytes: float,
         rate_bps: float,
         rng: np.random.Generator | None = None,
+        outages: Sequence[tuple[float, float]] = (),
     ) -> TaskResult:
         """Run one transfer of ``size_bytes`` at transport rate ``rate_bps``.
+
+        ``outages`` are scheduled path outages, ``(t_down, t_up)``
+        intervals in wall time relative to the transfer's start —
+        typically a circuit's flap history as answered by
+        ``outages_after`` (see :meth:`ride_file`).  An outage interrupts
+        the attempt (bytes roll back to the last restart marker), the
+        transfer stalls until the path returns, pays the reconnect cost,
+        and resumes.  Random :class:`FaultModel` faults are layered on
+        top; both consume the same retry budget.
 
         Returns the full attempt history; ``succeeded=False`` means the
         retry budget ran out with bytes still missing.
         """
         if size_bytes <= 0 or rate_bps <= 0:
             raise ValueError("size and rate must be positive")
-        rng = ensure_rng(rng)
-        rate_Bps = rate_bps / 8.0
-        attempts: list[TransferAttempt] = []
-        done = 0.0
-        wall = 0.0
-        wire = 0.0
-        for attempt_no in range(self.max_attempts):
-            if attempt_no > 0:
-                wall += self.restart_policy.reconnect_s
-            remaining = size_bytes - done
-            t_fault = self.fault_model.time_to_fault_s(rng)
-            t_finish = remaining / rate_Bps
-            if t_fault >= t_finish:
-                attempts.append(
-                    TransferAttempt(done, remaining, t_finish, faulted=False)
-                )
-                wall += t_finish
-                wire += remaining
-                done = size_bytes
-                break
-            moved = t_fault * rate_Bps
-            attempts.append(TransferAttempt(done, moved, t_fault, faulted=True))
-            wall += t_fault
-            wire += moved
-            done = self.restart_policy.resume_point(done + moved)
-        return TaskResult(
-            size_bytes=size_bytes,
-            succeeded=done >= size_bytes,
-            attempts=tuple(attempts),
-            total_wall_s=wall,
-            wire_bytes=wire,
-            clean_wall_s=size_bytes / rate_Bps,
-        )
-
-    def execute_many(
-        self,
-        sizes: np.ndarray,
-        rate_bps: float,
-        rng: np.random.Generator | None = None,
-    ) -> list[TaskResult]:
-        """Run a batch of transfers (a session) through the service."""
-        rng = ensure_rng(rng)
-        return [self.execute(float(s), rate_bps, rng) for s in sizes]
-
-    def execute_with_outages(
-        self,
-        size_bytes: float,
-        rate_bps: float,
-        outages: Sequence[tuple[float, float]],
-        rng: np.random.Generator | None = None,
-    ) -> TaskResult:
-        """Run one transfer through *scheduled* path outages plus random faults.
-
-        ``outages`` are ``(t_down, t_up)`` intervals in wall time relative
-        to the transfer's start — typically a circuit's flap history as
-        recorded by :class:`CircuitOutageTracker`.  An outage interrupts
-        the attempt (bytes roll back to the last restart marker), the
-        transfer stalls until the path returns, pays the reconnect cost,
-        and resumes.  Random :class:`FaultModel` faults are layered on
-        top; both consume the same retry budget.
-        """
-        if size_bytes <= 0 or rate_bps <= 0:
-            raise ValueError("size and rate must be positive")
-        outages = sorted(
-            (float(a), float(b)) for a, b in outages
-        )
-        if any(b <= a for a, b in outages):
-            raise ValueError("outages must have positive duration")
+        if outages:
+            outages = sorted((float(a), float(b)) for a, b in outages)
+            if any(b <= a for a, b in outages):
+                raise ValueError("outages must have positive duration")
         rng = ensure_rng(rng)
         rate_Bps = rate_bps / 8.0
         attempts: list[TransferAttempt] = []
@@ -254,17 +201,15 @@ class ReliableTransferService:
                         wall = t_up
                 wall += self.restart_policy.reconnect_s
             remaining = size_bytes - done
-            t_fault = self.fault_model.time_to_fault_s(rng)
+            horizon = self.fault_model.time_to_fault_s(rng)
             t_finish = remaining / rate_Bps
-            t_outage = math.inf
             # >= so an outage landing exactly at the attempt's start (or at
             # the transfer's t=0) interrupts immediately instead of letting
             # the attempt run through a dark path
             for t_down, _ in outages:
                 if t_down >= wall:
-                    t_outage = t_down - wall
+                    horizon = min(horizon, t_down - wall)
                     break
-            horizon = min(t_fault, t_outage)
             if t_finish <= horizon:
                 attempts.append(
                     TransferAttempt(done, remaining, t_finish, faulted=False)
@@ -287,6 +232,40 @@ class ReliableTransferService:
             clean_wall_s=size_bytes / rate_Bps,
         )
 
+    def ride_file(
+        self,
+        size_bytes: float,
+        rate_bps: float,
+        history: CircuitOutageTracker | ScheduledOutages | None,
+        now: float,
+        rng: np.random.Generator | None = None,
+    ) -> tuple[TaskResult, int]:
+        """One file of a ride over a path with an outage ``history``.
+
+        The per-file step the managed service and the daemon share:
+        query ``history`` (None for a path that never goes dark) at the
+        ride's clock ``now``, run the file through :meth:`execute`, and
+        count the outages the file absorbed — those starting before it
+        ended, and only when it succeeded.  Returns ``(result, count)``.
+        """
+        outages = history.outages_after(now) if history is not None else ()
+        result = self.execute(size_bytes, rate_bps, rng, outages)
+        if not (outages and result.succeeded):
+            return result, 0
+        return result, sum(1 for a, _ in outages if a < result.total_wall_s)
+
+
+def _outages_after(
+    intervals: Sequence[tuple[float, float]], t: float, horizon: float
+) -> list[tuple[float, float]]:
+    """Down intervals overlapping ``[t, horizon)``, clipped and t-relative."""
+    out = []
+    for a, b in intervals:
+        if b <= t or a >= horizon:
+            continue
+        out.append((max(a - t, 0.0), min(b, horizon) - t))
+    return out
+
 
 class CircuitOutageTracker:
     """Record a circuit's down intervals from its state-change events.
@@ -294,9 +273,9 @@ class CircuitOutageTracker:
     Subscribe it to a :class:`~repro.vc.circuits.VirtualCircuit` with
     :meth:`watch`; every FAILED episode becomes a ``(t_down, t_up)``
     interval stamped by ``clock`` (typically an event loop's ``now``).
-    The intervals are what :meth:`ReliableTransferService.execute_with_outages`
-    and the managed transfer service consume to resume flapped transfers
-    from their restart markers.
+    The intervals are what :meth:`ReliableTransferService.ride_file` (the
+    managed transfer service's per-file step) replays to resume flapped
+    transfers from their restart markers.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
@@ -321,15 +300,10 @@ class CircuitOutageTracker:
 
     def outages_after(self, t: float, horizon: float = math.inf) -> list[tuple[float, float]]:
         """Down intervals overlapping ``[t, horizon)``, clipped and t-relative."""
-        out = []
         intervals = list(self.intervals)
         if self._down_since is not None:
             intervals.append((self._down_since, math.inf))
-        for a, b in intervals:
-            if b <= t or a >= horizon:
-                continue
-            out.append((max(a - t, 0.0), min(b, horizon) - t))
-        return sorted(out)
+        return sorted(_outages_after(intervals, t, horizon))
 
     @property
     def n_flaps(self) -> int:
@@ -344,29 +318,21 @@ class ScheduledOutages:
     *schedules* drawn ahead of time by a
     :class:`~repro.faults.injector.FaultInjector` — the managed transfer
     service binds either interchangeably (both answer
-    :meth:`outages_after`).  Intervals are absolute times, coalesced and
-    sorted on construction.
+    :meth:`outages_after`).  Intervals are absolute times, coalesced by
+    :func:`~repro.faults.injector.merge_intervals` on construction, so
+    producers hand over a raw draw.
     """
 
-    def __init__(self, intervals: list[tuple[float, float]]) -> None:
-        cleaned: list[list[float]] = []
-        for a, b in sorted((float(a), float(b)) for a, b in intervals):
+    def __init__(self, intervals: Iterable[tuple[float, float]]) -> None:
+        intervals = [(float(a), float(b)) for a, b in intervals]
+        for a, b in intervals:
             if b <= a:
                 raise ValueError(f"outage ({a}, {b}) must have positive duration")
-            if cleaned and a <= cleaned[-1][1]:
-                cleaned[-1][1] = max(cleaned[-1][1], b)
-            else:
-                cleaned.append([a, b])
-        self.intervals: list[tuple[float, float]] = [(a, b) for a, b in cleaned]
+        self.intervals: list[tuple[float, float]] = merge_intervals(intervals)
 
     def outages_after(self, t: float, horizon: float = math.inf) -> list[tuple[float, float]]:
         """Down intervals overlapping ``[t, horizon)``, clipped and t-relative."""
-        out = []
-        for a, b in self.intervals:
-            if b <= t or a >= horizon:
-                continue
-            out.append((max(a - t, 0.0), min(b, horizon) - t))
-        return out
+        return _outages_after(self.intervals, t, horizon)
 
     @property
     def n_flaps(self) -> int:

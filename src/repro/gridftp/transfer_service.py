@@ -112,14 +112,11 @@ class ManagedTransferService:
         Maximum simultaneously-active tasks (Globus's endpoint limit).
     fault_model, restart_policy, max_attempts_per_file:
         Passed through to the reliability layer.
-    pick_next:
-        Optional queue-order hook: a callable receiving the queued
-        :class:`TransferTask` objects and returning the ``task_id`` to
-        activate next.  ``None`` (the default) keeps strict FIFO —
-        bit-exact with the historical service.  This is the seam the
-        scheduling layer plugs into, e.g.
-        ``pick_next=lambda ts: min(ts, key=dispatch_priority).task_id``
-        with :func:`repro.sched.globalsched.dispatch_priority`.
+
+    The queue is strict FIFO.  Global dispatch over the pending set
+    (EDF, then LPT) is a policy of the daemon's scheduling layer,
+    :class:`~repro.sched.globalsched.GlobalScheduler`, not of this
+    batch service.
     """
 
     def __init__(
@@ -129,13 +126,11 @@ class ManagedTransferService:
         fault_model: FaultModel | None = None,
         restart_policy: RestartPolicy | None = None,
         max_attempts_per_file: int = 10,
-        pick_next=None,
     ) -> None:
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
         self.rate_for = rate_for
         self.concurrency = concurrency
-        self.pick_next = pick_next
         self._reliable = ReliableTransferService(
             fault_model or FaultModel(0.0),
             restart_policy,
@@ -146,9 +141,8 @@ class ManagedTransferService:
         self._queue: list[int] = []
         self.events: list[TaskEvent] = []
         self._records: list[TransferRecord] = []
-        #: per-task circuit outage history (set by :meth:`bind_circuit`
-        #: or :meth:`bind_outages` — anything answering ``outages_after``)
-        self._trackers: dict[int, CircuitOutageTracker | ScheduledOutages] = {}
+        #: per-task path outage history (set by :meth:`bind_outages`)
+        self._histories: dict[int, CircuitOutageTracker | ScheduledOutages] = {}
         self.n_flaps_recovered = 0
 
     # -- submission -------------------------------------------------------
@@ -181,45 +175,27 @@ class ManagedTransferService:
     def task(self, task_id: int) -> TransferTask:
         return self._tasks[task_id]
 
-    def bind_circuit(self, task_id: int, tracker: CircuitOutageTracker) -> None:
-        """Tie a task's data path to a circuit's recorded fault history.
-
-        ``tracker`` is a :class:`~repro.gridftp.reliability.CircuitOutageTracker`
-        already watching the circuit the task rides.  While the task runs,
-        every recorded down interval interrupts the in-flight file, which
-        then resumes from its last restart marker — the wiring between
-        circuit state-change events and GridFTP fault recovery.
-        """
-        if task_id not in self._tasks:
-            raise KeyError(f"unknown task {task_id}")
-        self._trackers[task_id] = tracker
-        self.events.append(
-            TaskEvent(self._tasks[task_id].submitted_at, task_id, "circuit-bound")
-        )
-
     def bind_outages(
-        self, task_id: int, intervals: list[tuple[float, float]]
+        self, task_id: int, history: CircuitOutageTracker | ScheduledOutages
     ) -> None:
-        """Bind a precomputed outage schedule (absolute times) to a task.
+        """Tie a task's data path to an outage history.
 
-        The chaos-campaign entry point: a
-        :class:`~repro.faults.injector.FaultInjector` draws a task's flap
-        intervals ahead of time, and this installs them exactly as
-        :meth:`bind_circuit` installs a live tracker — so the managed
-        service runs under the same fault schedules as the fluid
-        simulator's campaigns.
+        ``history`` answers ``outages_after``: a
+        :class:`~repro.gridftp.reliability.CircuitOutageTracker` already
+        watching the circuit the task rides (the wiring between circuit
+        state-change events and GridFTP fault recovery), or a
+        :class:`~repro.gridftp.reliability.ScheduledOutages` a
+        :class:`~repro.faults.injector.FaultInjector` drew ahead of time
+        (the chaos-campaign entry point: the managed service runs under
+        the same fault schedules as the fluid simulator).  While the task
+        runs, every down interval interrupts the in-flight file, which
+        then resumes from its last restart marker.
         """
         if task_id not in self._tasks:
             raise KeyError(f"unknown task {task_id}")
-        schedule = ScheduledOutages(intervals)
-        self._trackers[task_id] = schedule
+        self._histories[task_id] = history
         self.events.append(
-            TaskEvent(
-                self._tasks[task_id].submitted_at,
-                task_id,
-                "outages-bound",
-                f"{schedule.n_flaps} scheduled outage(s)",
-            )
+            TaskEvent(self._tasks[task_id].submitted_at, task_id, "outages-bound")
         )
 
     # -- execution ----------------------------------------------------------
@@ -236,8 +212,10 @@ class ManagedTransferService:
         by the task's own virtual clock, so file executions interleave by
         progress — a long task does not starve short ones submitted
         behind it (Globus's fairness behaviour, and the reason one user's
-        monster session does not block the endpoint).  A ``probe`` counts
-        the scheduling events the run processed.
+        monster session does not block the endpoint).  A task that waits
+        for a slot starts when the task whose finish freed that slot
+        settles, or at its own submit time if that is later.  A ``probe``
+        counts the scheduling events the run processed.
         """
         rng = ensure_rng(rng)
         loop = EventLoop(0.0, probe=probe)
@@ -248,27 +226,17 @@ class ManagedTransferService:
         elapsed: dict[int, float] = {}
 
         def schedule_next(tid: int) -> None:
-            # a task's virtual clock may trail the loop (it activated
-            # into a slot freed later); the loop only orders execution
-            loop.schedule(max(loop.now, clock[tid]), lambda: run_file(tid))
+            # no clock trails the loop: a task activates at or after the
+            # clock of the task that freed its slot
+            loop.schedule(clock[tid], lambda: run_file(tid))
 
-        def activate() -> None:
+        def activate(slot_free_at: float = 0.0) -> None:
             while self._queue and len(active) < self.concurrency:
-                if self.pick_next is None:
-                    tid = self._queue.pop(0)
-                else:
-                    tid = self.pick_next(
-                        [self._tasks[q] for q in self._queue]
-                    )
-                    if tid not in self._queue:
-                        raise ValueError(
-                            f"pick_next returned {tid!r}, not a queued task"
-                        )
-                    self._queue.remove(tid)
+                tid = self._queue.pop(0)
                 t = self._tasks[tid]
                 t.state = TaskState.ACTIVE
                 active.append(tid)
-                clock[tid] = t.submitted_at
+                clock[tid] = max(t.submitted_at, slot_free_at)
                 elapsed[tid] = 0.0
                 self.events.append(TaskEvent(clock[tid], tid, "activated"))
                 schedule_next(tid)
@@ -277,27 +245,21 @@ class ManagedTransferService:
             self._tasks[tid].state = state
             active.remove(tid)
             self.events.append(TaskEvent(clock[tid], tid, event, detail))
-            activate()
+            activate(clock[tid])
 
         def run_file(tid: int) -> None:
             t = self._tasks[tid]
             size = t.file_sizes[t.files_done]
             rate = float(self.rate_for(t.src_host, t.dst_host))
-            tracker = self._trackers.get(tid)
-            if tracker is not None:
-                outages = tracker.outages_after(clock[tid])
-                result = self._reliable.execute_with_outages(
-                    size, rate, outages, rng
+            result, n_hit = self._reliable.ride_file(
+                size, rate, self._histories.get(tid), clock[tid], rng
+            )
+            if n_hit:
+                self.n_flaps_recovered += n_hit
+                self.events.append(
+                    TaskEvent(clock[tid], tid, "circuit-flap",
+                              f"{n_hit} outage(s), resumed from marker")
                 )
-                n_hit = sum(1 for a, _ in outages if a < result.total_wall_s)
-                if n_hit and result.succeeded:
-                    self.n_flaps_recovered += n_hit
-                    self.events.append(
-                        TaskEvent(clock[tid], tid, "circuit-flap",
-                                  f"{n_hit} outage(s), resumed from marker")
-                    )
-            else:
-                result = self._reliable.execute(size, rate, rng)
             if not result.succeeded:
                 finish(tid, TaskState.FAILED, "failed",
                        f"file {t.files_done} exhausted retries")

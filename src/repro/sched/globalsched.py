@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from ..service.budget import DeadlineBudget
 from .base import register_scheduler
 from .fcfs import FcfsScheduler
 
@@ -39,13 +38,11 @@ def dispatch_priority(request: Any) -> tuple[int, float, float]:
 
     Reads ``total_bytes`` and ``budget`` — the shape of the service
     core's :class:`~repro.service.core.ServiceRequest`, which both the
-    daemon and the sim twin enqueue; anything without a budget (a bare
-    :class:`~repro.gridftp.transfer_service.TransferTask`) is treated as
+    daemon and the sim twin enqueue; a budget with no deadline is
     unbounded.
     """
     total_bytes = request.total_bytes
-    budget: DeadlineBudget | None = getattr(request, "budget", None)
-    remaining = math.inf if budget is None else budget.remaining()
+    remaining = request.budget.remaining()
     if math.isfinite(remaining):
         return (0, remaining, -total_bytes)
     return (1, -total_bytes, 0.0)

@@ -45,9 +45,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..faults.injector import FaultInjector, merge_intervals
+from ..faults.injector import storm_injector
 from ..faults.recovery import BackoffPolicy, RecoveryStats
-from ..faults.spec import FaultKind, FaultSpec
 from ..gridftp.reliability import (
     FaultModel,
     ReliableTransferService,
@@ -259,28 +258,14 @@ class TransferDaemon:
 
     def __init__(self, config: DaemonConfig) -> None:
         self.config = config
-        specs: list[FaultSpec] = []
-        if config.reject_prob > 0:
-            specs.append(
-                FaultSpec(FaultKind.IDC_REJECTION, probability=config.reject_prob)
-            )
-        if config.setup_timeout_prob > 0:
-            specs.append(
-                FaultSpec(
-                    FaultKind.VC_SETUP_TIMEOUT,
-                    probability=config.setup_timeout_prob,
-                    extra_delay_s=config.setup_extra_delay_s,
-                )
-            )
-        if config.flaps_per_hour > 0:
-            specs.append(
-                FaultSpec(
-                    FaultKind.CIRCUIT_FLAP,
-                    rate_per_hour=config.flaps_per_hour,
-                    duration_s=config.flap_duration_s,
-                )
-            )
-        self.injector = FaultInjector(specs, seed=config.seed) if specs else None
+        self.injector = storm_injector(
+            config.seed,
+            rejection_prob=config.reject_prob,
+            setup_timeout_prob=config.setup_timeout_prob,
+            setup_extra_delay_s=config.setup_extra_delay_s,
+            flaps_per_hour=config.flaps_per_hour,
+            flap_duration_s=config.flap_duration_s,
+        )
         self.idc = OscarsIDC(
             esnet_like(),
             setup_delay=BatchSignalling(batch_window_s=config.batch_window_s),
@@ -706,10 +691,9 @@ class TransferDaemon:
             return None
         ride_start = self.vnow()
         est = req.total_bytes * 8.0 / self.config.vc_rate_bps
-        intervals = merge_intervals(
+        return ScheduledOutages(
             self.injector.flap_intervals(ride_start, ride_start + 3.0 * est + 600.0)
         )
-        return ScheduledOutages(intervals) if intervals else None
 
     async def _ride(
         self,
@@ -729,20 +713,12 @@ class TransferDaemon:
                           f"{req.files_done}/{n_files} files",
                 )
                 return
-            size = req.file_sizes[req.files_done]
-            outs = (
-                outages.outages_after(self.vnow()) if outages is not None else []
+            result, n_hit = self.reliable.ride_file(
+                req.file_sizes[req.files_done], rate_bps, outages,
+                self.vnow(), self.rng,
             )
-            if outs:
-                result = self.reliable.execute_with_outages(
-                    size, rate_bps, outs, self.rng
-                )
-                n_hit = sum(1 for a, _ in outs if a < result.total_wall_s)
-                if n_hit and result.succeeded:
-                    self.metrics.n_flaps_recovered += n_hit
-                    self.stats.n_flaps += n_hit
-            else:
-                result = self.reliable.execute(size, rate_bps, self.rng)
+            self.metrics.n_flaps_recovered += n_hit
+            self.stats.n_flaps += n_hit
             await self.vsleep(result.total_wall_s)
             if not result.succeeded:
                 self.core.settle(

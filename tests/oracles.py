@@ -1,0 +1,98 @@
+"""Reference implementations the vectorized analysis kernels are pinned against.
+
+Test support, not package surface: each function is the original,
+obviously-correct loop that a fast path in :mod:`repro.core` replaced,
+kept so tests (and the Ext-S bench) can demand bit-exact agreement.
+"""
+
+import numpy as np
+
+from repro.core.sessions import (
+    SessionSet,
+    _empty_session_set,
+    _validate_groupable,
+)
+from repro.core.stats import BinnedMedians, _bin_ids, _medians_by_group_loop
+from repro.gridftp.records import TransferLog
+
+
+def _group_one_pair(start: np.ndarray, end: np.ndarray, g: float) -> np.ndarray:
+    """Session ids (0-based, in time order) for one host pair.
+
+    ``start``/``end`` must already be sorted by ``start``.  A new session
+    begins at transfer *i* when ``start[i] - max(end[0..i-1]) > g``.  The
+    running max handles overlapping transfers: a long transfer keeps the
+    session open across later short ones.
+    """
+    n = start.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    # prev_max_end[i] = max(end[0..i-1]); prev_max_end[0] unused
+    cummax_end = np.maximum.accumulate(end)
+    gaps = np.empty(n, dtype=np.float64)
+    gaps[0] = -np.inf
+    gaps[1:] = start[1:] - cummax_end[:-1]
+    breaks = gaps > g
+    return np.cumsum(breaks).astype(np.int64)
+
+
+def group_sessions_reference(log: TransferLog, g: float) -> SessionSet:
+    """The original per-pair-loop grouper, the bit-exact oracle.
+
+    O(unique pairs) Python iterations with a full-log scan each — correct
+    and simple, but quadratic-ish on many-pair logs.  Tests pin
+    :func:`repro.core.sessions.group_sessions` (the streaming fast path)
+    against this.
+    """
+    _validate_groupable(log, g)
+    slog = log.sorted_by_start()
+    n = len(slog)
+    if n == 0:
+        return _empty_session_set(g, slog)
+
+    # Partition the sorted log by host pair; group each pair independently,
+    # then assign globally unique session ids.
+    pair_key = slog.local_host.astype(np.int64) * (2**32) + (
+        slog.remote_host.astype(np.int64) + 2**31
+    )
+    session_of = np.empty(n, dtype=np.int64)
+    next_id = 0
+    for key in np.unique(pair_key):
+        idx = np.flatnonzero(pair_key == key)
+        local_ids = _group_one_pair(slog.start[idx], slog.end[idx], g)
+        session_of[idx] = local_ids + next_id
+        next_id += int(local_ids[-1]) + 1
+
+    n_sessions = next_id
+    starts = np.full(n_sessions, np.inf)
+    ends = np.full(n_sessions, -np.inf)
+    np.minimum.at(starts, session_of, slog.start)
+    np.maximum.at(ends, session_of, slog.end)
+    total_size = np.zeros(n_sessions)
+    np.add.at(total_size, session_of, slog.size)
+    counts = np.bincount(session_of, minlength=n_sessions).astype(np.int64)
+    lhost = np.zeros(n_sessions, dtype=np.int64)
+    rhost = np.zeros(n_sessions, dtype=np.int64)
+    lhost[session_of] = slog.local_host
+    rhost[session_of] = slog.remote_host
+
+    return SessionSet(
+        g=g,
+        start=starts,
+        duration=ends - starts,
+        total_size=total_size,
+        n_transfers=counts,
+        local_host=lhost,
+        remote_host=rhost,
+        transfer_session=session_of,
+        source=slog,
+    )
+
+
+def binned_medians_reference(x, y, bin_width, x_min=0.0, x_max=None) -> BinnedMedians:
+    """Per-group ``np.median`` loop: the oracle
+    :func:`repro.core.stats.binned_medians` is pinned against."""
+    ids, y, x_min, empty = _bin_ids(x, y, bin_width, x_min, x_max)
+    if empty is not None:
+        return empty
+    return _medians_by_group_loop(ids, y, x_min, bin_width)

@@ -302,7 +302,7 @@ class TestManagedServiceFlapWiring:
                                          reconnect_s=2.0),
         )
         tid = svc.submit(0, 1, [2e9])
-        svc.bind_circuit(tid, tracker)
+        svc.bind_outages(tid, tracker)
         svc.run(rng=np.random.default_rng(0))
         task = svc.task(tid)
         assert task.state is TaskState.SUCCEEDED
@@ -319,7 +319,7 @@ class TestManagedServiceFlapWiring:
 
         svc = ManagedTransferService(rate_for=lambda s, d: 1e9)
         with pytest.raises(KeyError):
-            svc.bind_circuit(99, CircuitOutageTracker(lambda: 0.0))
+            svc.bind_outages(99, CircuitOutageTracker(lambda: 0.0))
 
 
 class TestChaosCli:

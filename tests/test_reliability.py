@@ -12,6 +12,7 @@ from repro.gridftp.reliability import (
     FaultModel,
     ReliableTransferService,
     RestartPolicy,
+    ScheduledOutages,
     expected_overhead_factor,
 )
 
@@ -93,8 +94,8 @@ class TestService:
             fault, RestartPolicy(marker_interval_bytes=None), max_attempts=1000
         )
         sizes = np.full(30, 8e9)
-        t_marked = sum(r.total_wall_s for r in with_markers.execute_many(sizes, 1e9, rng_a))
-        t_naive = sum(r.total_wall_s for r in without.execute_many(sizes, 1e9, rng_b))
+        t_marked = sum(with_markers.execute(s, 1e9, rng_a).total_wall_s for s in sizes)
+        t_naive = sum(without.execute(s, 1e9, rng_b).total_wall_s for s in sizes)
         assert t_naive > 1.3 * t_marked
 
     def test_validation(self):
@@ -209,7 +210,7 @@ class TestExpectedOverhead:
 class TestExecuteWithOutages:
     def test_no_outages_equals_plain_execute(self):
         svc = ReliableTransferService(FaultModel(0.0))
-        a = svc.execute_with_outages(1e9, 1e9, [])
+        a = svc.execute(1e9, 1e9, outages=[])
         assert a.succeeded
         assert a.total_wall_s == pytest.approx(8.0)
         assert a.n_faults == 0
@@ -221,7 +222,7 @@ class TestExecuteWithOutages:
         )
         # 1 GB at 1 Gbps: 8 s clean; outage hits at t=3 (375 MB done,
         # marker at 300 MB), path dark until t=10
-        r = svc.execute_with_outages(1e9, 1e9, [(3.0, 10.0)])
+        r = svc.execute(1e9, 1e9, outages=[(3.0, 10.0)])
         assert r.succeeded
         assert r.n_faults == 1
         # wall: 3 (until fault) + wait to 10 + 2 reconnect + 5.6 (700 MB)
@@ -235,8 +236,8 @@ class TestExecuteWithOutages:
             max_attempts=3,
         )
         # three outages, only three attempts: third outage kills it
-        r = svc.execute_with_outages(
-            10e9, 1e9, [(2.0, 4.0), (8.0, 9.0), (14.0, 15.0)]
+        r = svc.execute(
+            10e9, 1e9, outages=[(2.0, 4.0), (8.0, 9.0), (14.0, 15.0)]
         )
         assert not r.succeeded
         assert len(r.attempts) == 3
@@ -244,18 +245,18 @@ class TestExecuteWithOutages:
     def test_outage_validation(self):
         svc = ReliableTransferService(FaultModel(0.0))
         with pytest.raises(ValueError):
-            svc.execute_with_outages(1e9, 1e9, [(5.0, 5.0)])
+            svc.execute(1e9, 1e9, outages=[(5.0, 5.0)])
         with pytest.raises(ValueError):
-            svc.execute_with_outages(0.0, 1e9, [])
+            svc.execute(0.0, 1e9, outages=[])
 
     def test_zero_length_window_rejected_even_among_valid_ones(self):
         svc = ReliableTransferService(FaultModel(0.0))
         with pytest.raises(ValueError, match="positive duration"):
-            svc.execute_with_outages(
-                1e9, 1e9, [(1.0, 2.0), (5.0, 5.0), (7.0, 9.0)]
+            svc.execute(
+                1e9, 1e9, outages=[(1.0, 2.0), (5.0, 5.0), (7.0, 9.0)]
             )
         with pytest.raises(ValueError, match="positive duration"):
-            svc.execute_with_outages(1e9, 1e9, [(6.0, 4.0)])  # inverted
+            svc.execute(1e9, 1e9, outages=[(6.0, 4.0)])  # inverted
 
     def test_outage_starting_exactly_at_transfer_start(self):
         svc = ReliableTransferService(
@@ -265,7 +266,7 @@ class TestExecuteWithOutages:
         # the path is already dark at t=0: the first attempt must move
         # zero bytes, the transfer stalls to t_up, pays the reconnect,
         # and then runs clean — it must NOT sail through the outage
-        r = svc.execute_with_outages(1e9, 1e9, [(0.0, 10.0)])
+        r = svc.execute(1e9, 1e9, outages=[(0.0, 10.0)])
         assert r.succeeded
         assert r.n_faults == 1
         assert r.attempts[0].bytes_moved == 0.0
@@ -281,7 +282,7 @@ class TestExecuteWithOutages:
         # first outage ends at t=6, reconnect lands the resume at t=8,
         # and a second outage begins exactly there: the resumed attempt
         # is interrupted immediately, not granted a free ride
-        r = svc.execute_with_outages(1e9, 1e9, [(3.0, 6.0), (8.0, 11.0)])
+        r = svc.execute(1e9, 1e9, outages=[(3.0, 6.0), (8.0, 11.0)])
         assert r.succeeded
         assert r.n_faults == 2
         assert r.attempts[1].bytes_moved == 0.0
@@ -290,10 +291,10 @@ class TestExecuteWithOutages:
         assert r.total_wall_s == pytest.approx(11.0 + 2.0 + 0.7 * 8.0)
 
     def test_overlapping_windows_behave_like_their_merge(self):
-        # producers (the chaos runner, the daemon) run flap schedules
-        # through merge_intervals before binding them; the executor must
-        # treat the raw overlapping schedule and its merge identically,
-        # so an unmerged schedule slipping through changes nothing
+        # ScheduledOutages merges the flap schedules producers bind (the
+        # chaos runner merges its own); the executor must treat the raw
+        # overlapping schedule and its merge identically, so an unmerged
+        # schedule slipping through changes nothing
         svc = ReliableTransferService(
             FaultModel(0.0),
             RestartPolicy(marker_interval_bytes=100e6, reconnect_s=2.0),
@@ -301,8 +302,8 @@ class TestExecuteWithOutages:
         raw = [(3.0, 10.0), (5.0, 12.0), (12.0, 14.0), (25.0, 26.0)]
         merged = merge_intervals(raw)
         assert merged == [(3.0, 14.0), (25.0, 26.0)]
-        a = svc.execute_with_outages(1e9, 1e9, raw)
-        b = svc.execute_with_outages(1e9, 1e9, merged)
+        a = svc.execute(1e9, 1e9, outages=raw)
+        b = svc.execute(1e9, 1e9, outages=merged)
         assert a.succeeded and b.succeeded
         assert a.total_wall_s == pytest.approx(b.total_wall_s)
         assert a.n_faults == b.n_faults == 1
@@ -316,10 +317,53 @@ class TestExecuteWithOutages:
             FaultModel(0.0),
             RestartPolicy(marker_interval_bytes=100e6, reconnect_s=2.0),
         )
-        inner = svc.execute_with_outages(1e9, 1e9, [(3.0, 10.0), (4.0, 5.0)])
-        plain = svc.execute_with_outages(1e9, 1e9, [(3.0, 10.0)])
+        inner = svc.execute(1e9, 1e9, outages=[(3.0, 10.0), (4.0, 5.0)])
+        plain = svc.execute(1e9, 1e9, outages=[(3.0, 10.0)])
         assert inner.n_faults == plain.n_faults == 1
         assert inner.total_wall_s == pytest.approx(plain.total_wall_s)
+
+
+class TestRideFile:
+    """The per-file step the managed service and the daemon share."""
+
+    @staticmethod
+    def _svc(max_attempts=10):
+        return ReliableTransferService(
+            FaultModel(0.0),
+            RestartPolicy(marker_interval_bytes=100e6, reconnect_s=2.0),
+            max_attempts=max_attempts,
+        )
+
+    def test_outage_inside_a_successful_file_counts(self):
+        # the ride's clock is 100: the 103-110 outage lands 3 s into
+        # the 8 s file, which resumes from its 300 MB marker
+        history = ScheduledOutages([(103.0, 110.0)])
+        result, n = self._svc().ride_file(1e9, 1e9, history, 100.0)
+        assert result.succeeded and result.n_faults == 1
+        assert n == 1
+        assert result.total_wall_s == pytest.approx(10.0 + 2.0 + 0.7 * 8.0)
+
+    def test_outage_after_the_file_ends_does_not_count(self):
+        history = ScheduledOutages([(103.0, 110.0), (500.0, 510.0)])
+        result, n = self._svc().ride_file(1e9, 1e9, history, 100.0)
+        assert result.succeeded and n == 1
+        clear = ScheduledOutages([(500.0, 510.0)])
+        result, n = self._svc().ride_file(1e9, 1e9, clear, 100.0)
+        assert result.succeeded and result.n_faults == 0
+        assert n == 0
+
+    def test_failed_file_counts_nothing(self):
+        # three outages, three attempts: the third outage kills the file
+        history = ScheduledOutages([(2.0, 4.0), (8.0, 9.0), (14.0, 15.0)])
+        result, n = self._svc(max_attempts=3).ride_file(10e9, 1e9, history, 0.0)
+        assert not result.succeeded and result.n_faults == 3
+        assert n == 0
+
+    def test_no_history_is_a_plain_execute(self):
+        svc = ReliableTransferService(FaultModel(60.0))
+        a, n = svc.ride_file(8e9, 1e9, None, 50.0, np.random.default_rng(3))
+        assert a == svc.execute(8e9, 1e9, np.random.default_rng(3))
+        assert n == 0
 
 
 class TestRngHygiene:

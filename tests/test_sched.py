@@ -387,35 +387,6 @@ class TestSeamPlumbing:
         ]
         assert provisioned[0].time == 180.0  # first boundary past release
 
-    def test_managed_service_pick_next_hook(self):
-        from repro.gridftp.transfer_service import ManagedTransferService
-
-        order: list[int] = []
-
-        def lpt(tasks):
-            tid = min(tasks, key=dispatch_priority).task_id
-            order.append(tid)
-            return tid
-
-        svc = ManagedTransferService(
-            rate_for=lambda s, d: 1e9, concurrency=1, pick_next=lpt
-        )
-        small = svc.submit(0, 1, [1e9], submitted_at=0.0)
-        big = svc.submit(0, 1, [9e9], submitted_at=0.0)
-        svc.run()
-        # LPT: the big task jumps the FIFO queue at first activation
-        assert order == [big, small]
-
-    def test_managed_service_pick_next_must_return_a_queued_task(self):
-        from repro.gridftp.transfer_service import ManagedTransferService
-
-        svc = ManagedTransferService(
-            rate_for=lambda s, d: 1e9, pick_next=lambda tasks: 999
-        )
-        svc.submit(0, 1, [1e9], submitted_at=0.0)
-        with pytest.raises(ValueError, match="pick_next"):
-            svc.run()
-
     def test_latency_sweep_table_needs_latency_cells(self):
         from repro.service.loadtest import latency_sweep_table
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.sched import make_scheduler
 from repro.service.admission import AdmissionController
+from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.service.api import (
     MAX_LINE_BYTES,
     ServiceClient,
@@ -501,6 +502,32 @@ class TestDaemonConfig:
     def test_endpoints_must_be_two_distinct_sites(self, endpoints):
         with pytest.raises(ValueError, match="NERSC, ANL, ORNL"):
             DaemonConfig(socket_path="/tmp/x", **endpoints)
+
+    def test_fault_knobs_build_the_storm_specs_in_order(self):
+        daemon = TransferDaemon(DaemonConfig(
+            socket_path="/tmp/x.sock", reject_prob=0.3,
+            setup_timeout_prob=0.2, setup_extra_delay_s=90.0,
+            flaps_per_hour=12.0, flap_duration_s=40.0, seed=5,
+        ))
+        want = (
+            FaultSpec(FaultKind.IDC_REJECTION, probability=0.3),
+            FaultSpec(FaultKind.VC_SETUP_TIMEOUT, probability=0.2,
+                      extra_delay_s=90.0),
+            FaultSpec(FaultKind.CIRCUIT_FLAP, rate_per_hour=12.0,
+                      duration_s=40.0),
+        )
+        assert daemon.injector.specs == want
+        assert daemon.idc.fault_injector is daemon.injector
+        # seeded from the config: the same draws as the specs at seed 5
+        ref = FaultInjector(want, seed=5)
+        assert [daemon.injector.reservation_fault(0.0) for _ in range(20)] == [
+            ref.reservation_fault(0.0) for _ in range(20)
+        ]
+
+    def test_no_fault_knob_means_no_injector(self):
+        daemon = TransferDaemon(DaemonConfig(socket_path="/tmp/x.sock"))
+        assert daemon.injector is None
+        assert daemon.idc.fault_injector is None
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ class TestVectorizedMatchesReference:
             assert np.array_equal(va, vb), f
 
     def test_single_pair(self):
-        from repro.core.sessions import group_sessions_reference
+        from tests.oracles import group_sessions_reference
 
         log = log_from([(0, 5), (10, 5), (100, 5), (101, 2), (500, 1)])
         for g in (0.0, 10.0, 60.0, 1000.0):
@@ -236,7 +236,7 @@ class TestVectorizedMatchesReference:
             )
 
     def test_many_pairs_interleaved(self):
-        from repro.core.sessions import group_sessions_reference
+        from tests.oracles import group_sessions_reference
 
         rng = np.random.default_rng(42)
         n = 3_000
@@ -257,7 +257,7 @@ class TestVectorizedMatchesReference:
     @given(transfer_stream(), st.floats(min_value=0, max_value=300))
     @settings(max_examples=40)
     def test_property_oracle_agreement(self, rows, g):
-        from repro.core.sessions import group_sessions_reference
+        from tests.oracles import group_sessions_reference
 
         log = log_from(rows)
         self._assert_identical(

@@ -250,7 +250,7 @@ class TestBinnedMediansVectorized:
     """The vectorized binned_medians against the per-bin loop oracle."""
 
     def test_matches_reference_on_random_data(self):
-        from repro.core.stats import binned_medians_reference
+        from tests.oracles import binned_medians_reference
 
         rng = np.random.default_rng(10)
         x = rng.uniform(0, 100, 5_000)
@@ -263,7 +263,7 @@ class TestBinnedMediansVectorized:
             assert np.array_equal(a.count, b.count)
 
     def test_matches_reference_with_empty_bins(self):
-        from repro.core.stats import binned_medians_reference
+        from tests.oracles import binned_medians_reference
 
         x = np.array([0.5, 0.6, 10.5, 10.6, 10.7])
         y = np.array([1.0, 3.0, 2.0, 4.0, 6.0])
@@ -273,7 +273,7 @@ class TestBinnedMediansVectorized:
         assert np.array_equal(a.count, b.count)
 
     def test_nan_y_falls_back_to_reference(self):
-        from repro.core.stats import binned_medians_reference
+        from tests.oracles import binned_medians_reference
 
         x = np.array([0.0, 0.5, 1.5])
         y = np.array([1.0, np.nan, 2.0])
@@ -287,7 +287,7 @@ class TestBinnedMediansVectorized:
     )
     @settings(max_examples=50)
     def test_property_oracle_agreement(self, xs, width):
-        from repro.core.stats import binned_medians_reference
+        from tests.oracles import binned_medians_reference
 
         ys = [x * 2 + 1 for x in reversed(xs)]
         a = binned_medians(xs, ys, bin_width=width)

@@ -14,11 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sessions import (
-    group_sessions,
-    group_sessions_reference,
-    sessionize_chunks,
-)
+from repro.core.sessions import group_sessions, sessionize_chunks
 from repro.core.streaming import (
     QuantileSketch,
     StreamAnalysis,
@@ -31,6 +27,7 @@ from repro.core.streaming import (
 from repro.core.throughput import PathStream, path_report
 from repro.gridftp.records import TransferLog
 from repro.workload.synth import generate, generate_stream
+from tests.oracles import group_sessions_reference
 
 SESSION_FIELDS = (
     "start", "duration", "total_size", "n_transfers",

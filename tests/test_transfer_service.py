@@ -125,6 +125,21 @@ class TestConcurrencyAndFairness:
         assert [e.event for e in events_b] == ["submitted", "activated", "succeeded"]
         assert svc.task(a).state is TaskState.SUCCEEDED
 
+    def test_waiting_task_starts_when_its_slot_frees(self):
+        svc = ManagedTransferService(flat_rate, concurrency=1)
+        a = svc.submit(1, 2, [1e9], submitted_at=0.0)
+        b = svc.submit(1, 2, [1e9], submitted_at=0.0)
+        log = svc.run()
+        assert list(log.start) == [0.0, 8.0]
+        (done_a,) = [e.time for e in svc.events_for(a) if e.event == "succeeded"]
+        (start_b,) = [e.time for e in svc.events_for(b) if e.event == "activated"]
+        assert done_a == start_b == 8.0
+        # a task submitted after the slot frees starts at its submit time
+        svc = ManagedTransferService(flat_rate, concurrency=1)
+        svc.submit(1, 2, [1e9], submitted_at=0.0)
+        svc.submit(1, 2, [1e9], submitted_at=20.0)
+        assert list(svc.run().start) == [0.0, 20.0]
+
     def test_round_robin_interleaves_files(self):
         """A long task does not starve a short one sharing the endpoint."""
         svc = ManagedTransferService(flat_rate, concurrency=2)
