@@ -18,6 +18,7 @@ from repro.core.sessions import group_sessions
 from repro.core.snmp_correlation import attributed_bytes
 from repro.core.stats import binned_medians
 from repro.core.vc_suitability import suitability_table
+from repro.gridftp.logfmt import read_usage_log, write_usage_log
 from repro.gridftp.server import host_link
 from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
@@ -26,6 +27,7 @@ from repro.net.topology import esnet_like
 from repro.sim.experiment import default_dtns
 from repro.sim.probe import SimProbe
 from repro.vc.oscars import OscarsIDC, ReservationRequest
+from repro.workload.synth import slac_bnl
 
 
 def test_perf_group_sessions_1m(slac_log, benchmark):
@@ -51,6 +53,29 @@ def test_perf_suitability_full_grid(slac_log, benchmark):
     grid = benchmark(suitability_table, slac_log)
     assert len(grid) == 6
     assert benchmark.stats["mean"] < 10.0
+
+
+def test_perf_read_usage_log(tmp_path, benchmark):
+    """A 200k-row SLAC--BNL usage log read back from its text file.
+
+    The reader hands every data row to one NumPy text-reader call.  A
+    per-row Python parse (split the row, convert ten fields one by one)
+    costs ~10 us per row and shows up here as a failure.
+    """
+    log = slac_bnl(seed=2, n_transfers=200_000)
+    path = tmp_path / "usage.log"
+    write_usage_log(log, path)
+    parsed = benchmark.pedantic(read_usage_log, args=(path,), rounds=3, iterations=1)
+    assert len(parsed) == len(log)
+    # the writer keeps six decimals of times and whole bytes
+    for name, atol in (("start", 1e-6), ("duration", 1e-6), ("size", 0.5)):
+        assert np.allclose(parsed.column(name), log.column(name), rtol=0.0, atol=atol)
+    for name in ("transfer_type", "streams", "stripes", "tcp_buffer",
+                 "block_size", "local_host", "remote_host"):
+        assert np.array_equal(parsed.column(name), log.column(name))
+    per_row_s = benchmark.stats["mean"] / len(log)
+    print(f"\n{per_row_s * 1e6:.2f} us per usage-log row")
+    assert per_row_s < 4e-6
 
 
 def test_perf_eq1_attribution(benchmark):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from collections.abc import Iterable
 
 import numpy as np
@@ -56,6 +57,28 @@ _USAGE_COLUMNS = (
     "remote_host",
 )
 
+#: the type token is read as text this wide.  No spelling
+#: ``TransferType.parse`` accepts is this long and ``str.upper`` never
+#: shortens a token, so a token that fills the field (cut short or not)
+#: is refused rather than truncated into a valid one
+_TYPE_WIDTH = 9
+
+#: the usage columns as read: floats and int64s, which ``TransferLog``
+#: then casts to its schema exactly as it casts lists of Python scalars
+_USAGE_DTYPE = np.dtype(
+    [(name, np.float64) for name in _USAGE_COLUMNS[:3]]
+    + [("transfer_type", f"U{_TYPE_WIDTH}")]
+    + [(name, np.int64) for name in _USAGE_COLUMNS[4:]]
+)
+
+_FIELD_COUNT_ERROR = re.compile(
+    r"requires \d+ columns but (?P<got>\d+) were found at row (?P<row>\d+)"
+)
+
+#: line breaks ``str.splitlines`` honours besides the "\n" the comment
+#: scan splits on
+_OTHER_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 def write_usage_log(log: TransferLog, path: str | os.PathLike | io.TextIOBase) -> None:
     """Write ``log`` in usage format to ``path`` (path or open text file)."""
@@ -83,33 +106,81 @@ def _write_usage(log: TransferLog, fh: io.TextIOBase) -> None:
 
 
 def read_usage_log(path: str | os.PathLike | io.TextIOBase) -> TransferLog:
-    """Read a usage-format log written by :func:`write_usage_log`."""
+    """Read a usage-format log written by :func:`write_usage_log`.
+
+    Lines split as ``str.splitlines`` splits them; blank lines and lines
+    whose first character is ``#`` are skipped.  Every other line is a
+    data row of exactly ten whitespace-separated fields, parsed column by
+    column in one :func:`numpy.loadtxt` call: ``start``, ``duration`` and
+    ``size`` bit for bit as ``float()`` reads them, the six integer
+    columns as decimal integers in the int64 range (no digit
+    underscores), and the type token through
+    :meth:`TransferType.parse`, once per distinct token.  A row with a
+    trailing ``# ...`` or an indented ``#`` line is a malformed row, not
+    a comment.  Any malformed row raises :class:`ValueError`.
+    """
     if isinstance(path, io.TextIOBase):
-        lines = path.read().splitlines()
+        text = path.read()
     else:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    rows = [ln.split() for ln in lines if ln.strip() and not ln.startswith("#")]
-    n = len(rows)
-    cols: dict[str, list] = {name: [] for name in _USAGE_COLUMNS}
-    for lineno, parts in enumerate(rows, start=1):
-        if len(parts) != len(_USAGE_COLUMNS):
-            raise ValueError(
-                f"malformed usage-log row {lineno}: expected "
-                f"{len(_USAGE_COLUMNS)} fields, got {len(parts)}"
-            )
-        cols["start"].append(float(parts[0]))
-        cols["duration"].append(float(parts[1]))
-        cols["size"].append(float(parts[2]))
-        cols["transfer_type"].append(int(TransferType.parse(parts[3])))
-        cols["streams"].append(int(parts[4]))
-        cols["stripes"].append(int(parts[5]))
-        cols["tcp_buffer"].append(int(parts[6]))
-        cols["block_size"].append(int(parts[7]))
-        cols["local_host"].append(int(parts[8]))
-        cols["remote_host"].append(int(parts[9]))
-    assert len(cols["start"]) == n
+            text = fh.read()
+    text = _drop_comment_lines(text)
+    if not text or text.isspace():
+        return TransferLog()
+    if "\x00" in text:
+        # a U field drops trailing NULs, which could turn "S\x00" into "S"
+        raise ValueError("usage log contains a NUL character")
+    try:
+        rows = np.loadtxt(
+            text.splitlines(), dtype=_USAGE_DTYPE, comments=None, ndmin=1
+        )
+    except ValueError as exc:
+        # NumPy counts data rows from 1 and skips blank lines, as N does here
+        count = _FIELD_COUNT_ERROR.search(str(exc))
+        if count is None:
+            raise
+        raise ValueError(
+            f"malformed usage-log row {count['row']}: expected "
+            f"{len(_USAGE_COLUMNS)} fields, got {count['got']}"
+        ) from None
+    # copied out, so each column is contiguous and the row records can go
+    cols = {
+        name: rows[name].copy() for name in _USAGE_COLUMNS if name != "transfer_type"
+    }
+    cols["transfer_type"] = _type_codes(rows["transfer_type"])
     return TransferLog(cols)
+
+
+def _drop_comment_lines(text: str) -> str:
+    """``text`` without the lines that start with ``#``.
+
+    The work is one ``str.split`` plus one step per comment line, not
+    per row: a usage log has one header line and many data rows.
+    """
+    if any(ch in text for ch in _OTHER_LINE_BREAKS):
+        text = "\n".join(text.splitlines())
+    head, *rest = text.split("\n#")
+    if head.startswith("#"):
+        head = head.partition("\n")[2]
+    return "\n".join([head, *(chunk.partition("\n")[2] for chunk in rest)])
+
+
+def _type_codes(tokens: np.ndarray) -> np.ndarray:
+    """``TransferType`` codes for the type tokens, one parse per distinct token.
+
+    Tokens are taken in order of first appearance, so the first unknown
+    token in the log is the one reported.
+    """
+    codes = np.empty(len(tokens), dtype=np.int8)
+    todo = np.arange(len(tokens))
+    while todo.size:
+        token = str(tokens[todo[0]])
+        if len(token) == _TYPE_WIDTH:
+            raise ValueError(f"unknown transfer type: {token + '...'!r}")
+        hit = tokens[todo] == token
+        codes[todo[hit]] = TransferType.parse(token)
+        todo = todo[~hit]
+    return codes
 
 
 # -- netlogger-style format ------------------------------------------------

@@ -141,9 +141,12 @@ class TransferLog:
         unknown = set(columns) - set(_SCHEMA)
         if unknown:
             raise KeyError(f"unknown transfer-log columns: {sorted(unknown)}")
+        # one conversion per column.  The cast below is astype, which wraps
+        # out-of-range integers: read_usage_log's int64 columns land on the
+        # int32 ones exactly as lists of Python ints do
+        arrays = {name: np.asarray(values) for name, values in columns.items()}
         n = None
-        for name, values in columns.items():
-            arr = np.asarray(values)
+        for name, arr in arrays.items():
             if arr.ndim != 1:
                 raise ValueError(f"column {name!r} must be 1-D, got shape {arr.shape}")
             if n is None:
@@ -156,8 +159,8 @@ class TransferLog:
             n = 0
         self._cols: dict[str, np.ndarray] = {}
         for name, (dtype, default) in _SCHEMA.items():
-            if name in columns:
-                self._cols[name] = np.asarray(columns[name]).astype(dtype, copy=False)
+            if name in arrays:
+                self._cols[name] = arrays[name].astype(dtype, copy=False)
             else:
                 self._cols[name] = np.full(n, default, dtype=dtype)
         self._validate()

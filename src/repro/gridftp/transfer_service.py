@@ -261,6 +261,10 @@ class ManagedTransferService:
                               f"{n_hit} outage(s), resumed from marker")
                 )
             if not result.succeeded:
+                # the attempts that exhausted the retry budget hold the
+                # slot until they end
+                clock[tid] += result.total_wall_s
+                elapsed[tid] += result.total_wall_s
                 finish(tid, TaskState.FAILED, "failed",
                        f"file {t.files_done} exhausted retries")
                 return

@@ -1,9 +1,13 @@
-"""Reference implementations the vectorized analysis kernels are pinned against.
+"""Reference implementations the vectorized kernels are pinned against.
 
 Test support, not package surface: each function is the original,
-obviously-correct loop that a fast path in :mod:`repro.core` replaced,
-kept so tests (and the Ext-S bench) can demand bit-exact agreement.
+obviously-correct loop that a fast path in :mod:`repro.core` or
+:mod:`repro.gridftp` replaced, kept so tests (and the Ext-S bench) can
+demand bit-exact agreement.
 """
+
+import io
+import os
 
 import numpy as np
 
@@ -13,7 +17,8 @@ from repro.core.sessions import (
     _validate_groupable,
 )
 from repro.core.stats import BinnedMedians, _bin_ids, _medians_by_group_loop
-from repro.gridftp.records import TransferLog
+from repro.gridftp.logfmt import _USAGE_COLUMNS
+from repro.gridftp.records import TransferLog, TransferType
 
 
 def _group_one_pair(start: np.ndarray, end: np.ndarray, g: float) -> np.ndarray:
@@ -96,3 +101,35 @@ def binned_medians_reference(x, y, bin_width, x_min=0.0, x_max=None) -> BinnedMe
     if empty is not None:
         return empty
     return _medians_by_group_loop(ids, y, x_min, bin_width)
+
+
+def read_usage_log_reference(path: str | os.PathLike | io.TextIOBase) -> TransferLog:
+    """The original per-row usage-log reader: the oracle
+    :func:`repro.gridftp.logfmt.read_usage_log` is pinned against.
+
+    Splits every data row and appends ten Python scalars one by one.
+    """
+    if isinstance(path, io.TextIOBase):
+        lines = path.read().splitlines()
+    else:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    rows = [ln.split() for ln in lines if ln.strip() and not ln.startswith("#")]
+    cols: dict[str, list] = {name: [] for name in _USAGE_COLUMNS}
+    for lineno, parts in enumerate(rows, start=1):
+        if len(parts) != len(_USAGE_COLUMNS):
+            raise ValueError(
+                f"malformed usage-log row {lineno}: expected "
+                f"{len(_USAGE_COLUMNS)} fields, got {len(parts)}"
+            )
+        cols["start"].append(float(parts[0]))
+        cols["duration"].append(float(parts[1]))
+        cols["size"].append(float(parts[2]))
+        cols["transfer_type"].append(int(TransferType.parse(parts[3])))
+        cols["streams"].append(int(parts[4]))
+        cols["stripes"].append(int(parts[5]))
+        cols["tcp_buffer"].append(int(parts[6]))
+        cols["block_size"].append(int(parts[7]))
+        cols["local_host"].append(int(parts[8]))
+        cols["remote_host"].append(int(parts[9]))
+    return TransferLog(cols)

@@ -1,9 +1,12 @@
 """Unit tests for the usage and netlogger log formats."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gridftp.logfmt import (
     format_netlogger_line,
@@ -13,7 +16,9 @@ from repro.gridftp.logfmt import (
     write_netlogger_log,
     write_usage_log,
 )
-from repro.gridftp.records import ANONYMIZED_HOST, TransferLog, TransferType
+from repro.gridftp.records import _SCHEMA, ANONYMIZED_HOST, TransferLog, TransferType
+from repro.workload import datasets, synth
+from tests.oracles import read_usage_log_reference
 
 
 def sample_log(n=7, seed=2):
@@ -66,6 +71,165 @@ class TestUsageFormat:
     def test_blank_lines_skipped(self):
         buf = io.StringIO("\n\n# c\n")
         assert len(read_usage_log(buf)) == 0
+
+
+def assert_same_log(got: TransferLog, want: TransferLog) -> None:
+    """Every column equal bit for bit, dtype included."""
+    for name in _SCHEMA:
+        a, b = got.column(name), want.column(name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(reader, text: str):
+    """The log ``reader`` makes of ``text``, or the ValueError it raises."""
+    try:
+        return reader(io.StringIO(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+#: every spelling TransferType.parse accepts
+SPELLINGS = ("STOR", "STORE", "S", "RETR", "RETRIEVE", "R")
+
+#: a spelling with each letter in either case
+type_tokens = st.sampled_from(SPELLINGS).flatmap(
+    lambda word: st.tuples(*(st.sampled_from([c, c.lower()]) for c in word))
+).map("".join)
+
+
+def float_fields(min_value=None):
+    """Floats as ``%.17g`` (nan and inf included) or as the writer's ``%.6f``."""
+    return st.one_of(
+        st.floats(min_value=min_value).map(lambda x: f"{x:.17g}"),
+        st.floats(min_value=min_value or -1e15, max_value=1e15).map(
+            lambda x: f"{x:.6f}"),
+    )
+
+
+#: ints across the whole int64 range, biased to ones every column accepts
+int_fields = st.one_of(
+    st.integers(1, 64), st.integers(-(2**63), 2**63 - 1)
+).map(str)
+
+data_rows = st.tuples(
+    st.sampled_from(["", " "]),
+    st.sampled_from([" ", "\t", "  "]),
+    st.tuples(float_fields(), float_fields(0.0), float_fields(0.0), type_tokens,
+              *[int_fields] * 6),
+).map(lambda r: r[0] + r[1].join(r[2]))
+
+#: blank and comment lines that may sit between data rows
+filler_lines = st.lists(
+    st.sampled_from(["", "   ", "\t", "#", "# note", "## a # b"]), max_size=2
+)
+
+
+@st.composite
+def usage_texts(draw):
+    """A usage log as text: data rows with blank and ``#`` lines between."""
+    lines = ["# start duration size type"] if draw(st.booleans()) else []
+    for fillers, row in draw(st.lists(st.tuples(filler_lines, data_rows), max_size=12)):
+        lines += fillers + [row]
+    # "\n" and "\r\n" as written on disk; the rest only str.splitlines breaks on
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\f", "\u2028"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestReaderMatchesReference:
+    """``read_usage_log`` against the per-row reader it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(usage_texts())
+    def test_generated_logs(self, text):
+        got = outcome(read_usage_log, text)
+        want = outcome(read_usage_log_reference, text)
+        if isinstance(want, TransferLog):
+            assert isinstance(got, TransferLog), got
+            assert_same_log(got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("name", sorted(datasets.DATASETS))
+    def test_written_datasets(self, name, tmp_path):
+        # the two large datasets are generated at 4,000 rows
+        large = {"NCAR-NICS": synth.ncar_nics, "SLAC-BNL": synth.slac_bnl}
+        if name in large:
+            log = large[name](seed=3, n_transfers=4000)
+        else:
+            log = datasets.load(name, seed=3)
+        path = tmp_path / "usage.log"
+        write_usage_log(log, path)
+        assert_same_log(read_usage_log(path), read_usage_log_reference(path))
+
+
+DATA_ROW = "1.5 2.5 3 RETR 1 1 0 262144 0 1"
+
+
+class TestReaderRefusals:
+    """Malformed logs are refused with the reference reader's error."""
+
+    @pytest.mark.parametrize("text, message", [
+        (f"# h\n{DATA_ROW}\n\n# c\n1.0 2.0 3.0\n",
+         "malformed usage-log row 2: expected 10 fields, got 3"),
+        (f"{DATA_ROW}\n{DATA_ROW} 7\n",
+         "malformed usage-log row 2: expected 10 fields, got 11"),
+        ("1.0 2.0 3.0\n", "malformed usage-log row 1: expected 10 fields, got 3"),
+        (f"{DATA_ROW}\n{DATA_ROW} # note\n",
+         "malformed usage-log row 2: expected 10 fields, got 12"),
+        (f"{DATA_ROW}\n  # note\n{DATA_ROW}\n",
+         "malformed usage-log row 2: expected 10 fields, got 2"),
+        (f"{DATA_ROW}\n" + DATA_ROW.replace("RETR", "XFER"),
+         "unknown transfer type: 'XFER'"),
+        ("\n".join(DATA_ROW.replace("RETR", t) for t in ("stor", "ZZ", "AA", "ZZ")),
+         "unknown transfer type: 'ZZ'"),
+    ])
+    def test_message_matches_reference(self, text, message):
+        for reader in (read_usage_log, read_usage_log_reference):
+            with pytest.raises(ValueError) as info:
+                reader(io.StringIO(text))
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("token", ["RETRIEVES", "RETRIEVEXX", "STORAGE-CLASS"])
+    def test_overlong_type_token_refused(self, token):
+        text = DATA_ROW.replace("RETR", token)
+        with pytest.raises(ValueError, match="unknown transfer type"):
+            read_usage_log_reference(io.StringIO(text))
+        # the token is read nine characters wide and named as cut short
+        with pytest.raises(ValueError) as info:
+            read_usage_log(io.StringIO(text))
+        assert str(info.value) == f"unknown transfer type: {token[:9] + '...'!r}"
+
+    @pytest.mark.parametrize("old, new", [
+        ("1.5", "x"),
+        ("2.5", "1.5.0"),
+        ("262144", "2.6e5"),
+        (" 1 1 ", " 1.0 1 "),
+        ("RETR", "RETR\x00"),
+    ])
+    def test_bad_field_refused(self, old, new):
+        text = DATA_ROW.replace(old, new, 1)
+        with pytest.raises(ValueError):
+            read_usage_log_reference(io.StringIO(text))
+        with pytest.raises(ValueError):
+            read_usage_log(io.StringIO(text))
+
+    def test_digit_underscores_refused(self):
+        # int() and float() accept "262_144"; the column parser does not
+        text = DATA_ROW.replace("262144", "262_144")
+        assert len(read_usage_log_reference(io.StringIO(text))) == 1
+        with pytest.raises(ValueError):
+            read_usage_log(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "", "# start duration size type\n", "\n\n  \n\t\n", "# a\n\n# b",
+    ])
+    def test_no_rows_is_an_empty_log_without_warning(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = read_usage_log(io.StringIO(text))
+        assert len(log) == 0
+        assert_same_log(log, read_usage_log_reference(io.StringIO(text)))
 
 
 class TestNetloggerFormat:

@@ -202,6 +202,26 @@ class TestFaultsAndDeadlines:
         assert len(log) == 1
         assert log.size[0] == 1e5
 
+    def test_failed_task_holds_its_slot_until_its_attempts_end(self):
+        """A failed task settles when its last attempt ends, not at its
+        failed file's start, so the next task activates no earlier."""
+        svc = ManagedTransferService(
+            flat_rate,
+            concurrency=1,
+            fault_model=FaultModel(3600.0),
+            max_attempts_per_file=1,
+        )
+        big = svc.submit(1, 2, [32e9])
+        small = svc.submit(1, 2, [1e9])
+        svc.run(rng=np.random.default_rng(0))
+        assert svc.task(big).state is TaskState.FAILED
+        (failed_at,) = [e.time for e in svc.events_for(big) if e.event == "failed"]
+        (activated_at,) = [
+            e.time for e in svc.events_for(small) if e.event == "activated"
+        ]
+        assert failed_at > 0.0
+        assert activated_at == failed_at
+
 
 class TestRateCallable:
     def test_per_pair_rates_respected(self):
