@@ -73,10 +73,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
     log = read_usage_log(args.log)
-    rows = session_gap_report(log, [0.0, args.g, 2 * args.g] if args.g else [0.0, 60.0, 120.0])
+    # g = 0 is a valid gap, not "unset"; a NaN or negative g is refused
+    rows = session_gap_report(log, sorted({0.0, args.g, 2 * args.g}))
     print(format_gap_report(f"Session structure of {args.log}", rows))
-    s = group_sessions(log, args.g or 60.0)
-    print(f"\nat g={args.g or 60.0:.0f}s: {len(s):,} sessions, "
+    s = group_sessions(log, args.g)
+    print(f"\nat g={args.g:.0f}s: {len(s):,} sessions, "
           f"{int(s.n_transfers.sum()):,} transfers")
     return 0
 

@@ -23,6 +23,7 @@ from .sessions import (
     GapReportRow,
     SessionSet,
     group_sessions,
+    group_sessions_at,
     session_gap_report,
     sessionize_chunks,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "GapReportRow",
     "SessionSet",
     "group_sessions",
+    "group_sessions_at",
     "sessionize_chunks",
     "session_gap_report",
     "QuantileSketch",

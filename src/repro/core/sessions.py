@@ -14,15 +14,18 @@ session (not transfer) duration is what must amortize VC setup delay.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..gridftp.records import ANONYMIZED_HOST, TransferLog
 from .stats import SixNumberSummary, six_number_summary
+from .streaming import PairScan, StreamingSessionizer, pair_scan
 
 __all__ = [
     "SessionSet",
     "group_sessions",
+    "group_sessions_at",
     "sessionize_chunks",
     "session_gap_report",
     "GapReportRow",
@@ -113,9 +116,10 @@ def _empty_session_set(g: float, slog: TransferLog) -> SessionSet:
     )
 
 
-def _validate_groupable(log: TransferLog, g: float) -> None:
-    if g < 0:
-        raise ValueError(f"gap parameter g must be >= 0, got {g}")
+def _validate_groupable(log: TransferLog, *g_values: float) -> None:
+    for g in g_values:
+        if not g >= 0:  # refuses NaN too
+            raise ValueError(f"gap parameter g must be >= 0, got {g}")
     if len(log) and log.is_anonymized:
         raise ValueError(
             "cannot group an anonymized log into sessions: remote endpoints "
@@ -123,6 +127,55 @@ def _validate_groupable(log: TransferLog, g: float) -> None:
         )
     if len(log) and np.any(log.remote_host == ANONYMIZED_HOST):
         raise ValueError("log mixes anonymized and identified remote hosts")
+
+
+def group_sessions_at(log: TransferLog, g_values: Sequence[float]) -> list[SessionSet]:
+    """Group ``log`` into sessions once per gap in ``g_values`` (seconds).
+
+    The sort by start, the stable (pair, start) sort and each transfer's
+    gap to its pair's running max end (:func:`~repro.core.streaming.pair_scan`)
+    do not depend on ``g`` and run once; each ``g`` then costs one
+    comparison and a few O(n) folds.  Item *i* equals
+    ``group_sessions(log, g_values[i])``.
+    """
+    _validate_groupable(log, *g_values)
+    slog = log.sorted_by_start()
+    if len(slog) == 0:
+        return [_empty_session_set(g, slog) for g in g_values]
+    scan = pair_scan(slog)
+    gap = scan.start - scan.prev_end
+    return [_sessions_at(slog, scan, gap, g) for g in g_values]
+
+
+def _sessions_at(
+    slog: TransferLog, scan: PairScan, gap: np.ndarray, g: float
+) -> SessionSet:
+    # session ids in scan order already are the one-shot ids: ascending
+    # pair key, then time within the pair
+    heads = scan.head | (gap > g)
+    sid = np.cumsum(heads) - 1
+    first = np.flatnonzero(heads)
+    # np.add.at folds each session's sizes in time order, as the per-pair
+    # reference loop does; a pairwise np.add.reduceat would not
+    total_size = np.zeros(first.size)
+    np.add.at(total_size, sid, scan.size)
+    max_end = np.full(first.size, -np.inf)
+    np.maximum.at(max_end, sid, scan.end)
+    start = scan.start[first]
+    transfer_session = np.empty(sid.size, dtype=np.int64)
+    transfer_session[scan.order] = sid
+    first_row = scan.order[first]
+    return SessionSet(
+        g=float(g),
+        start=start,
+        duration=max_end - start,
+        total_size=total_size,
+        n_transfers=np.diff(first, append=sid.size),
+        local_host=slog.local_host[first_row].astype(np.int64),
+        remote_host=slog.remote_host[first_row].astype(np.int64),
+        transfer_session=transfer_session,
+        source=slog,
+    )
 
 
 def group_sessions(log: TransferLog, g: float) -> SessionSet:
@@ -133,38 +186,26 @@ def group_sessions(log: TransferLog, g: float) -> SessionSet:
     raises ``ValueError`` — exactly the limitation that prevented session
     analysis of the NERSC datasets in the paper (Section V).
 
-    This is now a thin wrapper that pushes the whole sorted log through
-    the streaming kernel as a single chunk: one lexsort by (pair, start)
-    plus a segmented scan, instead of a per-pair Python loop (kept in
-    the test suite as the bit-exact oracle — the two produce identical
-    session ids, durations and totals).
+    One :func:`group_sessions_at` call; the per-pair Python loop it
+    replaced is kept in the test suite as the bit-exact oracle.
     """
-    _validate_groupable(log, g)
-    slog = log.sorted_by_start()
-    if len(slog) == 0:
-        return _empty_session_set(g, slog)
-    return sessionize_chunks([slog], g, source=slog)
+    return group_sessions_at(log, [g])[0]
 
 
-def sessionize_chunks(
-    chunks, g: float, source: TransferLog | None = None
-) -> SessionSet:
+def sessionize_chunks(chunks, g: float) -> SessionSet:
     """Collect a chunked stream into the same :class:`SessionSet` the
     one-shot grouper returns.
 
     ``chunks`` is an iterable of time-ordered :class:`TransferLog` chunks
     (the streaming chunk contract; see :mod:`repro.core.streaming`).
     The result is byte-identical to ``group_sessions`` on the
-    concatenated log, for *any* chunk split.  ``source`` short-circuits
-    re-concatenating the chunks when the caller already holds the full
-    sorted log; without it the chunks are kept and concatenated, so use
-    :class:`~repro.core.streaming.StreamAnalysis` instead when bounded
-    memory matters (a SessionSet is inherently O(sessions + transfers)).
+    concatenated log, for *any* chunk split.  The chunks are kept and
+    concatenated, so use :class:`~repro.core.streaming.StreamAnalysis`
+    instead when bounded memory matters (a SessionSet is inherently
+    O(sessions + transfers)).
     """
-    from .streaming import StreamingSessionizer
-
     szr = StreamingSessionizer(g)
-    kept: list[TransferLog] | None = [] if source is None else None
+    kept: list[TransferLog] = []
     cl_start, cl_dur, cl_total, cl_count = [], [], [], []
     cl_local, cl_remote, cl_pk, cl_seq = [], [], [], []
     t_pk, t_seq = [], []
@@ -182,7 +223,7 @@ def sessionize_chunks(
             cl_seq.append(c.seq)
         t_pk.append(upd.transfer_pair_key)
         t_seq.append(upd.transfer_seq)
-        if kept is not None and len(chunk):
+        if len(chunk):
             kept.append(chunk)
     final = szr.finalize()
     if len(final):
@@ -195,9 +236,7 @@ def sessionize_chunks(
         cl_pk.append(final.pair_key)
         cl_seq.append(final.seq)
 
-    if kept is not None:
-        source = TransferLog.concatenate(kept)
-    assert source is not None
+    source = TransferLog.concatenate(kept)
     if not cl_pk:
         return _empty_session_set(g, source)
 
@@ -252,17 +291,14 @@ def session_gap_report(log: TransferLog, g_values: list[float]) -> list[GapRepor
     the percentage of sessions with one or two transfers, the largest
     session, and the number of sessions with at least 100 transfers.
     """
-    rows = []
-    for g in g_values:
-        s = group_sessions(log, g)
-        rows.append(
-            GapReportRow(
-                g=g,
-                n_single=s.n_single,
-                n_multi=s.n_multi,
-                percent_1_or_2=s.percent_with_at_most_transfers(2),
-                max_transfers_in_session=s.max_transfers(),
-                n_sessions_100_plus=s.count_with_at_least_transfers(100),
-            )
+    return [
+        GapReportRow(
+            g=g,
+            n_single=s.n_single,
+            n_multi=s.n_multi,
+            percent_1_or_2=s.percent_with_at_most_transfers(2),
+            max_transfers_in_session=s.max_transfers(),
+            n_sessions_100_plus=s.count_with_at_least_transfers(100),
         )
-    return rows
+        for g, s in zip(g_values, group_sessions_at(log, g_values))
+    ]

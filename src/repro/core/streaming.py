@@ -41,6 +41,8 @@ from .stats import SixNumberSummary
 __all__ = [
     "pair_key_of",
     "segmented_cummax",
+    "PairScan",
+    "pair_scan",
     "ClosedSessions",
     "SessionizerUpdate",
     "StreamingSessionizer",
@@ -86,6 +88,44 @@ def segmented_cummax(values: np.ndarray, head: np.ndarray) -> np.ndarray:
         flag[d:] |= flag[:-d]
         d *= 2
     return out
+
+
+@dataclasses.dataclass(frozen=True)
+class PairScan:
+    """The ``g``-independent half of gap-``g`` grouping over one batch.
+
+    Rows are in stable (pair, start) order: ascending pair key, time
+    order within a pair (the batch must be sorted by start).  A session
+    break is then ``head | (start - prev_end > g)``, one comparison per
+    row for any ``g``; the streaming sessionizer first raises
+    ``prev_end`` to the max end it carried from earlier chunks.
+    """
+
+    pair_key: np.ndarray  # int64 per row, in the batch's own order
+    order: np.ndarray  # batch row of each scanned row
+    head: np.ndarray  # True at the first row of each pair
+    start: np.ndarray
+    end: np.ndarray
+    size: np.ndarray
+    #: running max end over the pair's earlier rows (-inf at a head)
+    prev_end: np.ndarray
+
+
+def pair_scan(log: TransferLog) -> PairScan:
+    """Sort a start-sorted batch by pair and scan each pair's max end."""
+    n = len(log)
+    pk = pair_key_of(log.local_host, log.remote_host)
+    order = np.argsort(pk, kind="stable")  # preserves time order per pair
+    pk_s = pk[order]
+    end = log.end[order]
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
+    head[1:] = pk_s[1:] != pk_s[:-1]
+    m = segmented_cummax(end, head)
+    prev_end = np.full(n, -np.inf)
+    prev_end[1:] = np.where(head[1:], -np.inf, m[:-1])
+    return PairScan(pair_key=pk, order=order, head=head, start=log.start[order],
+                    end=end, size=log.size[order], prev_end=prev_end)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,7 +196,7 @@ class StreamingSessionizer:
     """
 
     def __init__(self, g: float) -> None:
-        if g < 0:
+        if not g >= 0:  # refuses NaN too
             raise ValueError(f"gap parameter g must be >= 0, got {g}")
         self._g = float(g)
         self._pairs: dict[int, list] = {}
@@ -207,20 +247,13 @@ class StreamingSessionizer:
         self._last_start = float(start[-1])
         self._n_transfers += n
 
-        pk = pair_key_of(chunk.local_host, chunk.remote_host)
-        order = np.argsort(pk, kind="stable")  # preserves time order per pair
-        pk_s = pk[order]
-        s_s = start[order]
-        e_s = chunk.end[order]
-        z_s = chunk.size[order]
-
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        head[1:] = pk_s[1:] != pk_s[:-1]
+        scan = pair_scan(chunk)
+        order, head = scan.order, scan.head
+        s_s, e_s = scan.start, scan.end
         group_first = np.flatnonzero(head)
         n_groups = group_first.size
         group_len = np.diff(np.append(group_first, n))
-        group_pk = pk_s[group_first]
+        group_pk = scan.pair_key[order[group_first]]
 
         # carried open-session state per group present in this chunk
         carry_maxend = np.full(n_groups, -np.inf)
@@ -244,15 +277,12 @@ class StreamingSessionizer:
                 carry_remote[j] = st[_ST_REMOTE]
                 carry_known[j] = True
 
-        # running max end per pair, seeded with the carried max: the
-        # one-shot rule is "break when start - max(all earlier ends of
-        # the pair) > g"; ends from *closed* sessions are provably
+        # the scan's running max end per pair, raised to the carried max:
+        # the one-shot rule is "break when start - max(all earlier ends
+        # of the pair) > g"; ends from *closed* sessions are provably
         # dominated (a break certifies start > old max + g), so the open
         # session's running max is the whole carry.
-        m = segmented_cummax(e_s, head)
-        prev = np.full(n, -np.inf)
-        prev[1:] = np.where(head[1:], -np.inf, m[:-1])
-        prev = np.maximum(prev, np.repeat(carry_maxend, group_len))
+        prev = np.maximum(scan.prev_end, np.repeat(carry_maxend, group_len))
         breaks = (s_s - prev) > self._g
 
         # slots: one per (possibly partial) session touched by this chunk
@@ -264,9 +294,11 @@ class StreamingSessionizer:
         slot_group = group_id[slot_first]
         gfirst_slot = slot_id[group_first]
         slot_rank = np.arange(n_slots) - gfirst_slot[slot_group]
-        # a rank-0 slot continues the carried open session when its head
-        # transfer did not break (possible only for a known pair)
-        continuing = head[slot_first] & ~breaks[slot_first]
+        # a rank-0 slot continues the carried open session when the pair
+        # is known and its head transfer did not break (at g = inf an
+        # unknown pair's head never "breaks" from its -inf carry)
+        continuing = (head[slot_first] & ~breaks[slot_first]
+                      & carry_known[slot_group])
         group_cont = np.zeros(n_groups, dtype=bool)
         group_cont[slot_group[continuing]] = True
 
@@ -275,7 +307,7 @@ class StreamingSessionizer:
         cont_groups = slot_group[continuing]
         totals = np.zeros(n_slots)
         totals[continuing] = carry_total[cont_groups]
-        np.add.at(totals, slot_id, z_s)
+        np.add.at(totals, slot_id, scan.size)
         maxend = np.full(n_slots, -np.inf)
         maxend[continuing] = carry_maxend[cont_groups]
         np.maximum.at(maxend, slot_id, e_s)
@@ -286,8 +318,9 @@ class StreamingSessionizer:
         base_seq = carry_seq[slot_group]
         seq = base_seq + slot_rank + np.where(group_cont[slot_group], 0, 1)
 
-        slot_local = chunk.local_host[order][slot_first].astype(np.int64)
-        slot_remote = chunk.remote_host[order][slot_first].astype(np.int64)
+        slot_row = order[slot_first]
+        slot_local = chunk.local_host[slot_row].astype(np.int64)
+        slot_remote = chunk.remote_host[slot_row].astype(np.int64)
 
         # emissions: carried sessions whose head transfer broke, plus
         # every slot that is not the last of its group; ordered by the
@@ -304,10 +337,10 @@ class StreamingSessionizer:
         em_count = np.concatenate([carry_count[cg], counts[cs]])
         em_local = np.concatenate([carry_local[cg], slot_local[cs]])
         em_remote = np.concatenate([carry_remote[cg], slot_remote[cs]])
-        em_pk = np.concatenate([group_pk[cg], pk_s[slot_first[cs]]])
+        em_pk = np.concatenate([group_pk[cg], scan.pair_key[slot_row[cs]]])
         em_seq = np.concatenate([carry_seq[cg], seq[cs]])
         closer = np.concatenate(
-            [order[group_first[cg]], order[slot_first[cs + 1]]]
+            [order[group_first[cg]], slot_row[cs + 1]]
         )
         eo = np.argsort(closer, kind="stable")
         closed = ClosedSessions(
@@ -338,7 +371,7 @@ class StreamingSessionizer:
 
         t_seq = np.empty(n, dtype=np.int64)
         t_seq[order] = seq[slot_id]
-        return SessionizerUpdate(closed=closed, transfer_pair_key=pk,
+        return SessionizerUpdate(closed=closed, transfer_pair_key=scan.pair_key,
                                  transfer_seq=t_seq)
 
     def finalize(self) -> ClosedSessions:

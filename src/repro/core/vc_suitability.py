@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from ..gridftp.records import TransferLog
-from .sessions import SessionSet, group_sessions
+from .sessions import SessionSet, group_sessions_at
 
 __all__ = [
     "OSCARS_SETUP_DELAY_S",
@@ -141,8 +141,7 @@ def suitability_table(
     """
     ref = _reference_throughput(log)
     out: dict[tuple[float, float], SuitabilityResult] = {}
-    for g in g_values:
-        sessions = group_sessions(log, g)
+    for g, sessions in zip(g_values, group_sessions_at(log, g_values)):
         for delay in setup_delays:
             out[(g, delay)] = vc_suitability(
                 sessions, delay, reference_throughput_bps=ref

@@ -86,8 +86,8 @@ class SessionHoldPolicy:
     """
 
     def __init__(self, g_seconds: float, hold_tail: bool = True) -> None:
-        if g_seconds < 0:
-            raise ValueError("g must be non-negative")
+        if not g_seconds >= 0:  # refuses NaN too
+            raise ValueError(f"g must be non-negative, got {g_seconds}")
         self.g = g_seconds
         #: when True, the release timer expires g after the last end
         self.hold_tail = hold_tail

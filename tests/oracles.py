@@ -46,7 +46,7 @@ def group_sessions_reference(log: TransferLog, g: float) -> SessionSet:
 
     O(unique pairs) Python iterations with a full-log scan each — correct
     and simple, but quadratic-ish on many-pair logs.  Tests pin
-    :func:`repro.core.sessions.group_sessions` (the streaming fast path)
+    :func:`repro.core.sessions.group_sessions` (the vectorized fast path)
     against this.
     """
     _validate_groupable(log, g)

@@ -132,6 +132,26 @@ class TestCliExtensions:
         out = capsys.readouterr().out
         assert "burstiness" in out and "sessions" in out
 
+    def test_sessions_at_g_zero(self, tmp_path, capsys):
+        # g = 0 is a gap like any other, not "unset, use 60"
+        from repro.core.sessions import group_sessions
+        from repro.gridftp.logfmt import read_usage_log
+
+        path = self._write_log(tmp_path)
+        assert main(["sessions", str(path), "--g", "0"]) == 0
+        out = capsys.readouterr().out
+        n = len(group_sessions(read_usage_log(path), 0.0))
+        assert f"at g=0s: {n:,} sessions" in out
+
+    @pytest.mark.parametrize("verb", ["sessions", "arrivals", "analyze"])
+    def test_nan_gap_is_refused(self, tmp_path, capsys, verb):
+        target = (["ncar-nics", "--n", "2000"] if verb == "analyze"
+                  else [str(self._write_log(tmp_path))])
+        assert main([verb, *target, "--g", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gap parameter g must be >= 0, got nan\n"
+
 
 class TestAnalyzeCommand:
     def test_analyze_streams_a_census(self, capsys):

@@ -70,6 +70,15 @@ class TestSessionHoldPolicy:
         with pytest.raises(ValueError):
             SessionHoldPolicy(-1)
 
+    def test_nan_g_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            SessionHoldPolicy(float("nan"))
+
+    def test_infinite_g_holds_one_circuit(self):
+        episodes = feed(SessionHoldPolicy(float("inf"), hold_tail=False),
+                        [(0, 1), (1e6, 1), (2e6, 1)])
+        assert [e.n_transfers for e in episodes] == [3]
+
     @given(
         st.lists(
             st.tuples(

@@ -1,11 +1,24 @@
 """Unit and property tests for repro.core.sessions (the gap-g grouper)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sessions import group_sessions, session_gap_report
+from repro.core.sessions import (
+    GapReportRow,
+    group_sessions,
+    group_sessions_at,
+    session_gap_report,
+)
+from repro.core.vc_suitability import (
+    HARDWARE_SETUP_DELAY_S,
+    OSCARS_SETUP_DELAY_S,
+    suitability_table,
+    vc_suitability,
+)
 from repro.gridftp.records import TransferLog
 
 
@@ -83,6 +96,21 @@ class TestBasicGrouping:
     def test_negative_g_rejected(self):
         with pytest.raises(ValueError):
             group_sessions(log_from([(0, 1)]), g=-1)
+
+    def test_nan_g_rejected(self):
+        log = log_from([(0, 1), (100, 1)])
+        with pytest.raises(ValueError, match="nan"):
+            group_sessions(log, g=float("nan"))
+        with pytest.raises(ValueError, match="nan"):
+            group_sessions_at(log, [0.0, float("nan")])
+
+    def test_infinite_g_is_one_session_per_pair(self):
+        a = log_from([(0, 1), (1e6, 1)], remote=5)
+        b = log_from([(10, 1), (2e6, 1), (3e6, 1)], remote=6)
+        s = group_sessions(TransferLog.concatenate([a, b]), g=math.inf)
+        assert s.n_transfers.tolist() == [2, 3]
+        assert s.start.tolist() == [0.0, 10.0]
+        assert s.duration.tolist() == [1e6 + 1, 3e6 + 1 - 10]
 
 
 class TestPairSeparation:
@@ -216,15 +244,60 @@ class TestGroupingProperties:
             assert starts[k + 1] - ends[k] > g
 
 
+#: gaps the differential test groups at: 0, sub-second, Table III's
+#: three, and infinity (one session per pair)
+G_CHOICES = (0.0, 0.5, 1.0, 10.0, 60.0, 120.0, math.inf)
+
+
+@st.composite
+def grouping_logs(draw):
+    """Logs built to expose a fold-order or sort-stability slip.
+
+    Several interleaved host pairs; unsorted starts on a coarse grid, so
+    many tie; zero durations; sizes from 1 B to 1e15 B, so a different
+    addition order changes the rounding; and enough transfers per pair
+    that wide gaps make sessions longer than 8 transfers (where a
+    pairwise sum stops being sequential).
+    """
+    n = draw(st.integers(min_value=1, max_value=200))
+    n_pairs = draw(st.integers(min_value=1, max_value=5))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    pair = np.array(column(st.integers(0, n_pairs - 1)))
+    durations = column(st.one_of(st.just(0.0), st.floats(0.001, 120.0)))
+    # _reference_throughput needs one transfer with a positive duration
+    durations[0] = draw(st.floats(0.001, 120.0))
+    return TransferLog(
+        {
+            "start": np.array(column(st.integers(0, 400)), dtype=np.float64),
+            "duration": durations,
+            "size": column(st.floats(1.0, 1e15)),
+            "local_host": pair % 2,
+            "remote_host": 10 + pair,
+        }
+    )
+
+
+@st.composite
+def gap_lists(draw):
+    """A g list that always holds 0 and a repeated value."""
+    gs = draw(st.lists(st.sampled_from(G_CHOICES), min_size=1, max_size=4))
+    return draw(st.permutations([0.0, *gs, gs[-1]]))
+
+
 class TestVectorizedMatchesReference:
-    """The vectorized group_sessions against the per-pair loop oracle."""
+    """The vectorized grouping against the per-pair loop oracle."""
 
     def _assert_identical(self, a, b):
+        assert a.g == b.g
         for f in ("start", "duration", "total_size", "n_transfers",
                   "local_host", "remote_host", "transfer_session"):
             va, vb = getattr(a, f), getattr(b, f)
             assert va.dtype == vb.dtype, f
-            assert np.array_equal(va, vb), f
+            assert va.tobytes() == vb.tobytes(), f
+        assert a.source == b.source
 
     def test_single_pair(self):
         from tests.oracles import group_sessions_reference
@@ -263,3 +336,40 @@ class TestVectorizedMatchesReference:
         self._assert_identical(
             group_sessions(log, g), group_sessions_reference(log, g)
         )
+
+    @given(grouping_logs(), gap_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_match_per_g_reference(self, log, g_values):
+        """One shared scan per call equals the oracle run once per g.
+
+        Covers every entry point that groups: ``group_sessions_at``,
+        ``group_sessions``, Table III (``session_gap_report``) and
+        Table IV (``suitability_table``).
+        """
+        from tests.oracles import group_sessions_reference
+
+        expect = [group_sessions_reference(log, g) for g in g_values]
+        got = group_sessions_at(log, g_values)
+        assert len(got) == len(expect)
+        for a, b in zip(got, expect):
+            self._assert_identical(a, b)
+        for g, b in zip(g_values, expect):
+            self._assert_identical(group_sessions(log, g), b)
+
+        assert session_gap_report(log, g_values) == [
+            GapReportRow(
+                g=g,
+                n_single=b.n_single,
+                n_multi=b.n_multi,
+                percent_1_or_2=b.percent_with_at_most_transfers(2),
+                max_transfers_in_session=b.max_transfers(),
+                n_sessions_100_plus=b.count_with_at_least_transfers(100),
+            )
+            for g, b in zip(g_values, expect)
+        ]
+        delays = (OSCARS_SETUP_DELAY_S, HARDWARE_SETUP_DELAY_S, 0.0)
+        assert suitability_table(log, g_values, delays) == {
+            (g, d): vc_suitability(b, d)
+            for g, b in zip(g_values, expect)
+            for d in delays
+        }

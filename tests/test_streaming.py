@@ -205,6 +205,19 @@ class TestStreamingSessionizerEquivalence:
         with pytest.raises(ValueError):
             StreamingSessionizer(-1.0)
 
+    def test_nan_g_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            StreamingSessionizer(float("nan"))
+
+    def test_infinite_g_is_one_session_per_pair(self):
+        log = TransferLog(
+            {"start": [0.0, 10.0, 1e6, 2e6, 3e6], "duration": [1.0] * 5,
+             "size": [1.0] * 5, "remote_host": [5, 6, 5, 6, 6]}
+        )
+        got = sessionize_chunks(split_log(log, [1, 3]), math.inf)
+        assert got.n_transfers.tolist() == [2, 3]
+        assert_sessions_identical(got, group_sessions_reference(log, math.inf))
+
     def test_pair_key_round_trip(self):
         local = np.array([0, 7, 2**31 - 1], dtype=np.int64)
         remote = np.array([-1, 3, 2**31 - 1], dtype=np.int64)
