@@ -105,6 +105,40 @@ def test_perf_read_usage_log(tmp_path, benchmark):
     assert per_row_s < 4e-6
 
 
+def test_perf_generate_block(benchmark, monkeypatch):
+    """One 250k-transfer SLAC--BNL generation block (2,497 sessions).
+
+    Only the seeded draws and the start chain run once per session: the
+    TCP duration model runs once over every file of the block, and each
+    column is gathered once, straight into start order.  A block costs
+    ~0.25 s on a 2-vCPU Xeon; calling the model once per session (2,497
+    calls) cost ~0.53 s and shows up here as a failure, counted as well
+    as timed.
+    """
+    import repro.workload.synth as synth
+
+    model = synth.vector_transfer_duration
+    calls = {}
+
+    def counted(*args, **kwargs):
+        calls[n] += 1
+        return model(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "vector_transfer_duration", counted)
+    for n in (50_000, 250_000):
+        calls[n] = 0
+        synth.slac_bnl(seed=3, n_transfers=n)
+    monkeypatch.undo()
+
+    log = benchmark.pedantic(slac_bnl, kwargs={"seed": 3, "n_transfers": 250_000},
+                             rounds=3, iterations=1)
+    assert len(log) == 250_000
+    print(f"\n{benchmark.stats['mean']:.3f} s per 250k-transfer block; "
+          f"model calls at 50k / 250k transfers: {calls[50_000]} / {calls[250_000]}")
+    assert calls[250_000] == calls[50_000] <= 3
+    assert benchmark.stats["mean"] < 0.4
+
+
 def test_perf_eq1_attribution(benchmark):
     """Eq. (1) against a month of 30 s bins (86,400 bins)."""
     rng = np.random.default_rng(0)

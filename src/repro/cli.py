@@ -42,6 +42,7 @@ from .core.report import (
     format_gap_report,
     format_suitability_grid,
     format_summary_block,
+    gap_label,
 )
 from .core.sessions import group_sessions, session_gap_report
 from .core.throughput import path_report
@@ -77,7 +78,7 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
     rows = session_gap_report(log, sorted({0.0, args.g, 2 * args.g}))
     print(format_gap_report(f"Session structure of {args.log}", rows))
     s = group_sessions(log, args.g)
-    print(f"\nat g={args.g:.0f}s: {len(s):,} sessions, "
+    print(f"\nat g={gap_label(args.g)}: {len(s):,} sessions, "
           f"{int(s.n_transfers.sum()):,} transfers")
     return 0
 
@@ -571,7 +572,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"streamed {args.dataset}: {report.n_transfers:,} transfers in "
           f"{report.n_chunks} chunks of <= {args.chunk_size:,} "
           f"({report.total_bytes / 1e12:.2f} TB)")
-    print(f"sessions at g={report.g:.0f}s: {report.n_sessions:,} "
+    print(f"sessions at g={gap_label(report.g)}: {report.n_sessions:,} "
           f"({report.n_single:,} single, {report.n_multi:,} multi) "
           f"over {report.n_pairs} host pairs")
     print(f"largest session: {report.max_transfers_in_session:,} transfers; "

@@ -20,6 +20,7 @@ from .throughput import CategorySummary
 from .vc_suitability import SuitabilityResult
 
 __all__ = [
+    "gap_label",
     "format_summary_row",
     "format_summary_block",
     "format_gap_report",
@@ -63,6 +64,13 @@ def format_summary_block(
     return "\n".join(lines)
 
 
+def gap_label(g: float) -> str:
+    """A gap parameter in seconds: ``60s`` when whole, else the shortest
+    repr (``0.5s``), so distinct values never share a label."""
+    g = float(g)
+    return f"{g:.0f}s" if g.is_integer() else f"{g!r}s"
+
+
 def format_gap_report(title: str, rows: Sequence[GapReportRow]) -> str:
     """Table III layout: session structure per g value."""
     lines = [
@@ -71,9 +79,8 @@ def format_gap_report(title: str, rows: Sequence[GapReportRow]) -> str:
         f"{'max xfers':>10} {'#>=100':>8}",
     ]
     for r in rows:
-        g_label = f"{r.g:.0f}s"
         lines.append(
-            f"{g_label:>8} {r.n_single:>9,} {r.n_multi:>9,} "
+            f"{gap_label(r.g):>8} {r.n_single:>9,} {r.n_multi:>9,} "
             f"{r.percent_1_or_2:>9.2f}% {r.max_transfers_in_session:>10,} "
             f"{r.n_sessions_100_plus:>8,}"
         )
@@ -96,7 +103,7 @@ def format_suitability_grid(
         for d in delays:
             r = grid[(g, d)]
             cells.append(f"{r.percent_sessions:6.2f}% ({r.percent_transfers:6.2f}%)")
-        lines.append(f"{g:>7.0f}s " + " ".join(f"{c:>22}" for c in cells))
+        lines.append(f"{gap_label(g):>8} " + " ".join(f"{c:>22}" for c in cells))
     return "\n".join(lines)
 
 

@@ -10,6 +10,7 @@ on the NCAR and SLAC datasets (Section V).
 from __future__ import annotations
 
 import dataclasses
+import zlib
 from collections.abc import Callable
 
 from ..gridftp.anonymize import scrub_remote_hosts
@@ -38,7 +39,9 @@ class DatasetSpec:
 
     @property
     def default_seed(self) -> int:
-        return abs(hash(self.name)) % (2**31)
+        """A seed fixed by the name alone: ``hash()`` of a str is salted
+        per process, a CRC of its bytes is not."""
+        return zlib.crc32(self.name.encode()) % (2**31)
 
 
 def _gen_ncar(seed: int) -> TransferLog:

@@ -74,10 +74,14 @@ def vector_transfer_duration(
     """Vectorized twin of :meth:`repro.net.tcp.TcpPathModel.transfer_duration_s`.
 
     ``n_conn`` is the total parallel TCP connection count (streams x
-    stripes).  All array arguments broadcast together.  The three window
-    phases (slow start to the per-stream ssthresh, linear congestion
-    avoidance to the steady rate, constant rate) match the scalar model; a
-    property test pins the two implementations together.
+    stripes).  All array arguments broadcast together, ``ssthresh_bytes``
+    included: ``None``, or an infinite entry, means pure slow start up to
+    the steady rate.  The three window phases (slow start to the
+    per-stream ssthresh, linear congestion avoidance to the steady rate,
+    constant rate) match the scalar model; a property test pins the two
+    implementations together.  The generators call this once over every
+    file of a generation block, so arrays the later phases do not read
+    are freed early.
     """
     size = np.asarray(size_bytes, dtype=np.float64)
     n = np.asarray(n_conn, dtype=np.float64)
@@ -91,33 +95,29 @@ def vector_transfer_duration(
         if ssthresh_bytes is not None
         else s.copy()
     )
-    initial_bps = n * mss_bytes * 8.0 / rtt_s
-    ratio = np.maximum(r0 / initial_bps, 1.0)
-    rtts = np.log2(ratio)
+    ratio = np.maximum(r0 / (n * mss_bytes * 8.0 / rtt_s), 1.0)
+    t1 = np.log2(ratio) * rtt_s
     ramp_bytes = n * mss_bytes * (ratio - 1.0)
-
+    del ratio
     # phase 1 only: transfer ends inside slow start
-    inside_ramp = np.log2(size / (n * mss_bytes) + 1.0) * rtt_s
+    in_ramp = size < ramp_bytes
 
     # phase 2: linear window growth from r0 to the steady rate
     a = n * mss_bytes * 8.0 / rtt_s**2
     t2_full = (s - r0) / a
     b2_full = (r0 + s) / 2.0 * t2_full / 8.0
     left1 = np.maximum(size - ramp_bytes, 0.0)
-    t1 = rtts * rtt_s
+    del ramp_bytes
+    in_linear = left1 <= b2_full
     inside_linear = (
         t1 + (-r0 + np.sqrt(r0**2 + 16.0 * a * np.minimum(left1, b2_full))) / a
     )
 
     # phase 3: steady state
     left2 = np.maximum(left1 - b2_full, 0.0)
-    after = t1 + t2_full + left2 * 8.0 / s
-
-    return np.where(
-        size < ramp_bytes,
-        inside_ramp,
-        np.where(left1 <= b2_full, inside_linear, after),
-    )
+    out = np.where(in_linear, inside_linear, t1 + t2_full + left2 * 8.0 / s)
+    np.copyto(out, np.log2(size / (n * mss_bytes) + 1.0) * rtt_s, where=in_ramp)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +154,6 @@ def _place_sessions(
     overlap_fraction: float,
     inter_gap: LogNormal,
     chain_gap_count: int = 0,
-    horizon_s: float | None = None,
 ) -> TransferLog:
     """Lay sessions out in time and emit the final log.
 
@@ -167,6 +166,11 @@ def _place_sessions(
     gaps is negative (concurrent starts); the rest are short positive
     pauses (< 55 s), so g = 1 min keeps the session whole while g = 0
     fragments it.
+
+    Only the seeded draws, and the start arithmetic that chains one
+    session's end to the next session's start, run per session.  The
+    duration model runs once over every file in placement order (pair by
+    pair), and each column is gathered once, straight into start order.
     """
     by_pair: dict[tuple[int, int], list[int]] = {}
     for k, d in enumerate(drafts):
@@ -178,47 +182,43 @@ def _place_sessions(
         pick = rng.choice(n_adjacent, size=min(chain_gap_count, n_adjacent), replace=False)
         chain_flags[pick] = True
 
-    cols_start: list[np.ndarray] = []
-    cols_dur: list[np.ndarray] = []
-    cols_size: list[np.ndarray] = []
-    cols_streams: list[np.ndarray] = []
-    cols_stripes: list[np.ndarray] = []
-    cols_local: list[np.ndarray] = []
-    cols_remote: list[np.ndarray] = []
+    placed = [drafts[k] for idxs in by_pair.values() for k in idxs]
+    counts = np.array([d.sizes.size for d in placed], dtype=np.int64)
+    sizes = np.concatenate([d.sizes for d in placed])
+    durations = vector_transfer_duration(
+        sizes,
+        np.repeat([float(d.streams * d.stripes) for d in placed], counts),
+        np.concatenate([d.steady_bps for d in placed]),
+        rtt_s,
+        # an infinite ssthresh never caps slow start: pure slow start
+        ssthresh_bytes=np.repeat(
+            [np.inf if d.pure_slow_start else 1.2e6 for d in placed], counts
+        ),
+    )
 
+    starts = np.empty(sizes.size)
+    lo = 0
     adj_cursor = 0
-    for pair, idxs in by_pair.items():
+    for idxs in by_pair.values():
         t = t0 + float(rng.uniform(0.0, 3600.0))
         for j, k in enumerate(idxs):
             d = drafts[k]
             n = d.sizes.size
-            durations = vector_transfer_duration(
-                d.sizes,
-                np.full(n, d.streams * d.stripes),
-                d.steady_bps,
-                rtt_s,
-                ssthresh_bytes=None if d.pure_slow_start else 1.2e6,
-            )
-            ovl = overlap_fraction if d.overlap_override is None else d.overlap_override
-            gaps = np.where(
-                rng.random(n - 1) < ovl,
-                -rng.uniform(0.1, 0.9, n - 1) * durations[:-1],
-                rng.uniform(0.3, d.max_gap_s, n - 1),
-            ) if n > 1 else np.zeros(0)
-            starts = np.empty(n)
-            starts[0] = t
+            dur = durations[lo:lo + n]
+            s = starts[lo:lo + n]
+            s[0] = t
             if n > 1:
-                starts[1:] = t + np.cumsum(durations[:-1] + gaps)
-            # keep starts non-decreasing despite deep overlaps
-            starts = np.maximum.accumulate(starts)
-            cols_start.append(starts)
-            cols_dur.append(durations)
-            cols_size.append(d.sizes)
-            cols_streams.append(np.full(n, d.streams, dtype=np.int32))
-            cols_stripes.append(np.full(n, d.stripes, dtype=np.int32))
-            cols_local.append(np.full(n, d.local_host, dtype=np.int32))
-            cols_remote.append(np.full(n, d.remote_host, dtype=np.int32))
-            session_end = float(np.max(starts + durations))
+                ovl = overlap_fraction if d.overlap_override is None else d.overlap_override
+                gaps = np.where(
+                    rng.random(n - 1) < ovl,
+                    -rng.uniform(0.1, 0.9, n - 1) * dur[:-1],
+                    rng.uniform(0.3, d.max_gap_s, n - 1),
+                )
+                # an overlap takes back at most 90% of the previous
+                # duration, so starts never decrease within a session
+                s[1:] = t + np.cumsum(dur[:-1] + gaps)
+            session_end = float((s + dur).max())
+            lo += n
             if j < len(idxs) - 1:
                 if chain_flags[adj_cursor]:
                     gap = float(rng.uniform(61.0, 119.0))
@@ -226,22 +226,13 @@ def _place_sessions(
                     gap = max(float(inter_gap.sample(rng, 1)[0]), 121.0)
                 adj_cursor += 1
                 t = session_end + gap
-        if horizon_s is not None and t > t0 + horizon_s:
-            # sessions beyond the horizon simply compress the timeline tail;
-            # acceptable for statistics that do not depend on the calendar.
-            pass
 
-    return TransferLog(
-        {
-            "start": np.concatenate(cols_start),
-            "duration": np.concatenate(cols_dur),
-            "size": np.concatenate(cols_size),
-            "streams": np.concatenate(cols_streams),
-            "stripes": np.concatenate(cols_stripes),
-            "local_host": np.concatenate(cols_local),
-            "remote_host": np.concatenate(cols_remote),
-        }
-    ).sorted_by_start()
+    order = np.argsort(starts, kind="stable")
+    session = np.repeat(np.arange(len(placed)), counts)[order]
+    columns = {"start": starts[order], "duration": durations[order], "size": sizes[order]}
+    for name in ("streams", "stripes", "local_host", "remote_host"):
+        columns[name] = np.array([getattr(d, name) for d in placed], dtype=np.int32)[session]
+    return TransferLog(columns)
 
 
 def _adjust_counts(counts: np.ndarray, target_total: int, cap: int) -> np.ndarray:
@@ -448,33 +439,41 @@ def slac_bnl(seed: int = 2012, n_transfers: int = SLAC_BNL_N_TRANSFERS) -> Trans
             one_stream_mask[k] = True
             acc += int(counts[k])
 
-    drafts: list[_SessionDraft] = []
-    for k in range(n_sessions):
-        cnt = int(counts[k])
-        sizes = split_total(rng, float(totals[k]), cnt, sigma=0.6)
-        streams = 1 if one_stream_mask[k] else 8
-        steady = np.clip(steady_dist.sample(rng, cnt), 1e5, 2.58e9)
-        # the biggest sessions are machine-driven firehoses: essentially all
-        # of their transfers overlap, so they survive even g = 0 as one run
-        overlap = 0.9995 if cnt > 8_000 else None
-        hot = rng.random() < 0.005  # reused data channels, no CA cap
-        # Fig. 4 dip: 2.2--3.1 GB files on 8-stream sessions run at half rate
-        if streams == 8:
-            dip = (sizes >= 2.2e9) & (sizes < 3.1e9)
-            steady[dip] *= 0.5
-        drafts.append(
-            _SessionDraft(
-                sizes=sizes,
-                streams=streams,
-                stripes=1,
-                steady_bps=steady,
-                local_host=_SLAC * 100 + rng.integers(0, 4),
-                remote_host=1000 + _BNL * 100 + rng.integers(0, 4),
-                max_gap_s=2.0 if cnt > 2_000 else 50.0,
-                overlap_override=overlap,
-                pure_slow_start=hot,
-            )
+    # the per-session loop holds only the seeded draws, in draw order
+    ends = np.cumsum(counts).tolist()
+    sizes = np.empty(ends[-1])
+    rates = np.empty(ends[-1])
+    hot: list[bool] = []
+    hosts: list[tuple[int, int]] = []
+    for k, (cnt, end) in enumerate(zip(counts.tolist(), ends)):
+        sizes[end - cnt:end] = split_total(rng, float(totals[k]), cnt, sigma=0.6)
+        rates[end - cnt:end] = steady_dist.sample(rng, cnt)
+        hot.append(rng.random() < 0.005)  # reused data channels, no CA cap
+        hosts.append((rng.integers(0, 4), rng.integers(0, 4)))
+
+    streams = np.where(one_stream_mask, 1, 8)
+    np.clip(rates, 1e5, 2.58e9, out=rates)
+    # Fig. 4 dip: 2.2--3.1 GB files on 8-stream sessions run at half rate
+    rates[np.repeat(streams == 8, counts) & (sizes >= 2.2e9) & (sizes < 3.1e9)] *= 0.5
+    drafts = [
+        _SessionDraft(
+            sizes=sizes[end - cnt:end],
+            streams=n_streams,
+            stripes=1,
+            steady_bps=rates[end - cnt:end],
+            local_host=_SLAC * 100 + local,
+            remote_host=1000 + _BNL * 100 + remote,
+            max_gap_s=2.0 if cnt > 2_000 else 50.0,
+            # the biggest sessions are machine-driven firehoses: essentially
+            # all of their transfers overlap, so they survive even g = 0 as
+            # one run
+            overlap_override=0.9995 if cnt > 8_000 else None,
+            pure_slow_start=is_hot,
         )
+        for n_streams, cnt, end, is_hot, (local, remote) in zip(
+            streams.tolist(), counts.tolist(), ends, hot, hosts
+        )
+    ]
 
     # planted feature 1: the Apr 2, 2--3 AM fast burst (throughput > 1.5 Gbps)
     burst_sizes = rng.uniform(398e6, 399e6, size=n_burst)

@@ -1,9 +1,9 @@
 """Reference implementations the vectorized kernels are pinned against.
 
 Test support, not package surface: each function is the original,
-obviously-correct loop that a fast path in :mod:`repro.core` or
-:mod:`repro.gridftp` replaced, kept so tests (and the Ext-S bench) can
-demand bit-exact agreement.
+obviously-correct loop that a fast path in :mod:`repro.core`,
+:mod:`repro.gridftp` or :mod:`repro.workload` replaced, kept so tests
+(and the Ext-S bench) can demand bit-exact agreement.
 """
 
 import io
@@ -19,6 +19,8 @@ from repro.core.sessions import (
 from repro.core.stats import BinnedMedians, _bin_ids, _medians_by_group_loop
 from repro.gridftp.logfmt import _USAGE_COLUMNS
 from repro.gridftp.records import TransferLog, TransferType
+from repro.workload.distributions import LogNormal
+from repro.workload.synth import _SessionDraft, vector_transfer_duration
 
 
 def _group_one_pair(start: np.ndarray, end: np.ndarray, g: float) -> np.ndarray:
@@ -133,3 +135,76 @@ def read_usage_log_reference(path: str | os.PathLike | io.TextIOBase) -> Transfe
         cols["local_host"].append(int(parts[8]))
         cols["remote_host"].append(int(parts[9]))
     return TransferLog(cols)
+
+
+def place_sessions_reference(
+    drafts: list[_SessionDraft],
+    rng: np.random.Generator,
+    t0: float,
+    rtt_s: float,
+    overlap_fraction: float,
+    inter_gap: LogNormal,
+    chain_gap_count: int = 0,
+) -> TransferLog:
+    """The original per-session placement: the oracle
+    :func:`repro.workload.synth._place_sessions` is pinned against.
+
+    Runs the duration model and fills every column once per session,
+    then concatenates the sessions in pair order and sorts the log by
+    start.
+    """
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for k, d in enumerate(drafts):
+        by_pair.setdefault((d.local_host, d.remote_host), []).append(k)
+
+    n_adjacent = sum(max(len(v) - 1, 0) for v in by_pair.values())
+    chain_flags = np.zeros(n_adjacent, dtype=bool)
+    if chain_gap_count > 0 and n_adjacent > 0:
+        pick = rng.choice(n_adjacent, size=min(chain_gap_count, n_adjacent), replace=False)
+        chain_flags[pick] = True
+
+    cols: dict[str, list[np.ndarray]] = {
+        name: [] for name in ("start", "duration", "size", "streams", "stripes",
+                              "local_host", "remote_host")
+    }
+    adj_cursor = 0
+    for idxs in by_pair.values():
+        t = t0 + float(rng.uniform(0.0, 3600.0))
+        for j, k in enumerate(idxs):
+            d = drafts[k]
+            n = d.sizes.size
+            durations = vector_transfer_duration(
+                d.sizes,
+                np.full(n, d.streams * d.stripes),
+                d.steady_bps,
+                rtt_s,
+                ssthresh_bytes=None if d.pure_slow_start else 1.2e6,
+            )
+            ovl = overlap_fraction if d.overlap_override is None else d.overlap_override
+            gaps = np.where(
+                rng.random(n - 1) < ovl,
+                -rng.uniform(0.1, 0.9, n - 1) * durations[:-1],
+                rng.uniform(0.3, d.max_gap_s, n - 1),
+            ) if n > 1 else np.zeros(0)
+            starts = np.empty(n)
+            starts[0] = t
+            if n > 1:
+                starts[1:] = t + np.cumsum(durations[:-1] + gaps)
+            starts = np.maximum.accumulate(starts)
+            cols["start"].append(starts)
+            cols["duration"].append(durations)
+            cols["size"].append(d.sizes)
+            for name in ("streams", "stripes", "local_host", "remote_host"):
+                cols[name].append(np.full(n, getattr(d, name), dtype=np.int32))
+            session_end = float(np.max(starts + durations))
+            if j < len(idxs) - 1:
+                if chain_flags[adj_cursor]:
+                    gap = float(rng.uniform(61.0, 119.0))
+                else:
+                    gap = max(float(inter_gap.sample(rng, 1)[0]), 121.0)
+                adj_cursor += 1
+                t = session_end + gap
+
+    return TransferLog(
+        {name: np.concatenate(parts) for name, parts in cols.items()}
+    ).sorted_by_start()

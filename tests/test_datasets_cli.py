@@ -1,5 +1,9 @@
 """Tests for the dataset registry and the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,23 @@ class TestRegistry:
     def test_experiment_tags_present(self):
         for spec in DATASETS.values():
             assert spec.experiments
+
+    def test_default_seed_is_the_same_in_every_process(self):
+        # Python salts str hashes per process; a default seed must not
+        # depend on the salt, or `load(name)` differs from run to run
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        script = ("from repro.workload.datasets import DATASETS; "
+                  "print({k: v.default_seed for k, v in DATASETS.items()})")
+        outs = []
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt,
+                       PYTHONPATH=os.path.abspath(src))
+            outs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            ).stdout)
+        here = {k: v.default_seed for k, v in DATASETS.items()}
+        assert outs[0] == outs[1] == f"{here}\n"
 
 
 class TestCli:
@@ -143,6 +164,18 @@ class TestCliExtensions:
         n = len(group_sessions(read_usage_log(path), 0.0))
         assert f"at g=0s: {n:,} sessions" in out
 
+    def test_sessions_labels_a_fractional_gap(self, tmp_path, capsys):
+        # g = 0 and g = 0.5 group differently, so their rows need two labels
+        from repro.core.sessions import group_sessions
+        from repro.gridftp.logfmt import read_usage_log
+
+        path = self._write_log(tmp_path)
+        assert main(["sessions", str(path), "--g", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[2:5]] == ["0s", "0.5s", "1s"]
+        n = len(group_sessions(read_usage_log(path), 0.5))
+        assert f"at g=0.5s: {n:,} sessions" in lines[-1]
+
     @pytest.mark.parametrize("verb", ["sessions", "arrivals", "analyze"])
     def test_nan_gap_is_refused(self, tmp_path, capsys, verb):
         target = (["ncar-nics", "--n", "2000"] if verb == "analyze"
@@ -170,6 +203,11 @@ class TestAnalyzeCommand:
                      "--seed", "1", "--max-rss-mb", "4096"]) == 0
         out = capsys.readouterr().out
         assert "peak RSS" in out and "FAIL" not in out
+
+    def test_analyze_labels_a_fractional_gap(self, capsys):
+        assert main(["analyze", "ncar-nics", "--n", "2000", "--g", "0.5",
+                     "--seed", "3"]) == 0
+        assert "sessions at g=0.5s: " in capsys.readouterr().out
 
     def test_bad_chunk_size_is_refused(self, capsys):
         assert main(["analyze", "slac-bnl", "--n", "1000",

@@ -13,6 +13,7 @@ from repro.core.report import (
     format_suitability_grid,
     format_summary_block,
     format_summary_row,
+    gap_label,
 )
 from repro.core.sessions import GapReportRow
 from repro.core.snmp_correlation import CorrelationTable
@@ -49,6 +50,21 @@ class TestFormatting:
         text = format_suitability_grid("Table IV", grid)
         assert "50.00%" in text and "90.00%" in text
         assert "setup=60s" in text and "setup=50ms" in text
+
+    def test_gap_labels(self):
+        # whole seconds print as before; a fractional g keeps its digits
+        assert [gap_label(g) for g in (0.0, 60.0, 120, 0.5, 1.25)] == [
+            "0s", "60s", "120s", "0.5s", "1.25s"]
+        rows = [GapReportRow(g, 5, 10, 33.3, 1234, 2) for g in (0.0, 0.5)]
+        text = format_gap_report("Table III", rows)
+        assert [line.split()[0] for line in text.splitlines()[2:]] == ["0s", "0.5s"]
+        grid = {
+            (g, 60.0): SuitabilityResult(g, 60.0, 1e9, 100, 50, 1000, 900)
+            for g in (0.0, 0.5, 60.0)
+        }
+        text = format_suitability_grid("Table IV", grid)
+        assert [line[:8] for line in text.splitlines()[2:]] == [
+            "      0s", "    0.5s", "     60s"]
 
     def test_category_table(self):
         cats = [
