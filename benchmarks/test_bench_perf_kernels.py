@@ -25,9 +25,11 @@ from repro.net.flows import FlowSpec, max_min_fair
 from repro.net.snmp import SnmpCollector
 from repro.net.topology import esnet_like
 from repro.sim.experiment import default_dtns
+from repro.sim.engine import EventLoop
 from repro.sim.probe import SimProbe
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 from repro.workload.synth import slac_bnl
+from tests.test_sim_golden import contention_jobs, simulate
 
 
 def test_perf_group_sessions_1m(slac_log, benchmark):
@@ -300,6 +302,77 @@ def test_perf_small_frontier_solves(benchmark):
     per_solve_s = benchmark.stats["mean"] / len(problems)
     print(f"\n{per_solve_s * 1e6:.0f} us per solve of 1-8 flows")
     assert per_solve_s < 200e-6
+
+
+def _add_cost_s(n_present: int, batch: int = 10, repeats: int = 20) -> float:
+    """Seconds per ``add_flow`` onto one link ``n_present`` flows share.
+
+    A batch of ``batch`` adds is timed, then removed untimed, so every
+    batch sees the same peers; the cheapest of ``repeats`` batches wins.
+    """
+    shared = ("a", "b")
+    alloc = MaxMinAllocator({shared: 1e12})
+    for fid in range(n_present):
+        alloc.add_flow(fid, [shared], weight=float(1 + fid % 8))
+    fids = range(n_present, n_present + batch)
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for fid in fids:
+            alloc.add_flow(fid, [shared], weight=4.0)
+        best = min(best, (time.perf_counter() - t0) / batch)
+        for fid in fids:
+            alloc.remove_flow(fid)
+    return best
+
+
+def test_perf_sim_settle_path(benchmark, monkeypatch):
+    """One ``sim_contention``-shaped run: 300 all-to-all jobs over seven
+    sites at 0.1/s on the ESnet-like backbone.
+
+    The per-event work of the settle path stays out of it: the TCP model
+    is built once per distinct route, not once per arrival; an arrival
+    still in slow-start hold is no settle point (its activation is), so
+    with every event at its own instant every event but those arrivals
+    flushes; and the allocator keeps a running weight total per link, so
+    adding the 10,000th flow to one shared link costs what adding the
+    10th does (re-summing the link's flows made it ~150x dearer).
+    """
+    import repro.sim.experiment as experiment
+
+    jobs = contention_jobs(4)
+    model, built, batches = experiment.TcpPathModel, [], []
+    fire = EventLoop._fire_flush_hooks
+
+    def counted_model(**kwargs):
+        built.append(model(**kwargs))
+        return built[-1]
+
+    def counted_batch(loop):
+        batches.append(loop.now)
+        fire(loop)
+
+    monkeypatch.setattr(experiment, "TcpPathModel", counted_model)
+    monkeypatch.setattr(EventLoop, "_fire_flush_hooks", counted_batch)
+    probe = simulate(jobs).probe
+    monkeypatch.undo()
+    topology = esnet_like()
+    routes = {tuple(topology.path(job.src, job.dst)) for job in jobs}
+    assert len(built) == len(routes)
+    # every job arrives and completes once; a held one also activates
+    held = probe.n_events - 2 * len(jobs)
+    assert len(batches) == len(set(batches)) == probe.n_events
+    assert probe.n_flushes == probe.n_events - held
+
+    result = benchmark.pedantic(simulate, args=(jobs,), rounds=3, iterations=1)
+    assert len(result.log) == len(jobs)
+    add_10, add_10k = _add_cost_s(9), _add_cost_s(9_999)
+    print(f"\n{len(jobs) / benchmark.stats['mean']:.0f} flows/s; "
+          f"{len(built)} TCP models for {len(routes)} routes; "
+          f"{probe.n_flushes} flushes for {probe.n_events} events; "
+          f"add_flow at 10 / 10k flows on a link: {add_10 * 1e6:.2f} / "
+          f"{add_10k * 1e6:.2f} us")
+    assert add_10k <= 2.0 * add_10
 
 
 def _clustered_workload(n_clusters=500, flows_per=20, seed=2):

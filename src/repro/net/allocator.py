@@ -44,7 +44,12 @@ bound on where its effect can first bite:
   above *f*'s own freeze level, so dynamics below it are untouched;
 * ``add_flow(f)``: ``min_k cap_k / (W_k + w_f)`` over *f*'s links
   (total consumption at level *t* is at most ``t * W``), sharpened to
-  ``headroom_k / w_f`` on links the last solve left unsaturated;
+  ``headroom_k / w_f`` on links the last solve left unsaturated.  ``W_k``
+  is a running per-link total, kept by every add, remove and edit and
+  dropped when a link empties, so the bound costs O(links of f), not
+  O(flows on each link).  Each update rounds toward +inf, so ``W_k``
+  never under-counts (the bound stays a lower bound) and is exact for
+  integer-valued weights such as stream counts;
 * capacity decrease: ``new_cap / W_k``; capacity increase: the link's
   recorded saturation level (``inf`` if it never saturated — the
   frontier is then *empty* and no re-solve happens at all);
@@ -134,6 +139,16 @@ _SCALAR_MAX_FLOWS = 128
 _LEVEL_SLACK = 1e-6
 
 
+def _add_up(total: float, w: float) -> float:
+    """``total + w`` rounded toward +inf, so a running total never
+    falls below the exact sum (the rounding error is TwoSum's)."""
+    s = total + w
+    b = s - total
+    if (total - (s - b)) + (w - b) > 0:
+        return math.nextafter(s, math.inf)
+    return s
+
+
 @dataclasses.dataclass(slots=True)
 class _FlowEntry:
     links: tuple[tuple[str, str], ...]
@@ -176,6 +191,9 @@ class MaxMinAllocator:
     ) -> None:
         self._cap: dict[tuple[str, str], float] = {}
         self._link_flows: dict[tuple[str, str], set[int]] = {}
+        #: link -> total weight of the flows on it (see :func:`_add_up`);
+        #: present exactly when the link carries a flow
+        self._link_w: dict[tuple[str, str], float] = {}
         self._flows: dict[int, _FlowEntry] = {}
         self._rates: dict[int, float] = {}
         self._dirty_flows: set[int] = set()
@@ -236,9 +254,31 @@ class MaxMinAllocator:
         if level < self._entry:
             self._entry = max(level, 0.0)
 
-    def _link_weight(self, key: tuple[str, str]) -> float:
-        """Total weight of the flows currently routed over ``key``."""
-        return sum(self._flows[fid].weight for fid in self._link_flows.get(key, ()))
+    def _join(self, flow_id: int, links: tuple, weight: float) -> None:
+        """Route ``flow_id`` over ``links``: incidence and weight totals."""
+        link_flows, link_w = self._link_flows, self._link_w
+        for key in links:
+            peers = link_flows.get(key)
+            if peers is None:
+                link_flows[key] = {flow_id}
+                link_w[key] = weight
+            elif flow_id not in peers:
+                peers.add(flow_id)
+                link_w[key] = _add_up(link_w[key], weight)
+
+    def _leave(self, flow_id: int, links: tuple, weight: float) -> None:
+        """Undo :meth:`_join`; a link left empty drops both entries."""
+        link_flows, link_w = self._link_flows, self._link_w
+        for key in links:
+            peers = link_flows.get(key)
+            if peers is None or flow_id not in peers:
+                continue
+            peers.discard(flow_id)
+            if peers:
+                link_w[key] = _add_up(link_w[key], -weight)
+            else:
+                del link_flows[key]
+                del link_w[key]
 
     def update_capacity(self, key: tuple[str, str], capacity_bps: float) -> None:
         """Set (or create) link ``key``'s capacity; dirties flows on it."""
@@ -252,7 +292,7 @@ class MaxMinAllocator:
             if capacity_bps < old:
                 # consumption at level t is at most t * W, so the link
                 # cannot saturate before new_cap / W
-                weight = self._link_weight(key)
+                weight = self._link_w[key]
                 self._note_entry(capacity_bps / weight if weight > 0 else math.inf)
             else:
                 # extra headroom only matters at and above the level the
@@ -287,9 +327,11 @@ class MaxMinAllocator:
         # so the newcomer cannot tip link k before cap_k / (W_k + w); a
         # link the last solve left unsaturated sharpens to headroom over
         # the cumulative weight added since that solve.
+        weight = float(weight)
         entry = math.inf
+        link_w = self._link_w
         for key in links:
-            bound = self._cap[key] / (self._link_weight(key) + weight)
+            bound = self._cap[key] / (link_w.get(key, 0.0) + weight)
             pending = self._link_pending_w.get(key, 0.0) + weight
             self._link_pending_w[key] = pending
             headroom = self._link_headroom.get(key)
@@ -297,8 +339,7 @@ class MaxMinAllocator:
                 bound = max(bound, headroom / pending)
             entry = min(entry, bound)
         self._note_entry(entry)
-        for key in links:
-            self._link_flows.setdefault(key, set()).add(flow_id)
+        self._join(flow_id, links, weight)
         self._rates[flow_id] = 0.0
         self._dirty_flows.add(flow_id)
 
@@ -310,14 +351,10 @@ class MaxMinAllocator:
         # every link of the flow saturates at or above the flow's own
         # freeze level, so dynamics below it cannot notice the absence
         self._note_entry(self._levels.pop(flow_id, 0.0))
+        self._leave(flow_id, entry.links, entry.weight)
         for key in entry.links:
-            peers = self._link_flows.get(key)
-            if peers is not None:
-                peers.discard(flow_id)
-                if peers:
-                    self._dirty_links.add(key)
-                else:
-                    del self._link_flows[key]
+            if key in self._link_flows:
+                self._dirty_links.add(key)
         self._rates.pop(flow_id, None)
         self._dirty_flows.discard(flow_id)
 
@@ -349,26 +386,21 @@ class MaxMinAllocator:
             # path or weight edits shift consumption from level zero;
             # no cheap bound, fall back to the component closure
             self._note_entry(0.0)
-        if links is not None:
-            new_links = tuple(links)
+        if links is not None or weight is not None:
+            new_links = entry.links if links is None else tuple(links)
             for key in new_links:
                 if key not in self._cap:
                     raise KeyError(f"flow {flow_id} uses unknown link {key}")
-            # old neighbours must redistribute what this flow releases
-            for key in entry.links:
-                peers = self._link_flows.get(key)
-                if peers is not None:
-                    peers.discard(flow_id)
-                    if not peers:
-                        del self._link_flows[key]
-                self._dirty_links.add(key)
-            entry.links = new_links
-            for key in new_links:
-                self._link_flows.setdefault(key, set()).add(flow_id)
+            self._leave(flow_id, entry.links, entry.weight)
+            if links is not None:
+                # old neighbours must redistribute what this flow releases
+                self._dirty_links.update(entry.links)
+                entry.links = new_links
+            if weight is not None:
+                entry.weight = float(weight)
+            self._join(flow_id, entry.links, entry.weight)
         if demand_bps is not None:
             entry.demand_bps = float(demand_bps)
-        if weight is not None:
-            entry.weight = float(weight)
         self._dirty_flows.add(flow_id)
 
     # -- recomputation -----------------------------------------------------

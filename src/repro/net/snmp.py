@@ -17,11 +17,18 @@ link it is given, so the collector's key order is the order links were
 first named.  The collector splits an interval into bins once per call,
 not once per link, and reuses the split while consecutive calls share an
 interval — as every flow settled by one simulator advance does.
+
+A counter's bins live in an ``array('d')`` with a NumPy view over the
+same memory.  Most deposits land in one bin, and there ``bins[k] += x``
+on the array is a plain float add, the same IEEE operation as on an
+``ndarray`` without building NumPy scalars; a span of several bins is
+one vectorized add through the view.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterable
 
 import numpy as np
@@ -71,28 +78,39 @@ class SnmpCounter:
     touched, so long idle tails cost nothing until traffic arrives.
     """
 
-    __slots__ = ("t0", "bin_seconds", "_counts")
+    __slots__ = ("t0", "bin_seconds", "_counts", "_view")
 
     def __init__(self, t0: float = 0.0, bin_seconds: float = 30.0) -> None:
         if bin_seconds <= 0:
             raise ValueError("bin_seconds must be positive")
         self.t0 = float(t0)
         self.bin_seconds = float(bin_seconds)
-        self._counts: np.ndarray = np.zeros(0, dtype=np.float64)
+        #: the bins, and a float64 view of the same memory
+        self._counts = array("d")
+        self._view = np.frombuffer(self._counts, dtype=np.float64)
 
-    def _deposit(
-        self, k_first: int, k_last: int, frac: float | np.ndarray, nbytes: float
-    ) -> None:
-        """Add ``nbytes`` over a :func:`_split` of this counter's bins."""
-        size = self._counts.size
-        if k_last >= size:
-            grown = np.zeros(max(k_last + 1, 2 * size, 64), dtype=np.float64)
-            grown[:size] = self._counts
-            self._counts = grown
+    def __reduce__(self):
+        # the view must alias the copied bins, not copy them separately
+        return _counter_from_bins, (self.t0, self.bin_seconds, self._counts)
+
+    def _grow(self, k_last: int) -> array:
+        """Extend the bins through ``k_last``: at least double, at least 64."""
+        size = len(self._counts)
+        grown = array("d", self._counts)
+        grown.frombytes(bytes(8 * (max(k_last + 1, 2 * size, 64) - size)))
+        self._counts = grown
+        self._view = np.frombuffer(grown, dtype=np.float64)
+        return grown
+
+    def _deposit(self, k_first: int, k_last: int, add: float | np.ndarray) -> None:
+        """Add bytes times a :func:`_split`'s shares to bins ``k_first..k_last``."""
+        counts = self._counts
+        if k_last >= len(counts):
+            counts = self._grow(k_last)
         if k_first == k_last:
-            self._counts[k_first] += nbytes * frac
+            counts[k_first] += add
         else:
-            self._counts[k_first : k_last + 1] += nbytes * frac
+            self._view[k_first : k_last + 1] += add
 
     def add_bytes(self, t_start: float, t_end: float, nbytes: float) -> None:
         """Record ``nbytes`` moved uniformly over ``[t_start, t_end]``.
@@ -102,24 +120,24 @@ class SnmpCounter:
         counter cannot back-date.
         """
         _check_bytes(nbytes)
-        split = _split(self.t0, self.bin_seconds, t_start, t_end)
+        k_first, k_last, frac = _split(self.t0, self.bin_seconds, t_start, t_end)
         if nbytes != 0:
-            self._deposit(*split, nbytes)
+            self._deposit(k_first, k_last, nbytes * frac)
 
     @property
     def n_bins(self) -> int:
         """Index one past the last touched bin."""
-        nz = np.flatnonzero(self._counts)
+        nz = np.flatnonzero(self._view)
         return int(nz[-1]) + 1 if nz.size else 0
 
     def series(self) -> tuple[np.ndarray, np.ndarray]:
         """(bin start times, byte counts) over all bins up to the last touched."""
         n = self.n_bins
         starts = self.t0 + np.arange(n) * self.bin_seconds
-        return starts, self._counts[:n].copy()
+        return starts, self._view[:n].copy()
 
     def total_bytes(self) -> float:
-        return float(self._counts.sum())
+        return float(self._view.sum())
 
     def utilization(self, capacity_bps: float) -> np.ndarray:
         """Per-bin link utilization fraction given ``capacity_bps``."""
@@ -164,14 +182,26 @@ class SnmpCollector:
         _check_bytes(nbytes)
         last = self._last_split
         if last is not None and last[0] == t_start and last[1] == t_end:
-            split = last[2]
+            k_first, k_last, frac = last[2]
         else:
             split = _split(self.t0, self.bin_seconds, t_start, t_end)
             self._last_split = (t_start, t_end, split)
+            k_first, k_last, frac = split
+        add = nbytes * frac
+        if k_first == k_last and nbytes != 0:
+            # the common case: one bin on every link, a plain float add
+            counters = self._counters
+            for key in links:
+                try:
+                    counts = counters[key]._counts
+                    counts[k_first] += add
+                except (KeyError, IndexError):  # a new link, or bins to grow
+                    self.counter(key)._deposit(k_first, k_last, add)
+            return
         for key in links:
             counter = self.counter(key)
             if nbytes != 0:
-                counter._deposit(*split, nbytes)
+                counter._deposit(k_first, k_last, add)
 
     def keys(self) -> list[tuple[str, str]]:
         return list(self._counters)
@@ -182,3 +212,11 @@ class SnmpCollector:
         """Series per link, named ``u--v``, for the correlation analysis."""
         keys = list(keys) if keys is not None else self.keys()
         return {f"{u}--{v}": self.counter((u, v)).series() for u, v in keys}
+
+
+def _counter_from_bins(t0: float, bin_seconds: float, counts: array) -> SnmpCounter:
+    """Rebuild a pickled or copied :class:`SnmpCounter` around ``counts``."""
+    counter = SnmpCounter(t0, bin_seconds)
+    counter._counts = counts
+    counter._view = np.frombuffer(counts, dtype=np.float64)
+    return counter

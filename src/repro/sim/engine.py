@@ -38,21 +38,21 @@ class Event:
         """Mark the event dead; the loop will skip it when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventLoop:
     """Timestamped callback queue with a monotonic clock.
 
     Events at equal times run in scheduling order.  Scheduling in the past
     raises — a fluid simulator that back-dates an event has a bug, and
-    catching it here beats silently reordering history.
+    catching it here beats silently reordering history.  The heap holds
+    ``(time, seq, event)`` tuples: ``seq`` is unique, so heap comparisons
+    are tuple comparisons of two numbers, done in C, and never reach the
+    event.
     """
 
     def __init__(self, start_time: float = 0.0, probe=None) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._n_processed = 0
         self._flush_hooks: list[Callable[[], None]] = []
@@ -83,8 +83,9 @@ class EventLoop:
         """Schedule ``callback`` at absolute ``time``; returns a cancellable handle."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        ev = Event(time, next(self._seq), callback)
-        heapq.heappush(self._queue, ev)
+        seq = next(self._seq)
+        ev = Event(time, seq, callback)
+        heapq.heappush(self._queue, (time, seq, ev))
         return ev
 
     def schedule_in(self, delay: float, callback: Callable[[], None]) -> Event:
@@ -95,9 +96,10 @@ class EventLoop:
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or None when the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def add_flush_hook(self, hook: Callable[[], None]) -> None:
         """Register ``hook`` to run once per drained timestamp batch.
@@ -116,7 +118,7 @@ class EventLoop:
     def step(self) -> bool:
         """Run the next live event; returns False when the queue is drained."""
         while self._queue:
-            ev = heapq.heappop(self._queue)
+            ev = heapq.heappop(self._queue)[2]
             if ev.cancelled:
                 continue
             self._now = ev.time

@@ -101,6 +101,8 @@ class _Flow:
     rate_bps: float = 0.0
     vc: VirtualCircuit | None = None
     done: bool = False
+    #: interned allocator ids of ``net_links + pseudo_links``, set on admission
+    link_ids: tuple[int, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,20 +192,26 @@ class FluidSimulator:
         self.marker_rollback_bytes = 0.0
         # -- shared settle state ------------------------------------------
         self._needs_realloc = False
+        #: route -> its TCP model (the route's links and the TCP knobs fix it)
+        self._tcp_models: dict[tuple[str, ...], TcpPathModel] = {}
         # -- incremental-allocator state ----------------------------------
         self._vc_alloc: MaxMinAllocator | None = None
         self._be_alloc: MaxMinAllocator | None = None
         self._raw_caps: dict[tuple[str, str], float] = {}
+        #: allocator link ids: the allocators see net, pseudo and guard
+        #: links as small ints (hashed for free), interned once
+        self._link_ids: dict[tuple[str, str], int] = {}
+        self._link_keys: list[tuple[str, str]] = []
         #: flows awaiting activation: heap of (active_time, flow_id)
         self._pending: list[tuple[float, int]] = []
         self._members: set[int] = set()
         self._member_side: dict[int, str] = {}
-        #: physical net/pseudo links -> vc member flows consuming them
-        self._vc_link_flows: dict[tuple[str, str], set[int]] = {}
+        #: physical net/pseudo link ids -> vc member flows consuming them
+        self._vc_link_flows: dict[int, set[int]] = {}
         #: circuit id -> vc member flows riding it
         self._circuit_flows: dict[int, set[int]] = {}
-        #: links whose best-effort residual capacity must be recomputed
-        self._stale_res_links: set[tuple[str, str]] = set()
+        #: link ids whose best-effort residual capacity must be recomputed
+        self._stale_res_links: set[int] = set()
         #: lazy completion heap: (finish_time, token, flow_id)
         self._completion_heap: list[tuple[float, int, int]] = []
         self._proj_token: dict[int, int] = {}
@@ -245,10 +253,11 @@ class FluidSimulator:
         if self._vc_alloc is None:
             return
         # best-effort residual on this link changes with the raw capacity
-        self._stale_res_links.add(key)
+        lid = self._link_ids[key]
+        self._stale_res_links.add(lid)
         # a circuit is only as alive as its physical path: refresh the
         # guard capacity of every circuit flow traversing the link
-        for fid in self._vc_link_flows.get(key, set()):
+        for fid in self._vc_link_flows.get(lid, set()):
             flow = self._flows.get(fid)
             if flow is not None and flow.vc is not None:
                 self._refresh_guard(flow)
@@ -388,12 +397,25 @@ class FluidSimulator:
 
         ``vc`` pins the transfer to a provisioned circuit (rate guarantee
         along ``vc.path``); ``explicit_path`` routes a best-effort flow off
-        the IP default (used by the α-redirection experiments).
+        the IP default (used by the α-redirection experiments); it must
+        run from ``job.src`` to ``job.dst`` over existing links.
         """
         if job.submit_time < self._loop.now:
             raise ValueError("job submitted in the simulator's past")
         if vc is not None and explicit_path is not None:
             raise ValueError("give either a circuit or an explicit path, not both")
+        if explicit_path is not None:
+            explicit_path = list(explicit_path)
+            ends = (explicit_path[0], explicit_path[-1]) if explicit_path else None
+            if ends != (job.src, job.dst):
+                raise ValueError(
+                    f"explicit path {explicit_path} does not run from "
+                    f"{job.src} to {job.dst}"
+                )
+            graph = self.topology.graph
+            for u, v in zip(explicit_path, explicit_path[1:]):
+                if not graph.has_edge(u, v):
+                    raise ValueError(f"explicit path hop {u}-{v} is not a link")
         if vc is not None:
             self._watch_circuit(vc)
         flow_id = self._next_flow_id
@@ -406,13 +428,17 @@ class FluidSimulator:
     # -- event handlers -------------------------------------------------------
 
     def _tcp_model(self, path: list[str]) -> TcpPathModel:
-        return TcpPathModel(
-            rtt_s=self.topology.path_rtt_s(path),
-            bottleneck_bps=self.topology.path_bottleneck_bps(path),
-            loss_rate=self.loss_rate,
-            max_window_bytes=self.max_window_bytes,
-            ssthresh_bytes=self.ssthresh_bytes,
-        )
+        route = tuple(path)
+        tcp = self._tcp_models.get(route)
+        if tcp is None:
+            tcp = self._tcp_models[route] = TcpPathModel(
+                rtt_s=self.topology.path_rtt_s(path),
+                bottleneck_bps=self.topology.path_bottleneck_bps(path),
+                loss_rate=self.loss_rate,
+                max_window_bytes=self.max_window_bytes,
+                ssthresh_bytes=self.ssthresh_bytes,
+            )
+        return tcp
 
     def _on_arrival(
         self,
@@ -456,8 +482,14 @@ class FluidSimulator:
         self._flows[flow_id] = flow
         heapq.heappush(self._pending, (flow.active_time, flow_id))
         if penalty > 0:
+            # held in slow start, the flow moves no fluid and changes no
+            # rate: its activation, not its arrival, is the settle point
             self._loop.schedule(flow.active_time, self._recompute)
-        self._needs_realloc = True
+        if penalty <= 0 or self.allocator == "oracle":
+            # the oracle re-projects every completion from the bytes left
+            # at each settle point, so one fewer would move its completion
+            # instants by rounding: it keeps settling at every arrival
+            self._needs_realloc = True
 
     def _active_flows(self) -> list[_Flow]:
         now = self._loop.now
@@ -468,25 +500,34 @@ class FluidSimulator:
         ]
 
     def _advance(self, to_time: float) -> None:
-        """Move fluid at current rates from the last advance point to ``to_time``."""
-        dt = to_time - self._last_advance
+        """Move fluid at current rates from the last advance point to ``to_time``.
+
+        One pass deposits every moving flow's bytes and collects the
+        flows that drained; those then complete in ``_flows`` order.
+        """
+        t_from = self._last_advance
+        dt = to_time - t_from
         if dt < 0:
             raise RuntimeError("advance moved backwards")
+        drained = []
         if dt > 0:
+            add_bytes = self.snmp.add_bytes
             for f in self._flows.values():
-                if f.done or f.rate_bps <= 0:
-                    continue
-                moved = min(f.rate_bps * dt / 8.0, f.remaining_bytes)
-                if moved > 0:
-                    self.snmp.add_bytes(
-                        f.net_links, self._last_advance, to_time, moved
-                    )
-                    f.remaining_bytes -= moved
+                rate = f.rate_bps
+                if rate > 0:
+                    moved = min(rate * dt / 8.0, f.remaining_bytes)
+                    if moved > 0:
+                        add_bytes(f.net_links, t_from, to_time, moved)
+                        f.remaining_bytes -= moved
+                if f.remaining_bytes <= _EPS_BYTES:
+                    drained.append(f)
+        else:
+            drained = [
+                f for f in self._flows.values() if f.remaining_bytes <= _EPS_BYTES
+            ]
         self._last_advance = to_time
-        # complete flows that drained
-        for f in list(self._flows.values()):
-            if not f.done and f.remaining_bytes <= _EPS_BYTES:
-                self._complete(f, to_time)
+        for f in drained:
+            self._complete(f, to_time)
 
     def _complete(self, flow: _Flow, now: float) -> None:
         self._evict(flow)
@@ -521,9 +562,16 @@ class FluidSimulator:
 
     # -- incremental allocation path ----------------------------------------
 
-    @staticmethod
-    def _guard_key(vc: VirtualCircuit) -> tuple[str, str]:
-        return (f"vc:{vc.circuit_id}", f"vc:{vc.circuit_id}")
+    def _link_id(self, key: tuple[str, str]) -> int:
+        """The allocator id of link ``key``, interned on first use."""
+        lid = self._link_ids.get(key)
+        if lid is None:
+            lid = self._link_ids[key] = len(self._link_keys)
+            self._link_keys.append(key)
+        return lid
+
+    def _guard_id(self, vc: VirtualCircuit) -> int:
+        return self._link_id((f"vc:{vc.circuit_id}", f"vc:{vc.circuit_id}"))
 
     def _guard_cap(self, flow: _Flow) -> float:
         """A circuit carries traffic only while it and its path are up."""
@@ -536,7 +584,7 @@ class FluidSimulator:
         return vc.rate_bps if (path_up and circuit_up) else 0.0
 
     def _refresh_guard(self, flow: _Flow) -> None:
-        self._vc_alloc.update_capacity(self._guard_key(flow.vc), self._guard_cap(flow))
+        self._vc_alloc.update_capacity(self._guard_id(flow.vc), self._guard_cap(flow))
 
     def _refresh_circuit_guards(self, vc: VirtualCircuit) -> None:
         if self._vc_alloc is None:
@@ -555,11 +603,14 @@ class FluidSimulator:
         pseudo = self.dtns.pseudo_capacities()
         self._raw_caps.update(pseudo)
         now_caps = {
-            key: self._link_capacity_now(key, raw)
+            self._link_id(key): self._link_capacity_now(key, raw)
             for key, raw in self._raw_caps.items()
         }
         self._be_alloc = MaxMinAllocator(now_caps, probe=self.probe)
-        self._vc_alloc = MaxMinAllocator(pseudo, probe=self.probe)
+        self._vc_alloc = MaxMinAllocator(
+            {self._link_id(key): cap for key, cap in pseudo.items()},
+            probe=self.probe,
+        )
 
     def _admit(self, flow: _Flow) -> None:
         """Enter an activated flow into its allocator pass."""
@@ -567,25 +618,26 @@ class FluidSimulator:
         if fid in self._members:
             return
         weight = float(flow.job.streams * flow.job.stripes)
+        ids = self._link_ids
+        net_ids = tuple([ids[key] for key in flow.net_links])
+        pseudo_ids = tuple([ids[key] for key in flow.pseudo_links])
+        flow.link_ids = net_ids + pseudo_ids
         if flow.vc is not None:
-            guard = self._guard_key(flow.vc)
+            guard = self._guard_id(flow.vc)
             self._vc_alloc.update_capacity(guard, self._guard_cap(flow))
             self._vc_alloc.add_flow(
                 fid,
-                tuple(flow.pseudo_links) + (guard,),
+                pseudo_ids + (guard,),
                 demand_bps=flow.demand_cap_bps,
                 weight=weight,
             )
-            for key in list(flow.net_links) + list(flow.pseudo_links):
-                self._vc_link_flows.setdefault(key, set()).add(fid)
+            for lid in flow.link_ids:
+                self._vc_link_flows.setdefault(lid, set()).add(fid)
             self._circuit_flows.setdefault(flow.vc.circuit_id, set()).add(fid)
             self._member_side[fid] = "vc"
         else:
             self._be_alloc.add_flow(
-                fid,
-                tuple(flow.net_links) + tuple(flow.pseudo_links),
-                demand_bps=flow.demand_cap_bps,
-                weight=weight,
+                fid, flow.link_ids, demand_bps=flow.demand_cap_bps, weight=weight
             )
             self._member_side[fid] = "be"
         self._members.add(fid)
@@ -600,13 +652,13 @@ class FluidSimulator:
         self._members.discard(fid)
         if side == "vc":
             self._vc_alloc.remove_flow(fid)
-            for key in self._vc_alloc_links(flow):
-                peers = self._vc_link_flows.get(key)
+            for lid in flow.link_ids:
+                peers = self._vc_link_flows.get(lid)
                 if peers is not None:
                     peers.discard(fid)
                     if not peers:
-                        del self._vc_link_flows[key]
-                self._stale_res_links.add(key)
+                        del self._vc_link_flows[lid]
+                self._stale_res_links.add(lid)
             for fids in self._circuit_flows.values():
                 fids.discard(fid)
         else:
@@ -615,18 +667,15 @@ class FluidSimulator:
         self._proj_token.pop(fid, None)
         self._needs_realloc = True
 
-    @staticmethod
-    def _vc_alloc_links(flow: _Flow) -> list[tuple[str, str]]:
-        return list(flow.net_links) + list(flow.pseudo_links)
-
-    def _residual_cap(self, key: tuple[str, str]) -> float:
-        """Best-effort capacity left on ``key`` after the VC pass.
+    def _residual_cap(self, lid: int) -> float:
+        """Best-effort capacity left on link ``lid`` after the VC pass.
 
         Mirrors the oracle's sequential clamped subtraction over circuit
         flows in flow-id order, so the arithmetic is identical.
         """
+        key = self._link_keys[lid]
         cap = self._link_capacity_now(key, self._raw_caps[key])
-        for fid in sorted(self._vc_link_flows.get(key, ())):
+        for fid in sorted(self._vc_link_flows.get(lid, ())):
             flow = self._flows.get(fid)
             if flow is not None:
                 cap = max(cap - flow.rate_bps, 0.0)
@@ -688,10 +737,10 @@ class FluidSimulator:
                     continue
                 flow.rate_bps = rate
                 reproject.add(fid)
-                stale.update(self._vc_alloc_links(flow))
+                stale.update(flow.link_ids)
             # circuits consume their guarantee on the physical links
-            for key in stale:
-                self._be_alloc.update_capacity(key, self._residual_cap(key))
+            for lid in stale:
+                self._be_alloc.update_capacity(lid, self._residual_cap(lid))
             # 3. best-effort pass over the residual capacities
             be_changed = self._be_alloc.recompute()
             for fid, rate in be_changed.items():

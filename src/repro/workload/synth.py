@@ -56,6 +56,12 @@ __all__ = [
 NCAR_NICS_N_TRANSFERS = 52_454
 SLAC_BNL_N_TRANSFERS = 1_021_999
 
+#: the fewest sessions, burst and spike transfers slac_bnl plants at any
+#: scale; each session holds at least one transfer, so their sum is the
+#: smallest log it can build
+_SLAC_MIN_SESSIONS, _SLAC_MIN_BURST, _SLAC_MIN_SPIKE = 4, 2, 2
+_SLAC_MIN_TRANSFERS = _SLAC_MIN_SESSIONS + _SLAC_MIN_BURST + _SLAC_MIN_SPIKE
+
 _MSS = 1460  # bytes
 
 # Host ids: sites use the esnet_like() ordering (NERSC=0 ... BNL=6);
@@ -401,11 +407,18 @@ def slac_bnl(seed: int = 2012, n_transfers: int = SLAC_BNL_N_TRANSFERS) -> Trans
     bin of Fig. 3; and the Fig. 4 throughput dip for 2.2--3.1 GB files.
 
     ``n_transfers`` scales the dataset down proportionally for tests; the
-    planted features scale with it.
+    planted features scale with it, down to four sessions, two burst and
+    two spike transfers, so fewer than eight transfers are refused.
     """
+    if n_transfers < _SLAC_MIN_TRANSFERS:
+        raise ValueError(
+            f"slac_bnl needs n_transfers >= {_SLAC_MIN_TRANSFERS}: "
+            f"{_SLAC_MIN_SESSIONS} sessions of at least one transfer plus "
+            f"{_SLAC_MIN_BURST} burst and {_SLAC_MIN_SPIKE} spike transfers"
+        )
     rng = np.random.default_rng(seed)
     scale = n_transfers / SLAC_BNL_N_TRANSFERS
-    n_sessions = max(int(round(10_199 * scale)), 4)
+    n_sessions = max(int(round(10_199 * scale)), _SLAC_MIN_SESSIONS)
 
     size_dist = TruncatedLogNormal(LogNormal(1.1e9, 2.5), 1e5, 12.1e12)
     totals = size_dist.sample(rng, n_sessions)
@@ -414,8 +427,8 @@ def slac_bnl(seed: int = 2012, n_transfers: int = SLAC_BNL_N_TRANSFERS) -> Trans
     mean_file = TruncatedLogNormal(LogNormal(60e6, 1.1), 1e6, 2e9).sample(rng, n_sessions)
     raw_counts = totals / mean_file
     # reserve room for the planted features
-    n_burst = max(int(round(1_891 * scale)), 2)
-    n_spike = max(int(round(588 * scale)), 2)
+    n_burst = max(int(round(1_891 * scale)), _SLAC_MIN_BURST)
+    n_spike = max(int(round(588 * scale)), _SLAC_MIN_SPIKE)
     budget = n_transfers - n_burst - n_spike
     # multiplicative scaling keeps count proportional to session size, which
     # is what concentrates most *transfers* into the VC-suitable sessions

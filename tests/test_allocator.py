@@ -10,6 +10,7 @@ against the independent NumPy kernel, bit for bit.
 
 import copy
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -547,3 +548,99 @@ class TestSolveArms:
             ) as kernel:
                 alloc.recompute()
             assert kernel.call_count == want
+
+
+# -- running per-link weight totals ------------------------------------------
+
+
+#: stream counts times stripes: every partial sum is an exact float
+INTEGER_WEIGHTS = st.integers(1, 2**20).map(float)
+#: forty orders of magnitude: naive add/subtract loses the small ones
+MIXED_WEIGHTS = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(1.0, 9.999),
+    st.integers(-20, 19),
+)
+
+
+@st.composite
+def weight_churn(draw, weights):
+    """Random mutation sequences over a few links; drawn link lists may
+    repeat a link, which a flow still crosses once."""
+    n_links = draw(st.integers(1, 5))
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["add", "add", "remove", "weight", "links", "both", "demand", "capacity"]
+            ),
+            st.integers(0, 10**6),
+            st.lists(st.integers(0, n_links - 1), max_size=4),
+            weights,
+        ),
+        min_size=1, max_size=40,
+    ))
+    return n_links, ops
+
+
+def _churn_link_totals(n_links, ops, check):
+    keys = [(f"n{i}", f"n{i + 1}") for i in range(n_links)]
+    alloc = MaxMinAllocator({key: 10.0 for key in keys})
+    next_fid = 0
+    for op, pick, links, weight in ops:
+        path = [keys[k] for k in links]
+        fids = sorted(alloc._flows)
+        if op == "add" or not fids:
+            alloc.add_flow(next_fid, path, demand_bps=5.0, weight=weight)
+            next_fid += 1
+        elif op == "capacity":
+            alloc.update_capacity(keys[pick % n_links], float(pick % 20))
+        else:
+            fid = fids[pick % len(fids)]
+            if op == "remove":
+                alloc.remove_flow(fid)
+            elif op == "weight":
+                alloc.update_flow(fid, weight=weight)
+            elif op == "links":
+                alloc.update_flow(fid, links=path)
+            elif op == "both":
+                alloc.update_flow(fid, links=path, weight=weight)
+            else:
+                alloc.update_flow(fid, demand_bps=float(pick % 7))
+        # an emptied link leaves no entry, and every occupied link has one
+        assert alloc._link_w.keys() == alloc._link_flows.keys()
+        for key, peers in alloc._link_flows.items():
+            assert peers
+            check(alloc._link_w[key], [alloc._flows[fid].weight for fid in peers])
+
+
+class TestRunningLinkWeights:
+    """``add_flow``'s entry bound reads a running per-link weight total
+    instead of re-summing the link's flows on every call."""
+
+    @given(weight_churn(INTEGER_WEIGHTS))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_weights_total_exactly(self, churn):
+        def check(total, weights):
+            assert total == sum(weights)
+
+        _churn_link_totals(*churn, check)
+
+    @given(weight_churn(MIXED_WEIGHTS))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_weights_never_under_count(self, churn):
+        # a total at or above the true one keeps cap / (W + w) a lower
+        # bound on the level where a new flow can first bite
+        def check(total, weights):
+            assert Fraction(total) >= sum(map(Fraction, weights))
+
+        _churn_link_totals(*churn, check)
+
+    def test_small_weight_survives_its_large_peer(self):
+        alloc = MaxMinAllocator({("a", "b"): 1.0})
+        alloc.add_flow(0, [("a", "b")], weight=1e20)
+        alloc.add_flow(1, [("a", "b")], weight=1.0)
+        alloc.remove_flow(0)
+        # 1e20 + 1.0 - 1e20 is 0.0 in plain float arithmetic
+        assert alloc._link_w[("a", "b")] >= 1.0
+        alloc.remove_flow(1)
+        assert alloc._link_w == {}

@@ -216,6 +216,16 @@ class TestAnalyzeCommand:
         assert captured.out == ""
         assert captured.err == "error: chunk_size must be >= 1\n"
 
+    def test_too_small_a_log_is_refused(self, capsys):
+        # below four sessions plus the planted burst and spike transfers
+        # the generator used to spin and die with a raw traceback
+        assert main(["analyze", "slac-bnl", "--n", "5",
+                     "--chunk-size", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: slac_bnl needs n_transfers >= 8")
+        assert captured.err.count("\n") == 1
+
     def test_analyze_rss_budget_fail(self, capsys):
         # an impossible budget must fail loudly with a nonzero exit
         assert main(["analyze", "slac-bnl", "--n", "5000",

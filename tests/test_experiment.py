@@ -197,6 +197,32 @@ class TestExplicitPath:
         key = ("rt-denv", "rt-kans")
         assert result.snmp.counter(tuple(sorted(key))).total_bytes() > 0
 
+    def test_missing_hop_is_refused_at_submit(self):
+        # used to be accepted, then kill run() with a networkx KeyError
+        topo, dtns, sim = make_sim()
+        skips_a_hop = ["ANL", "rt-chic", "rt-denv", "rt-sacr", "rt-sunn", "NERSC"]
+        for path in (skips_a_hop, ["ANL", "NERSC"]):
+            with pytest.raises(ValueError, match="is not a link"):
+                sim.submit(job(src="ANL", dst="NERSC"), explicit_path=path)
+        assert len(sim.run().log) == 0
+
+    def test_path_between_other_sites_is_refused_at_submit(self):
+        # used to run silently, depositing bytes on links it never crossed
+        topo, dtns, sim = make_sim()
+        ornl_to_bnl = topo.path("ORNL", "BNL")
+        for path in (ornl_to_bnl, topo.path("NERSC", "ANL"), ["ANL"], []):
+            with pytest.raises(ValueError, match="does not run from ANL to NERSC"):
+                sim.submit(job(src="ANL", dst="NERSC"), explicit_path=path)
+        assert len(sim.run().log) == 0
+
+    def test_valid_path_is_used_as_given(self):
+        topo, dtns, sim = make_sim()
+        route = topo.path("NERSC", "ORNL")
+        sim.submit(job(size=5e9), explicit_path=tuple(route))
+        result = sim.run()
+        assert len(result.log) == 1
+        assert result.snmp.keys() == topo.path_links(route)
+
 
 class TestRunControls:
     def test_run_until(self):

@@ -1,6 +1,8 @@
 """Unit and property tests for the SNMP byte counters."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,6 +72,30 @@ class TestSnmpCounter:
         c.add_bytes(0.0, 30.0, 30.0 * 1e9 / 8)  # 1 Gbps for one bin
         util = c.utilization(10e9)
         assert util[0] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))]
+    )
+    def test_clone_deposits_into_its_own_bins(self, clone):
+        # the bins are an array with a NumPy view over them; a clone must
+        # rebuild that pairing, or one-bin adds (on the array) and spans
+        # (through the view) would land in different storage
+        deposits = [(10.0, 20.0, 1e9), (0.0, 90.0, 3e9), (3000.0, 3000.0, 5.0)]
+        original = SnmpCounter(bin_seconds=30.0)
+        original.add_bytes(0.0, 100.0, 4e9)
+        want = clone(original)
+        twin = clone(original)
+        ref = SnmpCounter(bin_seconds=30.0)
+        ref.add_bytes(0.0, 100.0, 4e9)
+        before = original.series()[1].copy()
+        for deposit in deposits:
+            twin.add_bytes(*deposit)
+            ref.add_bytes(*deposit)
+        assert np.asarray(twin._counts).tobytes() == np.asarray(ref._counts).tobytes()
+        assert twin.series()[1].tobytes() == ref.series()[1].tobytes()
+        assert twin.total_bytes() == ref.total_bytes()
+        assert np.array_equal(original.series()[1], before)
+        assert np.array_equal(want.series()[1], before)
 
     def test_accumulation_over_multiple_deposits(self):
         c = SnmpCounter(bin_seconds=30.0)
@@ -218,6 +244,15 @@ class ReferenceCollector:
 LINKS = [(f"n{i}", f"n{i + 1}") for i in range(8)]
 
 
+def assert_same_storage(counter, want):
+    """The counter's whole bin storage, trailing grown zeros included,
+    equals the reference's: length, float64 dtype and every byte."""
+    got = np.asarray(counter._counts)
+    assert got.dtype == want._counts.dtype == np.float64
+    assert got.size == want._counts.size
+    assert got.tobytes() == want._counts.tobytes()
+
+
 def _nudge(x, steps):
     """``x`` moved ``steps`` (-1, 0 or +1) representable floats."""
     return x if steps == 0 else math.nextafter(x, math.copysign(math.inf, steps))
@@ -281,10 +316,8 @@ def test_deposits_match_per_counter_reference(stream):
             lone_ref.add_bytes(t_start, t_end, nbytes)
     assert col.keys() == list(ref.counters)
     for key, want in ref.counters.items():
-        got = col.counter(key)._counts
-        assert got.dtype == want._counts.dtype
-        assert np.array_equal(got, want._counts)
-    assert np.array_equal(lone._counts, lone_ref._counts)
+        assert_same_storage(col.counter(key), want)
+    assert_same_storage(lone, lone_ref)
 
 
 @pytest.mark.parametrize("t0", [0.0, 1234.567])
@@ -306,4 +339,4 @@ def test_bin_edge_neighbourhood_matches_reference(t0, bin_seconds):
             col.add_bytes(LINKS[:3], t_start, t_end, 1e9 + t_end)
             ref.add_bytes(LINKS[:3], t_start, t_end, 1e9 + t_end)
     for key, want in ref.counters.items():
-        assert np.array_equal(col.counter(key)._counts, want._counts)
+        assert_same_storage(col.counter(key), want)

@@ -157,6 +157,16 @@ class TestSlacBnl:
         s = group_sessions(small, 60.0)
         assert 200 <= len(s) <= 400  # ~10,199 * 30k/1.02M
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7, 2012])
+    def test_smallest_log_generates(self, seed):
+        # four one-transfer sessions, two burst and two spike transfers
+        assert len(slac_bnl(seed=seed, n_transfers=8)) == 8
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 7])
+    def test_too_small_a_log_is_refused(self, n):
+        with pytest.raises(ValueError, match="n_transfers >= 8"):
+            slac_bnl(seed=1, n_transfers=n)
+
 
 class TestNerscOrnl:
     def test_count_and_shape(self, ornl):
