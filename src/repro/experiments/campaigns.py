@@ -762,12 +762,18 @@ def profile_campaign(
     The workload is an all-to-all mix of best-effort science transfers with
     heavy overlap, so the dirty-set machinery has real components to chew
     on.  ``compare_oracle=True`` re-runs the identical campaign through the
-    full-recompute oracle and reports the speedup.
+    full-recompute oracle and reports the speedup; it is refused when
+    ``allocator="oracle"``, which would race the oracle against itself.
     """
     import time as _time
 
     if n_jobs < 1:
         raise ValueError("need at least one job")
+    if compare_oracle and allocator == "oracle":
+        raise ValueError(
+            "compare_oracle races the oracle against itself; "
+            "profile the incremental allocator instead"
+        )
 
     def _run(mode: str) -> tuple[float, SimProbe, int]:
         topology = esnet_like()

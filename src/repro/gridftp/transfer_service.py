@@ -113,10 +113,12 @@ class ManagedTransferService:
     fault_model, restart_policy, max_attempts_per_file:
         Passed through to the reliability layer.
 
-    The queue is strict FIFO.  Global dispatch over the pending set
-    (EDF, then LPT) is a policy of the daemon's scheduling layer,
-    :class:`~repro.sched.globalsched.GlobalScheduler`, not of this
-    batch service.
+    The queue is strict FIFO: a slot frees when the task holding it
+    ends (its last file lands, or its last attempt gives up), and the
+    head of the queue takes the earliest slot to free.  Global dispatch
+    over the pending set (EDF, then LPT) is a policy of the daemon's
+    scheduling layer, :class:`~repro.sched.globalsched.GlobalScheduler`,
+    not of this batch service.
     """
 
     def __init__(
@@ -212,10 +214,11 @@ class ManagedTransferService:
         by the task's own virtual clock, so file executions interleave by
         progress — a long task does not starve short ones submitted
         behind it (Globus's fairness behaviour, and the reason one user's
-        monster session does not block the endpoint).  A task that waits
-        for a slot starts when the task whose finish freed that slot
-        settles, or at its own submit time if that is later.  A ``probe``
-        counts the scheduling events the run processed.
+        monster session does not block the endpoint).  A finished task
+        releases its slot from an event at its own end clock, so slots
+        go to queued tasks in the order they free: a waiting task starts
+        when its slot frees, or at its own submit time if that is later.
+        A ``probe`` counts the scheduling events the run processed.
         """
         rng = ensure_rng(rng)
         loop = EventLoop(0.0, probe=probe)
@@ -241,11 +244,16 @@ class ManagedTransferService:
                 self.events.append(TaskEvent(clock[tid], tid, "activated"))
                 schedule_next(tid)
 
+        def release(tid: int) -> None:
+            active.remove(tid)
+            activate(clock[tid])
+
         def finish(tid: int, state: TaskState, event: str, detail: str = "") -> None:
             self._tasks[tid].state = state
-            active.remove(tid)
             self.events.append(TaskEvent(clock[tid], tid, event, detail))
-            activate(clock[tid])
+            # the loop reaches a task's last file at its start; the slot
+            # frees at its end, after files other tasks start before then
+            loop.schedule(clock[tid], lambda: release(tid))
 
         def run_file(tid: int) -> None:
             t = self._tasks[tid]

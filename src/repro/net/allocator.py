@@ -16,12 +16,10 @@ change instead:
   of the touched flows — progressive filling decomposes exactly across
   components, because flows in different components never compete for a
   link;
-* the progressive-filling solve has **two arms**, picked by frontier
-  size alone: below :data:`_SCALAR_MAX_FLOWS` flows it runs the scalar
-  loop :func:`repro.net.flows._progressive_fill` over integer link ids;
-  at and above it, :func:`_fill_vectorized`, the same loop over numpy
-  arrays (rates, demands, weights, a CSR-style incidence), so a full
-  recompute of a 10k-flow component is array work, not a Python loop.
+* it re-solves with the oracle's own filling loop,
+  :func:`repro.net.flows._progressive_fill`, over the frontier's links
+  mapped to integer ids, so the oracle and the allocator are one
+  implementation of progressive filling.
 
 The dirty-set invariant: between calls to :meth:`recompute`, the set of
 flows whose stored rate may disagree with the weighted max-min optimum
@@ -29,16 +27,16 @@ is a subset of the connected-component closure of ``_dirty_flows`` and
 the flows incident to ``_dirty_links``.  :meth:`recompute` restores the
 invariant to the empty set and reports exactly the flows it re-solved.
 
-**Level-frontier bound** (``level_frontier=True``, the default): the
-connected component is still an over-estimate — on a busy backbone one
-shared link joins everything into a single component, yet most flows
-froze long before the perturbation can matter.  Progressive filling is
-a water level rising from zero; flow *f* freezes at level
-``t_f = rate_f / weight_f`` (at its demand or on a saturating link),
-and every freeze event below a level ``t*`` is oblivious to a
-perturbation that provably cannot alter link consumption below ``t*``.
-Each mutation therefore records an **entry level** — a safe lower
-bound on where its effect can first bite:
+**Level-frontier bound**: the connected component is still an
+over-estimate — on a busy backbone one shared link joins everything
+into a single component, yet most flows froze long before the
+perturbation can matter.  Progressive filling is a water level rising
+from zero; flow *f* freezes at level ``t_f = rate_f / weight_f`` (at
+its demand or on a saturating link), and every freeze event below a
+level ``t*`` is oblivious to a perturbation that provably cannot alter
+link consumption below ``t*``.  Each mutation therefore records an
+**entry level** — a safe lower bound on where its effect can first
+bite:
 
 * ``remove_flow(f)``: ``t_f`` — every link of *f* saturates at or
   above *f*'s own freeze level, so dynamics below it are untouched;
@@ -63,48 +61,16 @@ under-inclusion would be a correctness bug), and re-solves that
 *frontier* against residual capacities ``cap_k - sum(rates of frozen
 non-frontier flows on k)``.  Max-min uniqueness with the complement
 held fixed makes the restricted solve equal the global solution
-restricted to the frontier.  ``level_frontier=False`` keeps the plain
-connected-component closure as an escape hatch (and as the baseline
-the benches compare against).
+restricted to the frontier.
 
-**The crossover.**  A numpy pass costs ~20 array calls whatever the
-frontier size, a scalar pass about a microsecond per flow-link pair.
-On the frontiers the simulator solves (~4 flows on average in the
-``sim_contention`` benchmark) the numpy kernel spent most of its time
-in that fixed cost.  Per solve, on a 2-vCPU Xeon, over the seed-4
-``sim_contention`` frontiers (up to 8 flows) and over synthetic
-frontiers of the same shape (ESnet-like paths plus two host pseudo
-links, weights 1/2/4/8):
-
-===========  ===========  ============
-flows        scalar loop  numpy kernel
-===========  ===========  ============
-1            ~10 us       ~70 us
-4            ~35 us       ~140 us
-8            ~65 us       ~205 us
-32           ~240 us      ~600 us
-64           ~370 us      ~480 us
-128          ~750 us      ~730 us
-256          ~1.4 ms      ~0.9 ms
-===========  ===========  ============
-
-so the two cost the same near 128 flows, where the arms switch.  Flows
-crossing fewer links make the scalar pass cheaper and move the
-crossover up (near 190 flows on the 4-link chains of the 10k-flow
-benches, whose frontiers hold ~370 flows).  Both arms perform the
-*same arithmetic in the same order* (flow-major accumulation,
-identical relative freeze thresholds): the arm changes the cost, never
-a bit of the rates or of the level records.
-
-The reference oracle :func:`~repro.net.flows.max_min_fair` maps its
-link keys to ids and runs the same scalar loop, so the oracle and the
-small arm are one implementation.  The numpy kernel is the independent
-check: ``tests/test_allocator.py::TestSolveArms`` solves the same
-frontiers (both sides of the crossover, frozen peers outside them,
-zero-capacity links, greedy and link-less flows) through both arms and
-requires ``==`` on the rates, ``_levels``, ``_link_sat`` and
-``_link_headroom``.  Randomized incremental-vs-oracle property tests in
-the same file pin the dirty-set and frontier logic.
+Since the oracle shares the filling loop, the independent check on it
+is a NumPy transcription of the same loop, kept with the test oracles:
+``tests/test_allocator.py::TestSolveArms`` re-solves Hypothesis-drawn
+frontiers (frozen peers outside them, zero-capacity links, greedy and
+link-less flows) through both and requires ``==`` on the rates,
+``_levels``, ``_link_sat`` and ``_link_headroom``.  Randomized
+incremental-vs-oracle property tests in the same file pin the dirty-set
+and frontier logic.
 
 Inputs are refused at the mutation API, with ``ValueError``, before
 they can reach a solve: a NaN demand, a NaN or infinite weight, and a
@@ -118,8 +84,6 @@ import dataclasses
 import math
 from collections.abc import Iterable, Mapping
 
-import numpy as np
-
 from .flows import (
     _EPS,
     _check_capacity,
@@ -130,9 +94,6 @@ from .flows import (
 
 __all__ = ["MaxMinAllocator"]
 
-#: frontiers of fewer flows run the scalar loop, larger ones the NumPy
-#: kernel (the measured crossover, see the module docstring)
-_SCALAR_MAX_FLOWS = 128
 #: relative slack on level comparisons when building the frontier —
 #: generous on purpose: including a flow that could not move is wasted
 #: work, excluding one that can move is a wrong answer.
@@ -169,25 +130,12 @@ class MaxMinAllocator:
         :class:`~repro.sim.probe.SimProbe`); must expose
         ``on_alloc_pass(n_flows_touched)``.  Duck-typed so the network
         layer does not import the simulation layer.
-    level_frontier:
-        When True (default), bound each recompute to the level
-        frontier of the pending mutations instead of the whole
-        connected component (see module docstring).  False restores
-        the component closure.
-    measure_component:
-        When True, every recompute *also* walks the full connected
-        component and reports its size to the probe as
-        ``on_alloc_pass(n_touched, component_size)`` — the
-        effectiveness measurement for benches and pins.  Off by
-        default because computing the component defeats the bound.
     """
 
     def __init__(
         self,
         capacities: Mapping[tuple[str, str], float] | None = None,
         probe=None,
-        level_frontier: bool = True,
-        measure_component: bool = False,
     ) -> None:
         self._cap: dict[tuple[str, str], float] = {}
         self._link_flows: dict[tuple[str, str], set[int]] = {}
@@ -199,8 +147,6 @@ class MaxMinAllocator:
         self._dirty_flows: set[int] = set()
         self._dirty_links: set[tuple[str, str]] = set()
         self.probe = probe
-        self.level_frontier = bool(level_frontier)
-        self.measure_component = bool(measure_component)
         #: freeze level (rate / weight) of each flow as of its last solve
         self._levels: dict[int, float] = {}
         #: link -> saturation level from its last solve (inf = unsaturated)
@@ -405,25 +351,6 @@ class MaxMinAllocator:
 
     # -- recomputation -----------------------------------------------------
 
-    def _component(self) -> list[int]:
-        """Connected-component closure of the dirty sets (sorted by id)."""
-        seeds: set[int] = set(self._dirty_flows)
-        for key in self._dirty_links:
-            seeds |= self._link_flows.get(key, set())
-        seeds &= self._flows.keys()
-        component: set[int] = set()
-        frontier = list(seeds)
-        while frontier:
-            fid = frontier.pop()
-            if fid in component:
-                continue
-            component.add(fid)
-            for key in self._flows[fid].links:
-                for peer in self._link_flows.get(key, ()):
-                    if peer not in component:
-                        frontier.append(peer)
-        return sorted(component)
-
     def _frontier(self, cutoff: float) -> list[int]:
         """Dirty closure restricted to flows that can still move.
 
@@ -470,29 +397,13 @@ class MaxMinAllocator:
         """
         if not self.dirty:
             return {}
-        component_size: int | None = None
-        if self.measure_component and self.probe is not None:
-            component_size = len(self._component())
-        if self.level_frontier:
-            fids = self._frontier(self._entry)
-        else:
-            fids = self._component()
+        fids = self._frontier(self._entry)
         self._dirty_flows.clear()
         self._dirty_links.clear()
         self._entry = math.inf
-        if not fids:
-            if self.probe is not None:
-                if component_size is not None:
-                    self.probe.on_alloc_pass(0, component_size)
-                else:
-                    self.probe.on_alloc_pass(0)
-            return {}
-        changed = self._solve(fids)
+        changed = self._solve(fids) if fids else {}
         if self.probe is not None:
-            if component_size is not None:
-                self.probe.on_alloc_pass(len(fids), component_size)
-            else:
-                self.probe.on_alloc_pass(len(fids))
+            self.probe.on_alloc_pass(len(fids))
         return changed
 
     def full_recompute(self) -> dict[int, float]:
@@ -504,15 +415,10 @@ class MaxMinAllocator:
     def _solve(self, fids: list[int]) -> dict[int, float]:
         """Progressive filling over one frontier, against residual capacity.
 
-        Frontiers below :data:`_SCALAR_MAX_FLOWS` flows, where the two
-        arms cost the same (measured in the module docstring), run the
-        scalar loop :func:`~repro.net.flows._progressive_fill`, which
-        the oracle shares; larger ones run :func:`_fill_vectorized`.
-        Both see the same link ids, residual capacities and flow order
-        and perform the same arithmetic, so the arm changes the cost,
-        never a bit of the answer.  The NumPy kernel is therefore the
-        independent check on the shared loop
-        (``tests/test_allocator.py::TestSolveArms``).
+        The frontier's links get ids in first-seen (flow-major) order
+        and the oracle's loop :func:`~repro.net.flows._progressive_fill`
+        solves them, so a solve of every flow replays
+        :func:`~repro.net.flows.max_min_fair` bit for bit.
         """
         link_flows = self._link_flows
         entries = [self._flows[fid] for fid in fids]
@@ -526,10 +432,9 @@ class MaxMinAllocator:
         caps = []
         for key in link_ids:
             cap = self._cap[key]
-            # frontier mode: frozen non-frontier flows keep their rates;
-            # they show up here as pre-committed capacity, subtracted in
-            # sorted-id order so reruns are bit-for-bit reproducible.
-            # (Component mode never hits this: the closure is link-tight.)
+            # frozen non-frontier flows keep their rates; they show up
+            # here as pre-committed capacity, subtracted in sorted-id
+            # order so reruns are bit-for-bit reproducible
             frozen = link_flows[key] - solving
             if frozen:
                 for peer in sorted(frozen):
@@ -538,8 +443,7 @@ class MaxMinAllocator:
             caps.append(cap)
         demands = [e.demand_bps for e in entries]
         weights = [e.weight for e in entries]
-        fill = _progressive_fill if len(fids) < _SCALAR_MAX_FLOWS else _fill_vectorized
-        rates, remaining = fill(flow_links, demands, weights, caps)
+        rates, remaining = _progressive_fill(flow_links, demands, weights, caps)
 
         changed = dict(zip(fids, rates))
         self._rates.update(changed)
@@ -561,73 +465,3 @@ class MaxMinAllocator:
             self._link_pending_w.pop(key, None)
         return changed
 
-
-def _fill_vectorized(
-    flow_links: list[list[int]],
-    demands: list[float],
-    weights: list[float],
-    caps: list[float],
-) -> tuple[list[float], list[float]]:
-    """:func:`~repro.net.flows._progressive_fill` over NumPy arrays.
-
-    Same inputs, outputs and arithmetic in the same order: per-link
-    weight sums and subtractions accumulate flow-major (``np.add.at``
-    and ``np.subtract.at`` apply repeated indexes in order), and the
-    freeze thresholds are the same relative slacks.  Each pass costs a
-    fixed ~20 NumPy calls, which a large frontier amortizes.
-    """
-    n = len(flow_links)
-    w = np.array(weights)
-    d = np.array(demands)
-    counts = np.array([len(row) for row in flow_links], dtype=np.intp)
-    flat = np.fromiter(
-        (k for row in flow_links for k in row), dtype=np.intp, count=int(counts.sum())
-    )
-    n_links = len(caps)
-    caps0 = np.array(caps, dtype=float)
-    remaining = caps0.copy()
-    thresh = _EPS * np.maximum(caps0, 1.0)
-    # relative demand slack, as in the scalar loop: at bps scale one
-    # ulp dwarfs an absolute 1e-9, and a flow stranded one rounding
-    # error below its demand must still freeze
-    d_slack = _EPS * np.maximum(np.where(np.isfinite(d), d, 1.0), 1.0)
-
-    rate = np.zeros(n)
-    active = counts > 0
-    # flows with no links are only demand-capped
-    rate[~active] = d[~active]
-
-    while active.any():
-        idx = np.flatnonzero(active)
-        cnt = counts[idx]
-        flat_act = flat[np.repeat(active, counts)]
-        offsets = np.zeros(idx.size, dtype=np.intp)
-        np.cumsum(cnt[:-1], out=offsets[1:])
-        # per-unit-weight headroom on each used link, flow-major sums
-        link_weight = np.zeros(n_links)
-        np.add.at(link_weight, flat_act, np.repeat(w[idx], cnt))
-        link_inc = np.full(n_links, np.inf)
-        used = link_weight > 0
-        link_inc[used] = remaining[used] / link_weight[used]
-        link_limited = np.minimum.reduceat(link_inc[flat_act], offsets)
-        demand_room = (d[idx] - rate[idx]) / w[idx]
-        inc = float(np.minimum(link_limited, demand_room).min())
-        if not math.isfinite(inc):
-            raise RuntimeError("unbounded allocation: flow without binding constraint")
-        inc = max(inc, 0.0)
-
-        delta = inc * w[idx]
-        rate[idx] += delta
-        np.subtract.at(remaining, flat_act, np.repeat(delta, cnt))
-        np.maximum(remaining, 0.0, out=remaining)  # numerical dust
-
-        # freeze flows at demand, or on a saturated link
-        at_demand = rate[idx] >= d[idx] - d_slack[idx]
-        saturated = np.minimum.reduceat((remaining - thresh)[flat_act], offsets) <= 0.0
-        freeze = at_demand | saturated
-        if not freeze.any():
-            raise RuntimeError("progressive filling made no progress")
-        clamp = idx[at_demand]
-        rate[clamp] = np.minimum(rate[clamp], d[clamp])
-        active[idx[freeze]] = False
-    return rate.tolist(), remaining.tolist()

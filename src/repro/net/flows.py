@@ -15,7 +15,9 @@ streams).
 The filling loop itself is :func:`_progressive_fill`, which works on
 integer link ids.  :func:`max_min_fair` (the reference oracle) maps its
 link keys to ids and calls it; so does
-:class:`~repro.net.allocator.MaxMinAllocator` for small frontiers.
+:class:`~repro.net.allocator.MaxMinAllocator` for every frontier it
+re-solves.  The one loop is checked against an independent NumPy
+transcription in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

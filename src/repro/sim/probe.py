@@ -41,14 +41,6 @@ class SimProbe:
         dirty-set propagation exists to keep small.
     max_flows_touched:
         Largest single set re-solved in one pass.
-    n_component_flows:
-        Total connected-component sizes across the passes that measured
-        them (allocators constructed with ``measure_component=True``
-        report the component alongside the frontier actually solved).
-        ``n_flows_touched / n_component_flows`` is then the fraction of
-        the component the level-frontier bound actually re-solved.
-    n_measured_passes:
-        How many passes carried a component measurement.
     wall_s:
         Accumulated wall-clock seconds per named phase (``advance``,
         ``allocate``, ...).
@@ -59,8 +51,6 @@ class SimProbe:
     n_alloc_passes: int = 0
     n_flows_touched: int = 0
     max_flows_touched: int = 0
-    n_component_flows: int = 0
-    n_measured_passes: int = 0
     wall_s: dict[str, float] = dataclasses.field(default_factory=dict)
 
     # -- hooks -------------------------------------------------------------
@@ -71,14 +61,11 @@ class SimProbe:
     def on_flush(self) -> None:
         self.n_flushes += 1
 
-    def on_alloc_pass(self, n_flows: int, component_size: int | None = None) -> None:
+    def on_alloc_pass(self, n_flows: int) -> None:
         self.n_alloc_passes += 1
         self.n_flows_touched += n_flows
         if n_flows > self.max_flows_touched:
             self.max_flows_touched = n_flows
-        if component_size is not None:
-            self.n_component_flows += component_size
-            self.n_measured_passes += 1
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -97,22 +84,9 @@ class SimProbe:
     def mean_flows_per_pass(self) -> float:
         return self.n_flows_touched / self.n_alloc_passes if self.n_alloc_passes else 0.0
 
-    @property
-    def frontier_fraction(self) -> float | None:
-        """Fraction of the measured components actually re-solved.
-
-        ``None`` when no pass measured its component (the default);
-        1.0 means the frontier bound saved nothing, values below 1.0
-        are the bound's payoff.
-        """
-        if not self.n_component_flows:
-            return None
-        return self.n_flows_touched / self.n_component_flows
-
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
         out["mean_flows_per_pass"] = self.mean_flows_per_pass
-        out["frontier_fraction"] = self.frontier_fraction
         return out
 
     def merge(self, other: "SimProbe") -> "SimProbe":
@@ -126,8 +100,6 @@ class SimProbe:
             n_alloc_passes=self.n_alloc_passes + other.n_alloc_passes,
             n_flows_touched=self.n_flows_touched + other.n_flows_touched,
             max_flows_touched=max(self.max_flows_touched, other.max_flows_touched),
-            n_component_flows=self.n_component_flows + other.n_component_flows,
-            n_measured_passes=self.n_measured_passes + other.n_measured_passes,
             wall_s=wall,
         )
 
@@ -141,12 +113,6 @@ class SimProbe:
             f"  (mean {self.mean_flows_per_pass:.1f}/pass,"
             f" max {self.max_flows_touched})",
         ]
-        if self.frontier_fraction is not None:
-            lines.append(
-                f"  frontier fraction   {self.frontier_fraction:>12.3f}"
-                f"  ({self.n_flows_touched:,} of"
-                f" {self.n_component_flows:,} component flows)"
-            )
         for name in sorted(self.wall_s):
             lines.append(f"  wall[{name:<9}]     {self.wall_s[name]:>12.3f} s")
         return "\n".join(lines)

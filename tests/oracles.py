@@ -1,12 +1,17 @@
-"""Reference implementations the vectorized kernels are pinned against.
+"""Reference implementations the package's kernels are pinned against.
 
 Test support, not package surface: each function is the original,
 obviously-correct loop that a fast path in :mod:`repro.core`,
 :mod:`repro.gridftp` or :mod:`repro.workload` replaced, kept so tests
-(and the Ext-S bench) can demand bit-exact agreement.
+(and the Ext-S bench) can demand bit-exact agreement.  The allocator's
+two references run the other way: :func:`progressive_fill_reference`
+is the NumPy kernel that the scalar filling loop replaced, and
+:func:`component_closure` is the re-solve set the level-frontier bound
+replaced.
 """
 
 import io
+import math
 import os
 
 import numpy as np
@@ -19,6 +24,7 @@ from repro.core.sessions import (
 from repro.core.stats import BinnedMedians, _bin_ids, _medians_by_group_loop
 from repro.gridftp.logfmt import _USAGE_COLUMNS
 from repro.gridftp.records import TransferLog, TransferType
+from repro.net.flows import _EPS
 from repro.workload.distributions import LogNormal
 from repro.workload.synth import _SessionDraft, vector_transfer_duration
 
@@ -208,3 +214,95 @@ def place_sessions_reference(
     return TransferLog(
         {name: np.concatenate(parts) for name, parts in cols.items()}
     ).sorted_by_start()
+
+
+def progressive_fill_reference(
+    flow_links: list[list[int]],
+    demands: list[float],
+    weights: list[float],
+    caps: list[float],
+) -> tuple[list[float], list[float]]:
+    """:func:`~repro.net.flows._progressive_fill` over NumPy arrays.
+
+    Same inputs, outputs and arithmetic in the same order: per-link
+    weight sums and subtractions accumulate flow-major (``np.add.at``
+    and ``np.subtract.at`` apply repeated indexes in order), and the
+    freeze thresholds are the same relative slacks.  Each pass costs a
+    fixed ~20 NumPy calls, which a large frontier amortizes.
+    """
+    n = len(flow_links)
+    w = np.array(weights)
+    d = np.array(demands)
+    counts = np.array([len(row) for row in flow_links], dtype=np.intp)
+    flat = np.fromiter(
+        (k for row in flow_links for k in row), dtype=np.intp, count=int(counts.sum())
+    )
+    n_links = len(caps)
+    caps0 = np.array(caps, dtype=float)
+    remaining = caps0.copy()
+    thresh = _EPS * np.maximum(caps0, 1.0)
+    # relative demand slack, as in the scalar loop: at bps scale one
+    # ulp dwarfs an absolute 1e-9, and a flow stranded one rounding
+    # error below its demand must still freeze
+    d_slack = _EPS * np.maximum(np.where(np.isfinite(d), d, 1.0), 1.0)
+
+    rate = np.zeros(n)
+    active = counts > 0
+    # flows with no links are only demand-capped
+    rate[~active] = d[~active]
+
+    while active.any():
+        idx = np.flatnonzero(active)
+        cnt = counts[idx]
+        flat_act = flat[np.repeat(active, counts)]
+        offsets = np.zeros(idx.size, dtype=np.intp)
+        np.cumsum(cnt[:-1], out=offsets[1:])
+        # per-unit-weight headroom on each used link, flow-major sums
+        link_weight = np.zeros(n_links)
+        np.add.at(link_weight, flat_act, np.repeat(w[idx], cnt))
+        link_inc = np.full(n_links, np.inf)
+        used = link_weight > 0
+        link_inc[used] = remaining[used] / link_weight[used]
+        link_limited = np.minimum.reduceat(link_inc[flat_act], offsets)
+        demand_room = (d[idx] - rate[idx]) / w[idx]
+        inc = float(np.minimum(link_limited, demand_room).min())
+        if not math.isfinite(inc):
+            raise RuntimeError("unbounded allocation: flow without binding constraint")
+        inc = max(inc, 0.0)
+
+        delta = inc * w[idx]
+        rate[idx] += delta
+        np.subtract.at(remaining, flat_act, np.repeat(delta, cnt))
+        np.maximum(remaining, 0.0, out=remaining)  # numerical dust
+
+        # freeze flows at demand, or on a saturated link
+        at_demand = rate[idx] >= d[idx] - d_slack[idx]
+        saturated = np.minimum.reduceat((remaining - thresh)[flat_act], offsets) <= 0.0
+        freeze = at_demand | saturated
+        if not freeze.any():
+            raise RuntimeError("progressive filling made no progress")
+        clamp = idx[at_demand]
+        rate[clamp] = np.minimum(rate[clamp], d[clamp])
+        active[idx[freeze]] = False
+    return rate.tolist(), remaining.tolist()
+
+
+def component_closure(alloc) -> set[int]:
+    """Every flow a pending :meth:`~repro.net.allocator.MaxMinAllocator.recompute`
+    could move: the dirty flows and the flows on dirty links, closed
+    transitively over shared links (read from ``_flows`` and
+    ``_link_flows``).  Max-min rates decompose exactly across
+    link-disjoint components, so re-solving this set is always correct;
+    the level frontier the allocator re-solves is a subset of it.
+    """
+    stack = [fid for fid in alloc._dirty_flows if fid in alloc._flows]
+    for key in alloc._dirty_links:
+        stack.extend(alloc._link_flows.get(key, ()))
+    closure: set[int] = set()
+    while stack:
+        fid = stack.pop()
+        if fid not in closure:
+            closure.add(fid)
+            for key in alloc._flows[fid].links:
+                stack.extend(alloc._link_flows[key])
+    return closure

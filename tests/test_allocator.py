@@ -5,7 +5,7 @@ update_capacity / update_flow calls, the allocator's rates match a fresh
 oracle solve of the same flow set within 1e-6 relative — and recompute()
 touches only the connected component of the change.  The oracle shares
 the allocator's scalar loop, so ``TestSolveArms`` checks that loop
-against the independent NumPy kernel, bit for bit.
+against an independent NumPy kernel (``tests/oracles.py``), bit for bit.
 """
 
 import copy
@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.net.allocator as allocator_module
-from repro.net.allocator import _SCALAR_MAX_FLOWS, MaxMinAllocator
+from repro.net.allocator import MaxMinAllocator
 from repro.net.flows import FlowSpec, max_min_fair
 from repro.sim.probe import SimProbe
+from tests.oracles import component_closure, progressive_fill_reference
 
 
 def oracle_rates(alloc: MaxMinAllocator) -> dict[int, float]:
@@ -301,6 +302,18 @@ def test_matches_oracle_bitwise_on_chain():
 # -- level-frontier bound ----------------------------------------------------
 
 
+class ComponentAllocator(MaxMinAllocator):
+    """Re-solves the whole connected component of each change: the
+    level-frontier bound switched off, as a baseline."""
+
+    def recompute(self) -> dict[int, float]:
+        fids = sorted(component_closure(self))
+        self._dirty_flows.clear()
+        self._dirty_links.clear()
+        self._entry = math.inf
+        return self._solve(fids) if fids else {}
+
+
 def _clustered(rng, n_clusters=6, flows_per=8):
     """Disjoint chain clusters bridged by one shared backbone link.
 
@@ -315,7 +328,7 @@ def _clustered(rng, n_clusters=6, flows_per=8):
             caps[(f"c{c}n{i}", f"c{c}n{i + 1}")] = float(
                 rng.uniform(1e9, 5e9)
             )
-    alloc = MaxMinAllocator(caps, level_frontier=True)
+    alloc = MaxMinAllocator(caps)
     fid = 0
     for c in range(n_clusters):
         for _ in range(flows_per):
@@ -369,17 +382,14 @@ class TestLevelFrontier:
             assert_matches_oracle(alloc)
 
     def test_clean_build_is_bit_exact_vs_oracle(self):
-        """A from-scratch solve replays the oracle's exact arithmetic.
-
-        20 flows run the scalar loop the oracle shares; the larger size
-        runs the NumPy kernel, an independent implementation.
-        """
+        """A from-scratch solve replays the oracle's exact arithmetic:
+        the allocator numbers the links in the oracle's order."""
         rng = np.random.default_rng(42)
         caps = {(f"n{i}", f"n{i + 1}"): float(rng.uniform(5.0, 25.0))
                 for i in range(8)}
         links = list(caps)
-        for n_flows in (20, 2 * _SCALAR_MAX_FLOWS):
-            alloc = MaxMinAllocator(caps, level_frontier=True)
+        for n_flows in (20, 256):
+            alloc = MaxMinAllocator(caps)
             specs = []
             for fid in range(n_flows):
                 k = int(rng.integers(1, 4))
@@ -392,18 +402,30 @@ class TestLevelFrontier:
                                       demand_bps=demand, weight=weight))
             assert alloc.recompute() == max_min_fair(specs, dict(caps))
 
-    def test_frontier_off_matches_frontier_on(self):
+    def test_frontier_matches_component_resolve(self):
+        """Through churn, each frontier stays inside the connected
+        component of the change, and re-solving the whole component
+        instead (the bound switched off) ends at the same rates."""
         rng = np.random.default_rng(7)
         caps = {(f"n{i}", f"n{i + 1}"): float(rng.uniform(5.0, 25.0))
                 for i in range(6)}
-        on = MaxMinAllocator(dict(caps), level_frontier=True)
-        off = MaxMinAllocator(dict(caps), level_frontier=False)
+        frontier = MaxMinAllocator(dict(caps))
+        component = ComponentAllocator(dict(caps))
+        recompute = frontier.recompute
+
+        def checked_recompute():
+            closure = component_closure(frontier)
+            changed = recompute()
+            assert changed.keys() <= closure
+            return changed
+
+        frontier.recompute = checked_recompute
         links = list(caps)
-        for alloc in (on, off):
+        for alloc in (frontier, component):
             r = np.random.default_rng(7)  # identical sequences
             random_sequence(alloc, r, n_ops=40, links=links)
             alloc.recompute()
-        assert on.rates() == pytest.approx(off.rates(), rel=1e-6, abs=1e-3)
+        assert frontier.rates() == pytest.approx(component.rates(), rel=1e-6, abs=1e-3)
 
     def test_single_flow_perturbation_touches_less_than_component(self):
         """The frontier is strictly smaller than the connected component.
@@ -416,7 +438,6 @@ class TestLevelFrontier:
         probe = SimProbe()
         alloc = _clustered(rng)
         alloc.probe = probe
-        alloc.measure_component = True
         # perturb one finite-demand flow's demand slightly downward —
         # only levels >= its own can move
         victim = next(
@@ -426,11 +447,11 @@ class TestLevelFrontier:
         alloc.update_flow(
             victim, demand_bps=alloc._flows[victim].demand_bps * 0.9
         )
+        component = component_closure(alloc)
         alloc.recompute()
-        assert probe.n_measured_passes == 1
-        assert probe.n_component_flows == len(alloc._flows)
-        assert 0 < probe.n_flows_touched < probe.n_component_flows
-        assert probe.frontier_fraction < 1.0
+        assert probe.n_alloc_passes == 1
+        assert component == alloc._flows.keys()
+        assert 0 < probe.n_flows_touched < len(component)
         assert_matches_oracle(alloc)
 
     def test_capacity_increase_of_unsaturated_link_is_free(self):
@@ -450,24 +471,24 @@ class TestLevelFrontier:
         assert_matches_oracle(alloc)
 
 
-# -- the two solve arms ------------------------------------------------------
+# -- the filling loop against the NumPy reference ---------------------------
 
 
 @st.composite
 def allocator_churn(draw):
     """A solved allocator's flow set plus perturbations for a re-solve.
 
-    Frontier sizes land on both sides of the crossover.  Links may have
-    zero capacity, demands may be infinite, flows may have no links, and
-    the re-solve leaves frozen flows outside its frontier, so residual
-    capacities are exercised.
+    Frontiers hold up to 256 flows.  Links may have zero capacity,
+    demands may be infinite, flows may have no links, and the re-solve
+    leaves frozen flows outside its frontier, so residual capacities are
+    exercised.
     """
     n_links = draw(st.integers(1, 10))
     caps = draw(st.lists(
         st.one_of(st.just(0.0), st.floats(1e6, 1e10)),
         min_size=n_links, max_size=n_links,
     ))
-    n_flows = draw(st.integers(1, 2 * _SCALAR_MAX_FLOWS))
+    n_flows = draw(st.integers(1, 256))
     flows = draw(st.lists(
         st.tuples(
             st.lists(st.integers(0, n_links - 1), max_size=4, unique=True),
@@ -491,15 +512,17 @@ def allocator_churn(draw):
 
 
 def _solve_both_arms(alloc: MaxMinAllocator, fids=None) -> MaxMinAllocator:
-    """Solve a copy through each arm; assert identical records.
+    """Solve a copy with the filling loop and one with the NumPy
+    reference in its place; assert identical records.
 
     ``fids=None`` recomputes the pending frontier; a list of flow ids
     re-solves exactly those against the rest, frozen.
     """
     scalar, vector = copy.deepcopy(alloc), copy.deepcopy(alloc)
-    with mock.patch.object(allocator_module, "_SCALAR_MAX_FLOWS", math.inf):
-        got_scalar = scalar.recompute() if fids is None else scalar._solve(fids)
-    with mock.patch.object(allocator_module, "_SCALAR_MAX_FLOWS", 0):
+    got_scalar = scalar.recompute() if fids is None else scalar._solve(fids)
+    with mock.patch.object(
+        allocator_module, "_progressive_fill", progressive_fill_reference
+    ):
         got_vector = vector.recompute() if fids is None else vector._solve(fids)
     assert got_scalar == got_vector
     assert scalar._rates == vector._rates
@@ -510,7 +533,7 @@ def _solve_both_arms(alloc: MaxMinAllocator, fids=None) -> MaxMinAllocator:
 
 
 class TestSolveArms:
-    """The scalar loop and the NumPy kernel agree to the last bit."""
+    """The scalar loop and the NumPy reference agree to the last bit."""
 
     @given(allocator_churn())
     @settings(max_examples=50, deadline=None)
@@ -535,19 +558,6 @@ class TestSolveArms:
             else:
                 alloc.update_flow(fids[pick % len(fids)], demand_bps=value)
         _solve_both_arms(alloc)  # the frontier the perturbations leave
-
-    def test_frontier_size_picks_the_arm(self):
-        """Frontiers below the crossover never reach the NumPy kernel."""
-        for n_flows, want in ((_SCALAR_MAX_FLOWS - 1, 0), (_SCALAR_MAX_FLOWS, 1)):
-            alloc = MaxMinAllocator({("a", "b"): 1e9})
-            for fid in range(n_flows):
-                alloc.add_flow(fid, [("a", "b")])
-            with mock.patch.object(
-                allocator_module, "_fill_vectorized",
-                wraps=allocator_module._fill_vectorized,
-            ) as kernel:
-                alloc.recompute()
-            assert kernel.call_count == want
 
 
 # -- running per-link weight totals ------------------------------------------

@@ -414,6 +414,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="need at least one job"):
             get_scenario("profile")({"n_jobs": n_jobs}, 0)
 
+    def test_profile_scenario_refuses_oracle_against_itself(self):
+        params = {"n_jobs": 1, "allocator": "oracle", "compare_oracle": True}
+        with pytest.raises(ValueError, match="oracle against itself"):
+            get_scenario("profile")(params, 0)
+
 
 # -- the CLI `run` subcommand ------------------------------------------------
 
@@ -425,6 +430,18 @@ def test_cli_profile_refuses_negative_jobs(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: need at least one job\n"
+
+
+def test_cli_profile_refuses_oracle_against_itself(capsys):
+    from repro.cli import main
+
+    assert main(["profile", "--allocator", "oracle", "--compare-oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: compare_oracle races the oracle against itself; "
+        "profile the incremental allocator instead\n"
+    )
 
 
 class TestCliRun:

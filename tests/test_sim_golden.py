@@ -20,7 +20,11 @@ not an output).  The runs:
   rollbacks, migrations onto circuits, IP fallbacks and best-effort
   residual capacities;
 * ``oracle`` — the first 60 jobs of ``contention_1`` through the
-  full-recompute oracle allocator.
+  full-recompute oracle allocator;
+* ``profile`` — the simulator run of
+  ``profile_campaign(n_jobs=300, seed=0)``, the one production workload
+  whose allocator frontiers reach past 128 flows (60 flows per pass on
+  average, 204 at most).
 
 Capture (only when the simulator's output is meant to change)::
 
@@ -36,7 +40,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.experiments.campaigns import ChaosConfig, run_chaos
+from repro.experiments.campaigns import ChaosConfig, profile_campaign, run_chaos
 from repro.gridftp.client import TransferJob
 from repro.net.topology import esnet_like
 from repro.sim.engine import EventLoop
@@ -66,8 +70,6 @@ PROBE_COUNTERS = (
     "n_alloc_passes",
     "n_flows_touched",
     "max_flows_touched",
-    "n_component_flows",
-    "n_measured_passes",
 )
 
 
@@ -101,28 +103,41 @@ def simulate(jobs, allocator: str = "incremental"):
     return sim.run()
 
 
-def chaos_results() -> list:
-    """The SimResult of each simulator run inside one chaos campaign."""
-    seen, outages = [], []
+def recorded_runs(campaign) -> tuple:
+    """``campaign()``'s result and the SimResult of each simulator run in it."""
+    seen = []
     real_run = FluidSimulator.run
-    real_outage = FluidSimulator.schedule_link_outage
 
     def run(self, *args, **kwargs):
         result = real_run(self, *args, **kwargs)
         seen.append(result)
         return result
 
+    with mock.patch.object(FluidSimulator, "run", run):
+        return campaign(), seen
+
+
+def chaos_results() -> list:
+    """The SimResult of each simulator run inside one chaos campaign."""
+    outages = []
+    real_outage = FluidSimulator.schedule_link_outage
+
     def outage(self, *args, **kwargs):
         outages.append(args)
         return real_outage(self, *args, **kwargs)
 
-    with mock.patch.object(FluidSimulator, "run", run), mock.patch.object(
-        FluidSimulator, "schedule_link_outage", outage
-    ):
-        report = run_chaos(CHAOS, seed=3)
+    with mock.patch.object(FluidSimulator, "schedule_link_outage", outage):
+        report, seen = recorded_runs(lambda: run_chaos(CHAOS, seed=3))
     assert {"vc", "migrate", "ip"} <= set(report.modes) and outages
     assert report.n_flaps_injected > 0 and report.marker_rollback_bytes > 0
     assert report.n_idc_rejections > 0 and report.n_setup_timeouts > 0
+    return seen
+
+
+def profile_results() -> list:
+    """The SimResult of the 300-job ``profile`` campaign's one run."""
+    report, seen = recorded_runs(lambda: profile_campaign(n_jobs=300, seed=0))
+    assert report.probe.max_flows_touched >= 128
     return seen
 
 
@@ -141,6 +156,7 @@ RUNS = {
     "contention_3": lambda: [simulate(contention_jobs(3))],
     "chaos": chaos_results,
     "oracle": lambda: [simulate(contention_jobs(1)[:60], allocator="oracle")],
+    "profile": profile_results,
 }
 
 

@@ -140,6 +140,20 @@ class TestConcurrencyAndFairness:
         svc.submit(1, 2, [1e9], submitted_at=20.0)
         assert list(svc.run().start) == [0.0, 20.0]
 
+    def test_slots_go_to_the_queue_in_the_order_they_free(self):
+        """The head of the queue takes the earliest slot to free, even
+        when the loop reaches the other slot's last file first."""
+        svc = ManagedTransferService(lambda _s, _d: 8e9, concurrency=2)
+        svc.submit(1, 2, [100e9], submitted_at=0.0)  # ends at 100.0
+        svc.submit(1, 2, [10e9], submitted_at=5.0)  # ends at 15.0
+        first = svc.submit(1, 2, [1e9], submitted_at=6.0)
+        second = svc.submit(1, 2, [1e9], submitted_at=7.0)
+        svc.run()
+        activated = {e.task_id: e.time for e in svc.events if e.event == "activated"}
+        assert activated[first] == 15.0
+        # the slot the first queued task frees, not the one at 100.0
+        assert activated[second] == 16.0
+
     def test_round_robin_interleaves_files(self):
         """A long task does not starve a short one sharing the endpoint."""
         svc = ManagedTransferService(flat_rate, concurrency=2)
