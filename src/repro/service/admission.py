@@ -56,6 +56,10 @@ class AdmissionDecision:
     retry_after_s: float | None = None
 
 
+#: every admission is the same immutable answer: share one
+_ADMITTED = AdmissionDecision(admitted=True)
+
+
 class AdmissionController:
     """Bounded-queue, per-tenant-quota gatekeeper for the daemon.
 
@@ -101,26 +105,33 @@ class AdmissionController:
 
     def try_admit(self, tenant: str) -> AdmissionDecision:
         """Admit or reject one submission from ``tenant``."""
+        # most submissions under overload are shed: read the backlog
+        # once, for both the bound and the rejection's hint
+        outstanding = self._queued + self._in_flight
         if self.draining:
-            return self._reject("draining")
-        if self.outstanding >= self.queue_limit:
-            return self._reject("queue-full")
-        if self._usage.get(tenant, 0) >= self.tenant_quota:
-            return self._reject("tenant-quota")
-        self._usage[tenant] = self._usage.get(tenant, 0) + 1
+            return self._reject("draining", outstanding)
+        if outstanding >= self.queue_limit:
+            return self._reject("queue-full", outstanding)
+        usage = self._usage.get(tenant, 0)
+        if usage >= self.tenant_quota:
+            return self._reject("tenant-quota", outstanding)
+        self._usage[tenant] = usage + 1
         self._queued += 1
-        return AdmissionDecision(admitted=True)
+        return _ADMITTED
 
-    def _reject(self, reason: str) -> AdmissionDecision:
+    def _reject(self, reason: str, outstanding: int) -> AdmissionDecision:
         self.shed[reason] += 1
         return AdmissionDecision(
-            admitted=False, reason=reason, retry_after_s=self.retry_after_s()
+            False, reason, self._retry_after_s(outstanding)
         )
 
     def retry_after_s(self) -> float:
         """Backlog-proportional backoff hint for a rejected client."""
+        return self._retry_after_s(self.outstanding)
+
+    def _retry_after_s(self, outstanding: int) -> float:
         service = self._ewma_service_s or _MIN_RETRY_AFTER_S
-        backlog_rounds = (self.outstanding / self.workers) + 1.0
+        backlog_rounds = (outstanding / self.workers) + 1.0
         return max(backlog_rounds * service, _MIN_RETRY_AFTER_S)
 
     # -- lifecycle bookkeeping --------------------------------------------

@@ -107,8 +107,7 @@ def poisson_schedule(
     """``n`` Poisson arrival offsets at ``rate_per_s`` (virtual seconds)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if rate_per_s <= 0:
-        raise ValueError("rate must be positive")
+    _require_positive_finite("rate_per_s", rate_per_s)
     rng = ensure_rng(rng)
     return np.cumsum(rng.exponential(1.0 / rate_per_s, size=n))
 
@@ -129,12 +128,12 @@ def onoff_schedule(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if on_rate_per_s <= 0:
-        raise ValueError("on rate must be positive")
-    if off_rate_per_s < 0:
-        raise ValueError("off rate must be non-negative")
-    if mean_on_s <= 0 or mean_off_s <= 0:
-        raise ValueError("phase durations must be positive")
+    # a NaN rate or duration passes a `<= 0` check and then never
+    # yields an arrival: the phase loop below would spin forever
+    _require_positive_finite("on_rate_per_s", on_rate_per_s)
+    _require_non_negative_finite("off_rate_per_s", off_rate_per_s)
+    _require_positive_finite("mean_on_s", mean_on_s)
+    _require_positive_finite("mean_off_s", mean_off_s)
     rng = ensure_rng(rng)
     times: list[float] = []
     t = 0.0
@@ -169,8 +168,9 @@ def diurnal_schedule(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if base_rate_per_s <= 0:
-        raise ValueError("base rate must be positive")
+    _require_positive_finite("base_rate_per_s", base_rate_per_s)
+    if not math.isfinite(start_hour):
+        raise ValueError(f"start_hour must be finite, got {start_hour!r}")
     profile = fig6_profile() if profile is None else profile
     rng = ensure_rng(rng)
     t0 = float(start_hour) * 3600.0
@@ -182,6 +182,20 @@ def diurnal_schedule(
         out.extend(arrivals.tolist())
         t += window
     return np.asarray(out[:n], dtype=np.float64) - t0
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a positive finite number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_non_negative_finite(name: str, value: float) -> None:
+    """Refuse ``value`` unless it is a non-negative finite number."""
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(
+            f"{name} must be non-negative and finite, got {value!r}"
+        )
 
 
 def build_schedule(
@@ -213,7 +227,7 @@ def build_schedule(
 
 
 # ---------------------------------------------------------------------------
-# the request mix (one deterministic draw per arrival, shared by modes)
+# the request mix (one deterministic draw per column, shared by modes)
 
 
 class RequestMix:
@@ -224,6 +238,11 @@ class RequestMix:
     deadlines, and injected-invalid submissions in the same order.
     ``invalid_frac`` submissions carry a negative file size — the
     daemon must refuse them (``n_invalid``), never execute them.
+
+    Each field is one vectorized draw over all ``n`` arrivals, in this
+    order: file counts, invalid flags, tight-deadline flags, tenants
+    (DESIGN.md §15).  A new field must append its own draw after these,
+    so the fields already drawn replay unchanged.
     """
 
     def __init__(
@@ -245,24 +264,32 @@ class RequestMix:
             raise ValueError("max_files must be >= 1")
         if not 0.0 <= invalid_frac <= 1.0:
             raise ValueError("invalid_frac must be in [0, 1]")
-        self.items: list[dict[str, Any]] = []
-        for _ in range(n):
-            n_files = int(rng.integers(1, max_files + 1))
-            sizes = [float(file_size_bytes)] * n_files
-            invalid = bool(rng.random() < invalid_frac)
-            if invalid:
-                sizes[0] = -abs(sizes[0])
-            deadline = (
-                float(tight_deadline_s)
-                if rng.random() < tight_deadline_frac
-                else None
+        if not 0.0 <= tight_deadline_frac <= 1.0:
+            raise ValueError(
+                f"tight_deadline_frac must be in [0, 1], "
+                f"got {tight_deadline_frac!r}"
             )
-            self.items.append({
-                "tenant": f"tenant-{int(rng.integers(0, n_tenants))}",
-                "file_sizes": sizes,
-                "deadline_s": deadline,
-                "invalid": invalid,
-            })
+        # a size or deadline the daemon refuses would turn every
+        # submission into an invalid one, and the mix into no load
+        _require_positive_finite("file_size_bytes", file_size_bytes)
+        _require_positive_finite("tight_deadline_s", tight_deadline_s)
+        n_files = rng.integers(1, max_files + 1, size=n).tolist()
+        invalid = (rng.random(n) < invalid_frac).tolist()
+        tight = (rng.random(n) < tight_deadline_frac).tolist()
+        tenants = rng.integers(0, n_tenants, size=n).tolist()
+        size = float(file_size_bytes)
+        deadline = float(tight_deadline_s)
+        self.items: list[dict[str, Any]] = [
+            {
+                "tenant": f"tenant-{tenant}",
+                "file_sizes": (
+                    [-size] + [size] * (k - 1) if bad else [size] * k
+                ),
+                "deadline_s": deadline if short else None,
+                "invalid": bad,
+            }
+            for k, bad, short, tenant in zip(n_files, invalid, tight, tenants)
+        ]
 
     @classmethod
     def from_params(
@@ -859,6 +886,8 @@ def run_loadtest_sim(
     # model-only params: the daemon has no counterpart for these
     jitter_sigma = float(params.get("service_jitter_sigma", 0.1))
     reject_penalty_s = float(params.get("reject_penalty_s", 30.0))
+    _require_non_negative_finite("service_jitter_sigma", jitter_sigma)
+    _require_non_negative_finite("reject_penalty_s", reject_penalty_s)
 
     if scheduler is None:
         scheduler = make_scheduler(config.scheduler, config.scheduler_config())

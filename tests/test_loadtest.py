@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -42,6 +43,30 @@ from repro.service.loadtest import (
     run_loadtest_sim,
 )
 from repro.workload.diurnal import hourly_histogram
+
+NAN, INF = float("nan"), float("inf")
+
+
+class _NoDraws:
+    """A generator stand-in that fails the test on any draw.
+
+    A refused input must be refused before the first draw; an accepted
+    NaN would otherwise spin a generator loop forever.
+    """
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        raise AssertionError(f"drew rng.{name}() from a refused input")
+
+
+def _cli(capsys, *argv):
+    """``(exit code, stdout, stderr)`` of one ``repro-gridftp`` call."""
+    from repro import cli
+
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +98,22 @@ class TestPoissonSchedule:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             poisson_schedule(**kwargs)
+
+    @pytest.mark.parametrize("rate", [NAN, INF], ids=["nan", "inf"])
+    def test_non_finite_rate_refused(self, rate):
+        with pytest.raises(ValueError, match="rate_per_s must be positive"):
+            poisson_schedule(10, rate, _NoDraws())
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_cli_refuses_a_non_finite_rate(self, capsys, rate):
+        # inf put every arrival at t = 0; nan died inside NumPy
+        code, out, err = _cli(
+            capsys, "loadtest", "--mode", "sim", "--rate", rate, "--n", "10"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: rate_per_s must be positive and finite, got {rate}\n"
+        )
 
 
 class TestOnOffSchedule:
@@ -116,6 +157,24 @@ class TestOnOffSchedule:
             onoff_schedule(10, on_rate_per_s=1.0, mean_on_s=1.0,
                            mean_off_s=1.0, off_rate_per_s=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("on_rate_per_s", NAN),
+        ("on_rate_per_s", INF),
+        ("off_rate_per_s", NAN),
+        ("off_rate_per_s", INF),
+        ("mean_on_s", NAN),
+        ("mean_on_s", INF),
+        ("mean_off_s", NAN),
+        ("mean_off_s", INF),
+    ])
+    def test_non_finite_input_refused_before_any_draw(self, field, value):
+        # a NaN ON rate passed `<= 0`, and no ON phase then yielded an
+        # arrival: the phase loop never ended
+        kwargs = {"on_rate_per_s": 1.0, "mean_on_s": 60.0,
+                  "mean_off_s": 180.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            onoff_schedule(10, rng=_NoDraws(), **kwargs)
+
 
 class TestDiurnalSchedule:
     def test_fig6_shape_is_normalizable(self):
@@ -149,6 +208,17 @@ class TestDiurnalSchedule:
         a = diurnal_schedule(60, 0.02, rng=np.random.default_rng(6))
         b = diurnal_schedule(60, 0.02, rng=np.random.default_rng(6))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [NAN, INF], ids=["nan", "inf"])
+    def test_non_finite_base_rate_refused(self, rate):
+        with pytest.raises(ValueError, match="base_rate_per_s must be"):
+            diurnal_schedule(10, rate, rng=_NoDraws())
+
+    @pytest.mark.parametrize("hour", [NAN, INF], ids=["nan", "inf"])
+    def test_non_finite_start_hour_refused(self, hour):
+        # NaN reached NumPy's Poisson draw as "lam < 0 or lam is NaN"
+        with pytest.raises(ValueError, match="start_hour must be finite"):
+            diurnal_schedule(10, 0.05, start_hour=hour, rng=_NoDraws())
 
 
 class TestBuildSchedule:
@@ -196,6 +266,80 @@ class TestRequestMix:
             RequestMix(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             RequestMix(5, np.random.default_rng(0), invalid_frac=1.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tight_deadline_frac", 1.5),
+        ("tight_deadline_frac", -0.1),
+        ("tight_deadline_frac", NAN),
+        # a size or deadline the daemon refuses made every submission
+        # of the mix invalid: no load was offered at all
+        ("file_size_bytes", 0.0),
+        ("file_size_bytes", -4e9),
+        ("file_size_bytes", NAN),
+        ("file_size_bytes", INF),
+        ("tight_deadline_s", -5.0),
+        ("tight_deadline_s", 0.0),
+        ("tight_deadline_s", NAN),
+        ("tight_deadline_s", INF),
+    ])
+    def test_malformed_parameter_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            RequestMix(5, _NoDraws(), **{field: value})
+
+    def test_columns_match_a_reference_draw(self):
+        """One draw per field over all arrivals, in the documented order."""
+        n, seed = 500, 17
+        rng = np.random.default_rng(seed)
+        mix = RequestMix(
+            n, rng, n_tenants=4, max_files=5, file_size_bytes=2e9,
+            tight_deadline_frac=0.3, tight_deadline_s=30.0,
+            invalid_frac=0.1,
+        )
+        ref = np.random.default_rng(seed)
+        n_files = ref.integers(1, 6, size=n)
+        invalid = ref.random(n) < 0.1
+        tight = ref.random(n) < 0.3
+        tenants = ref.integers(0, 4, size=n)
+        assert len(mix) == n
+        for i, item in enumerate(mix.items):
+            sizes = [2e9] * int(n_files[i])
+            if invalid[i]:
+                sizes[0] = -2e9
+            assert item == {
+                "tenant": f"tenant-{tenants[i]}",
+                "file_sizes": sizes,
+                "deadline_s": 30.0 if tight[i] else None,
+                "invalid": bool(invalid[i]),
+            }, i
+            # plain Python values, as the daemon's JSON codec sends them
+            assert type(item["invalid"]) is bool
+            assert all(type(size) is float for size in item["file_sizes"])
+        # the mix drew those four columns and nothing else
+        np.testing.assert_array_equal(rng.random(8), ref.random(8))
+
+    def test_each_field_keeps_its_distribution(self):
+        n = 20_000
+        mix = RequestMix(
+            n, np.random.default_rng(29), n_tenants=3, max_files=4,
+            tight_deadline_frac=0.25, invalid_frac=0.05,
+        )
+
+        def assert_binomial(count, p):
+            sigma = math.sqrt(n * p * (1.0 - p))
+            assert abs(count - n * p) <= 4.0 * sigma, (count, n * p)
+
+        files = Counter(len(item["file_sizes"]) for item in mix.items)
+        assert set(files) == {1, 2, 3, 4}
+        for k in files:
+            assert_binomial(files[k], 1 / 4)
+        tenants = Counter(item["tenant"] for item in mix.items)
+        assert set(tenants) == {"tenant-0", "tenant-1", "tenant-2"}
+        for name in tenants:
+            assert_binomial(tenants[name], 1 / 3)
+        assert_binomial(sum(item["invalid"] for item in mix.items), 0.05)
+        assert_binomial(
+            sum(item["deadline_s"] is not None for item in mix.items), 0.25
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +458,33 @@ class TestSimLoadtest:
         assert report.latency_domain == "virtual"
         assert report.duration_s > 0
         assert report.n_outstanding_samples > 0
+
+    @pytest.mark.parametrize("field,value", [
+        ("reject_penalty_s", -10.0),
+        ("reject_penalty_s", NAN),
+        ("reject_penalty_s", INF),
+        # NaN and inf died mid-storm in the latency recorder, -1 in NumPy
+        ("service_jitter_sigma", -1.0),
+        ("service_jitter_sigma", NAN),
+        ("service_jitter_sigma", INF),
+    ])
+    def test_malformed_model_parameter_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            _sim({field: value, "reject_prob": 0.5})
+
+    @pytest.mark.parametrize("field", ["file_size_bytes", "tight_deadline_s"])
+    def test_twin_refuses_a_mix_of_invalid_submissions(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            _sim({field: -5.0, "n_requests": 60})
+
+    @pytest.mark.parametrize("frac", ["1.5", "nan"])
+    def test_cli_refuses_a_malformed_deadline_frac(self, capsys, frac):
+        code, out, err = _cli(
+            capsys, "loadtest", "--mode", "sim", "--deadline-frac", frac,
+            "--n", "10",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: tight_deadline_frac must be in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +632,10 @@ class TestLiveLoadtest:
     def test_negative_crash_count_refused(self):
         with pytest.raises(ValueError, match="n_crashes"):
             run_loadtest({**_STORM, "n_crashes": -1}, seed=0)
+
+    def test_live_driver_refuses_a_malformed_mix_before_the_storm(self):
+        with pytest.raises(ValueError, match="file_size_bytes must be"):
+            run_loadtest({**_STORM, "file_size_bytes": 0.0}, seed=0)
 
     def test_external_daemon_without_chaos_ops_refuses_crashes(
         self, tmp_path

@@ -1,13 +1,30 @@
-"""Golden-pin bit-exactness tests for the scheduling refactor.
+"""Golden-pin bit-exactness tests for the scheduling seam.
 
-``tests/golden/sched_pins.json`` was captured from the **pre-refactor**
-code (before the :mod:`repro.sched` seam existed).  These tests assert
-that the refactored call sites, driven by the ``fcfs`` policy, still
-reproduce every pinned golden path byte for byte — the chaos campaign,
-the managed-service campaign, and the load-test twin (censuses *and*
+``tests/golden/sched_pins.json`` holds four entries.  These tests
+assert that the call sites, driven by the ``fcfs`` policy, reproduce
+every pinned golden path byte for byte — the chaos campaign, the
+managed-service campaign, and the load-test twin (censuses *and*
 latency quantiles; wall-clock fields are excluded from the pins by
-construction).  The CI ``sched-smoke`` job pins the same cells through
-the ``repro-gridftp run`` surface.
+construction).  The CI ``sched-smoke`` job pins the same smoke cells
+through the ``repro-gridftp run`` surface.
+
+* ``chaos`` — captured from the **pre-refactor** code (before the
+  :mod:`repro.sched` seam existed), unchanged since;
+* ``managed`` — pre-refactor too, except ``report.n_events``, which was
+  recaptured alone when a finished task's slot started to free at its
+  end clock (one more engine event per task);
+* ``loadtest`` and ``sched_smoke`` — recaptured when
+  :class:`~repro.service.loadtest.RequestMix` began drawing one column
+  per field instead of four scalars per arrival: every seed now offers
+  a different (equally distributed) mix, so every twin census moved.
+
+Recapture the two mix entries (only when the offered mix is meant to
+change; ``chaos`` and ``managed`` must pass untouched)::
+
+    PYTHONPATH=src:. python -c "import json; from tests.test_sched_golden \\
+        import PINS_PATH, recapture_mix_pins; PINS_PATH.write_text( \\
+        json.dumps(recapture_mix_pins(json.loads(PINS_PATH.read_text())), \\
+        indent=2, sort_keys=True) + '\\n')"
 """
 
 import json
@@ -37,6 +54,25 @@ def _loadtest_pin(report):
         "n_outstanding_samples": report.n_outstanding_samples,
         "retry_after_max_s": report.retry_after_max_s,
     }
+
+
+def recapture_mix_pins(pins):
+    """``pins`` with its ``loadtest`` and ``sched_smoke`` results re-run.
+
+    Params, seeds and the other entries are kept as they are.
+    """
+    from repro.service.loadtest import run_loadtest_sim
+
+    out = json.loads(json.dumps(pins))
+    for case in out["loadtest"]:
+        report = run_loadtest_sim(case["params"], case["seed"])
+        case["pin"] = _loadtest_pin(report)
+    smoke = out["sched_smoke"]
+    smoke["cells"] = {
+        cell_seed: run_loadtest_sim(smoke["params"], int(cell_seed)).census()
+        for cell_seed in smoke["cells"]
+    }
+    return out
 
 
 def test_chaos_campaign_is_bit_exact(pins):

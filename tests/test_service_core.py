@@ -81,7 +81,9 @@ def _daemon_run(params, seed, socket_path):
 @pytest.mark.parametrize("scheduler", ["fcfs", "global"])
 def test_daemon_and_twin_agree_on_one_mix(tmp_path, scheduler):
     params = dict(_MIX, scheduler=scheduler)
-    seed = 1
+    # a seed whose mix holds an invalid submission, sheds for both
+    # reasons and plans both rungs under each policy (checked below)
+    seed = 2
     twin = run_loadtest_sim(params, seed)
     daemon, settled_at_last_answer = _daemon_run(
         params, seed, str(tmp_path / "svc.sock")
