@@ -9,6 +9,9 @@ failure, not a mystery slowdown.
 
 import heapq
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -576,3 +579,32 @@ def test_perf_frontier_effectiveness_10k(benchmark):
         assert abs(got[fid] - rate) <= 1e-6 * max(abs(rate), 1.0)
     # a from-scratch solve replays the oracle's exact arithmetic
     assert alloc.full_recompute() == want
+
+
+@pytest.mark.parametrize("entry, budget_s", [
+    ("repro.cli", 0.7),
+    ("repro.service.daemon", 1.2),
+])
+def test_perf_startup_imports(entry, budget_s):
+    """A fresh interpreter's import of a CLI verb's or the daemon's entry
+    point, best of five, with scipy never loaded.
+
+    On a 2-vCPU Xeon the best of five reads ~0.27-0.39 s for
+    ``repro.cli`` and ~0.51-0.79 s for ``repro.service.daemon`` (numpy
+    and, for the daemon, networkx are most of it); with the eager
+    ``import repro`` and the module-level ``from scipy import stats`` of
+    ``core.distfit`` both read ~1.4-2.1 s, ~1.0 s of it scipy.  A heavy
+    import at module level on an entry point's path fails here.
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    script = f"import sys, {entry}; print('scipy' in sys.modules)"
+    best_s = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        best_s = min(best_s, time.perf_counter() - t0)
+        assert out == "False\n", f"import {entry} loaded scipy"
+    print(f"\nimport {entry}: {best_s:.3f} s (best of 5)")
+    assert best_s < budget_s

@@ -1,6 +1,6 @@
 """repro: a reproduction of "On using virtual circuits for GridFTP transfers".
 
-(Z. Liu et al., SC 2012.)  The package has six layers:
+(Z. Liu et al., SC 2012.)  The package has seven layers:
 
 * :mod:`repro.core` — the paper's analysis pipeline (sessions, VC
   suitability, throughput factor analyses, SNMP correlation, Eq. 2)
@@ -13,6 +13,9 @@
 * :mod:`repro.experiments` — declarative campaign specs, the parallel
   sweep runner, and the content-addressed result cache
 
+``import repro`` loads none of them: import the layer you use, and it
+loads only what it needs (an analysis verb never loads the simulator).
+
 Quick start::
 
     from repro.workload import load
@@ -24,8 +27,6 @@ Quick start::
 """
 
 __version__ = "1.0.0"
-
-from . import core, experiments, gridftp, net, sim, vc, workload
 
 __all__ = [
     "core",

@@ -74,10 +74,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
     log = read_usage_log(args.log)
-    # g = 0 is a valid gap, not "unset"; a NaN or negative g is refused
+    # g = 0 is a valid gap, not "unset"; a NaN or negative g is refused,
+    # by grouping at g as given first, so the refusal names it, not 2g
+    s = group_sessions(log, args.g)
     rows = session_gap_report(log, sorted({0.0, args.g, 2 * args.g}))
     print(format_gap_report(f"Session structure of {args.log}", rows))
-    s = group_sessions(log, args.g)
     print(f"\nat g={gap_label(args.g)}: {len(s):,} sessions, "
           f"{int(s.n_transfers.sum()):,} transfers")
     return 0

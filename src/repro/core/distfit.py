@@ -19,7 +19,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["LognormalFit", "fit_lognormal", "tail_index", "SkewReport", "skew_report"]
 
@@ -54,6 +53,10 @@ def fit_lognormal(values: np.ndarray) -> LognormalFit:
     sigma = float(logs.std(ddof=1))
     if sigma == 0.0:
         raise ValueError("degenerate sample: zero variance in log space")
+    # function-local: importing scipy.stats costs every process ~1 s
+    # and ~60 MB, and nothing else in a CLI verb or a daemon needs it
+    from scipy import stats
+
     ks = stats.kstest(logs, "norm", args=(mu, sigma))
     return LognormalFit(
         median=math.exp(mu),

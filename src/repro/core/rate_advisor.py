@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 
 import numpy as np
 
@@ -124,6 +125,14 @@ class RateAdvisor:
         """
         if not 0.0 < q < 1.0:
             raise ValueError("quantile must be in (0, 1)")
+        # a count below 1, or a size outside every band, matches no cell
+        # and would quietly fall back to the global quantile
+        if stripes is not None and stripes < 1:
+            raise ValueError(f"stripes must be >= 1, got {stripes}")
+        if streams is not None and streams < 1:
+            raise ValueError(f"streams must be >= 1, got {streams}")
+        if size is not None and not 0.0 <= size < math.inf:
+            raise ValueError(f"size must be >= 0 and finite, got {size}")
         band = _band_of(size) if size is not None else None
         # fallback ladder: full cell -> drop pair -> drop stripes -> global
         ladder = [
@@ -163,10 +172,13 @@ class RateAdvisor:
         by ``safety_factor`` so a mildly slow session does not outlive its
         reservation.
         """
-        if session_bytes <= 0:
-            raise ValueError("session size must be positive")
-        if safety_factor < 1.0:
-            raise ValueError("safety factor must be >= 1")
+        # negated comparisons, so NaN is refused too
+        if not 0.0 < session_bytes < math.inf:
+            raise ValueError(
+                f"session size must be positive and finite, got {session_bytes}")
+        if not 1.0 <= safety_factor < math.inf:
+            raise ValueError(
+                f"safety factor must be >= 1 and finite, got {safety_factor}")
         # condition on the session's dominant size scale: bytes per file
         # are unknown here, so use the session size directly for banding —
         # large sessions are dominated by their large files

@@ -27,9 +27,11 @@ chaos stack, the allocator profiler, the two mechanistic paper setups,
 the managed-service (Globus-Online-style) chaos campaign, synthetic
 workload generation, and the cross-grid analyses (``pareto_front``,
 ``managed_from_workload``) — so all of them ride the same Runner,
-cache, and seeding machinery.  Their bodies import lazily: the registry
-stays cheap to import and free of circular dependencies on the
-simulation layers.
+cache, and seeding machinery.  Their bodies import lazily, which keeps
+this module free of circular dependencies on the simulation layers.  It
+is not cheap to import: importing it first runs
+``repro/experiments/__init__``, which loads
+:mod:`~repro.experiments.campaigns`, the fluid simulator and networkx.
 """
 
 from __future__ import annotations

@@ -122,6 +122,23 @@ class TestCliExtensions:
         out = capsys.readouterr().out
         assert "bandwidth" in out and "duration" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bytes", "nan"], "session size must be positive and finite, got nan"),
+        (["--bytes", "inf"], "session size must be positive and finite, got inf"),
+        (["--bytes", "1e11", "--streams", "0"], "streams must be >= 1, got 0"),
+        (["--bytes", "1e11", "--stripes", "-1"], "stripes must be >= 1, got -1"),
+    ])
+    def test_advise_refuses_a_bad_session(self, tmp_path, capsys, flags, message):
+        # not a nan/inf duration, nor an answer from the unconditioned cell
+        from repro.gridftp.logfmt import write_usage_log
+
+        path = tmp_path / "ornl.log"
+        write_usage_log(load("NERSC-ORNL-32GB", seed=3), path)
+        assert main(["advise", str(path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_collect_command(self, tmp_path, capsys):
         path = self._write_log(tmp_path, n=800)
         out_path = tmp_path / "collected.log"
@@ -184,6 +201,16 @@ class TestCliExtensions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gap parameter g must be >= 0, got nan\n"
+
+    @pytest.mark.parametrize("verb", ["sessions", "arrivals", "analyze"])
+    def test_negative_gap_is_named_as_given(self, tmp_path, capsys, verb):
+        # the refusal names g as given, not the 2g of the {0, g, 2g} report
+        target = (["ncar-nics", "--n", "2000"] if verb == "analyze"
+                  else [str(self._write_log(tmp_path))])
+        assert main([verb, *target, "--g", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gap parameter g must be >= 0, got -5.0\n"
 
 
 class TestAnalyzeCommand:

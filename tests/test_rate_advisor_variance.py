@@ -82,6 +82,19 @@ class TestRateAdvisor:
             advisor.advise(0.0)
         with pytest.raises(ValueError):
             advisor.advise(1e9, safety_factor=0.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="session size"):
+                advisor.advise(bad)
+            with pytest.raises(ValueError, match="safety factor"):
+                advisor.advise(1e9, safety_factor=bad)
+        with pytest.raises(ValueError, match="stripes"):
+            advisor.advise(1e9, stripes=0)
+        with pytest.raises(ValueError, match="streams"):
+            advisor.advise(1e9, streams=0)
+        with pytest.raises(ValueError, match="stripes"):
+            advisor.conditional_quantile(0.5, stripes=-1)
+        with pytest.raises(ValueError, match="size"):
+            advisor.conditional_quantile(0.5, size=float("nan"))
         with pytest.raises(ValueError):
             advisor.conditional_quantile(1.5)
         with pytest.raises(ValueError):
