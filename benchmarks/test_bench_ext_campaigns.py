@@ -51,7 +51,7 @@ def test_ext_campaign_grid(benchmark, tmp_path):
     )
     assert serial.n_executed == 16 and serial.n_failed == 0
 
-    parallel = Runner(jobs=4, chunk_size=4).run(spec)
+    parallel = Runner(jobs=4).run(spec)
     assert parallel.n_executed == 16 and parallel.n_failed == 0
     assert parallel.results() == serial.results()
 

@@ -120,7 +120,7 @@ def main() -> None:
               f"{resumed.n_cached} cached (results identical: "
               f"{resumed.results() == full.results()})")
         # (a SIGINT/SIGTERM mid-run journals quarantined cells and the
-        #  batch frontier too — `repro-gridftp run` exits 75 and the next
+        #  cells in flight too — `repro-gridftp run` exits 75 and the next
         #  invocation picks up exactly here)
 
         st = cache.stats()

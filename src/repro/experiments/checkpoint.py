@@ -5,13 +5,13 @@ already makes *successful* cells recoverable — their artifacts survive a
 kill and re-read as cache hits.  What a killed campaign loses without a
 journal is everything the cache deliberately does not store: which cells
 were quarantined (errors are never cached, so a resume would re-execute
-known-bad cells), and which batch was in flight when the run died.
+known-bad cells), and which cells were in flight when the run died.
 
 A :class:`CampaignCheckpoint` is an append-only JSONL journal, keyed by
 the sha256 fingerprint of the spec's canonical encoding so a journal can
 only ever resume the campaign that wrote it.  The first line is a header
 (version, fingerprint, the spec itself); every subsequent line is one
-event — ``{"f": [...]}`` when a batch's frontier is submitted,
+event — ``{"f": [...]}`` when dispatch grows the in-flight frontier,
 ``{"s": {...}}`` when a cell settles.  Settling a cell therefore costs
 one line of O(1) append I/O, not a rewrite of the whole journal, so
 checkpointing stays cheap on multi-thousand-cell grids.  :meth:`flush`
@@ -234,7 +234,7 @@ class CampaignCheckpoint:
     # -- journal events ----------------------------------------------------
 
     def begin_batch(self, indices: Iterable[int]) -> None:
-        """Record the in-flight frontier before submitting a batch."""
+        """Record the in-flight frontier before dispatching into it."""
         self.frontier = tuple(int(i) for i in indices)
         self._append({"f": list(self.frontier)})
 

@@ -9,27 +9,36 @@ mechanistic, SNMP, managed-service, synth) through the same pipeline:
    :class:`~repro.experiments.cache.ResultCache` and, on a resumed run,
    from the :class:`~repro.experiments.checkpoint.CampaignCheckpoint`
    journal (which restores quarantined cells the cache never stores);
-3. execute the rest: one **ready-set scheduler** cuts batches of cells
-   and hands each to one of two executors, picked by ``jobs``:
+3. execute the rest: one **ready-set scheduler** dispatches cells to
+   one of two executors, picked by ``jobs``:
 
    * ``jobs == 1`` — *in-process*: each cell runs in the parent, one at
      a time; nothing supervises it, so no per-cell timeout applies;
-   * ``jobs > 1`` — a *process pool* with chunked submission and a
-     per-cell wall-clock timeout measured from *observed execution
-     start* (workers stamp a shared start-time map), so a cell that
-     merely queued behind a slow batch never burns its budget waiting;
+   * ``jobs > 1`` — up to ``jobs`` *forked workers*, each on its own
+     duplex pipe: the parent sends ``(scenario, params, seed,
+     artifacts)``, the worker replies ``(result, wall_s, error)``.  A
+     worker holds two cells, the running one and one queued behind it,
+     so it never idles while the parent settles its last reply; the
+     price is a bounded head-of-line wait, as a queued cell waits out
+     the one cell ahead of it (or that cell's budget) while the other
+     workers move on.  The parent starts no thread: it blocks in
+     :func:`multiprocessing.connection.wait` on the pipes and the
+     process sentinels;
 
-4. quarantine failed cells (exception or timeout) as
+4. quarantine failed cells (exception, unpicklable result, timeout) as
    :class:`CellResult` errors instead of aborting the campaign, so one
-   pathological grid point cannot cost you the other 99.  A timed-out
-   cell's worker cannot be cancelled (``Future.cancel`` is a no-op once
-   running), so the pool is recycled — its workers are killed and
-   replaced — rather than letting one wedged cell serialize the
-   remaining batches.  Cells a batch could not execute at all (the pool
-   broke under them, or every worker slot wedged past budget before the
-   queued cells could start) are resubmitted on the recycled pool, with
-   a retry cap so a cell that keeps killing its workers is eventually
-   quarantined instead of looping forever — every cell always settles.
+   pathological grid point cannot cost you the other 99.  A cell's
+   budget runs from its execution start (its dispatch to an idle
+   worker, or the reply before it).  A timeout or a death kills and
+   replaces that worker alone; its queued cell goes back, uncharged, to
+   the front of the ready queue, and a cell whose workers died more
+   than ``_MAX_POOL_RETRIES`` times is quarantined.
+
+Workers fork from an explicit ``"fork"`` context, on first dispatch (a
+fully cached run forks none): scenarios registered at run time live
+only in the parent's registry, ``spawn`` would re-import numpy and
+``repro`` in every worker of every pass, and Python 3.14 makes
+``forkserver`` the Linux default.
 
 A flat spec is a one-stage plan; :meth:`Runner.run_pipeline` runs a
 :class:`~repro.experiments.spec.PipelineSpec` as a plan with one row per
@@ -40,24 +49,25 @@ fingerprint — so a warm re-run short-circuits entire stages through the
 cache, an upstream edit re-keys (and therefore re-runs) exactly the
 stages downstream of it, and a kill mid-stage resumes from that stage's
 own journal.  A stage becomes runnable the moment the artifact digests
-of everything it ``needs`` settle, and a batch mixes cells from every
-runnable stage, so on a pool the two middle stages of a diamond execute
-side by side.  Scheduling order never leaks into results: cell keys,
-fingerprints, and artifacts are pure functions of the specs and
-upstream digests, so any legal interleaving, on either executor,
-produces byte-identical artifacts.  A stage that settles with
+of everything it ``needs`` settle, and each dispatch round draws cells
+from every runnable stage, so on a pool the two middle stages of a
+diamond execute side by side.  Scheduling order never leaks into
+results: cell keys, fingerprints, and artifacts are pure functions of
+the specs and upstream digests, so any legal interleaving, on either
+executor, produces byte-identical artifacts.  A stage that settles with
 quarantined cells *cancels* its artifact-consuming dependents
 (transitively) — their cells settle with a one-line ``cancelled:``
 reason instead of the scheduler raising mid-flight, and stages that
 never needed the broken grid still run to completion.
 
 SIGINT/SIGTERM are handled gracefully while a campaign runs: the first
-signal stops new dispatches (the in-process executor checks before
-every cell; the pool cancels not-yet-started futures and drains the
-in-flight ones), flushes every open stage's checkpoint, and raises
-:class:`CampaignInterrupted` (the CLI maps it to exit code 75,
-``EX_TEMPFAIL`` — "try again").  A second signal aborts immediately.
-Pool workers ignore both signals: the parent owns draining.
+signal stops dispatching (the in-process executor checks before every
+cell), waits out each worker's running cell and kills a worker holding
+a queued one (that cell stays in flight in the journal), so a drain
+settles at most one cell per worker; it then flushes every open
+stage's checkpoint and raises :class:`CampaignInterrupted` (the CLI
+maps it to exit code 75, ``EX_TEMPFAIL``).  A second signal aborts
+immediately.  Workers ignore both signals: the parent owns draining.
 
 Every cell result uniformly carries its wall-clock seconds; scenarios
 that run the fluid simulator embed their
@@ -71,18 +81,20 @@ critical path, width, and a predicted serial-vs-parallel cell schedule.
 
 from __future__ import annotations
 
-import concurrent.futures
+import collections
 import dataclasses
 import itertools
 import multiprocessing
 import os
+import pickle
+import queue
 import signal
 import threading
 import time
 import traceback
 import warnings
-from collections.abc import Callable
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import connection
+from multiprocessing.connection import Connection
 from typing import Any, NamedTuple
 
 from .artifacts import Artifact, ArtifactSet, keys_digest
@@ -102,28 +114,12 @@ __all__ = [
     "Runner",
 ]
 
-#: supervisor poll interval while watching a pool batch
-_POLL_S = 0.05
+#: cells one pool worker holds: the running one and one queued behind it
+_WORKER_DEPTH = 2
 
-#: times a cell is resubmitted after a broken pool before assuming the
-#: cell itself is what keeps killing the workers and quarantining it
+#: deaths a cell may cost its workers before it is quarantined as the
+#: cell that keeps killing them
 _MAX_POOL_RETRIES = 2
-
-
-def _worker_init() -> None:
-    """Pool workers ignore SIGINT and SIGTERM: the parent owns draining.
-
-    A Ctrl-C or a ``timeout -s TERM`` reaches the whole process group;
-    the workers finish their in-flight cells while the parent drains.
-    They fork inside the parent's :class:`_SignalDrain`, so without this
-    a SIGTERM would only set a flag in their copy of it — the runner
-    stops workers with SIGKILL instead (:meth:`_PoolExecutor._kill_pool`).
-    """
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(sig, signal.SIG_IGN)
-        except (ValueError, OSError):  # pragma: no cover - non-main thread
-            pass
 
 
 def _quarantine_reason(exc: BaseException) -> str:
@@ -135,31 +131,56 @@ def _execute_cell(
     scenario: str,
     params: dict[str, Any],
     seed: int,
-    start_times: Any = None,
-    token: int | None = None,
     artifacts: dict[str, ArtifactSet] | None = None,
-) -> tuple[Any, float]:
-    """Run one cell; module-level so it pickles into worker processes.
+) -> tuple[Any, float, str | None]:
+    """Run one cell: ``(result, wall_s, error)``; an exception quarantines.
 
-    ``start_times`` is an optional shared mapping the worker stamps with
-    ``time.monotonic()`` under the submission's ``token`` at execution
-    start — the supervisor's timeout clock starts there, not at
-    submission.  ``artifacts`` are the resolved upstream sets an
-    analysis scenario receives as its third argument (plain frozen
-    dataclasses, so they pickle into workers).
+    ``artifacts`` are the resolved upstream sets an analysis scenario
+    receives as its third argument.
     """
-    if start_times is not None and token is not None:
-        try:
-            start_times[token] = time.monotonic()
-        except Exception:  # a dead manager must not fail the cell
-            pass
-    fn = get_scenario(scenario)
     t0 = time.perf_counter()
-    if scenario_needs_artifacts(scenario):
-        result = fn(params, seed, artifacts or {})
-    else:
-        result = fn(params, seed)
-    return result, time.perf_counter() - t0
+    try:
+        fn = get_scenario(scenario)
+        if scenario_needs_artifacts(scenario):
+            result = fn(params, seed, artifacts or {})
+        else:
+            result = fn(params, seed)
+    except Exception as exc:  # quarantine, keep the campaign alive
+        return None, time.perf_counter() - t0, _quarantine_reason(exc)
+    return result, time.perf_counter() - t0, None
+
+
+def _worker_main(conn: Connection, parent_ends: list[Connection]) -> None:
+    """A pool worker: run each cell the parent sends, reply its outcome.
+
+    It ignores SIGINT and SIGTERM, which reach the whole process group:
+    the parent owns draining, and stops workers with SIGKILL.  A reader
+    thread empties the pipe as messages arrive: were a queued cell and
+    the reply before it both larger than the pipe's buffer, each side
+    would otherwise block in ``send`` for good.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    for end in parent_ends:  # EOF on ``conn`` must mean the parent is gone
+        end.close()
+    inbox: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+
+    def read() -> None:
+        try:
+            while True:
+                inbox.put(conn.recv_bytes())
+        except (EOFError, OSError):
+            inbox.put(None)
+
+    threading.Thread(target=read, daemon=True).start()
+    while (payload := inbox.get()) is not None:
+        reply = _execute_cell(*pickle.loads(payload))
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            return
+        except Exception as exc:  # the result does not pickle
+            conn.send((None, reply[1], _quarantine_reason(exc)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -468,7 +489,7 @@ class CampaignInterrupted(RuntimeError):
     """A campaign stopped on SIGINT/SIGTERM after draining in-flight cells.
 
     The run is *resumable*: settled cells live in the cache, quarantined
-    cells and the batch frontier live in the checkpoint journal, and
+    cells and the in-flight frontier live in the checkpoint journal, and
     re-running the same spec against the same cache/checkpoint executes
     only what never finished.
     """
@@ -606,316 +627,187 @@ class _Stage:
 class _Task(NamedTuple):
     """One dispatchable cell bound to its stage.
 
-    A batch may mix cells from several stages; each settles into its own
-    stage's result map and checkpoint journal.
+    A dispatch round may mix cells from several stages; each settles
+    into its own stage's result map and checkpoint journal.
     """
 
     stage: _Stage
     cell: Cell
     key: str | None
 
+    @property
+    def args(self) -> tuple[str, dict[str, Any], int, Any]:
+        """:func:`_execute_cell`'s arguments: what a pool worker is sent."""
+        stage, cell = self.stage, self.cell
+        return stage.spec.scenario, cell.params, cell.seed, stage.artifacts
 
-#: how an executor reports one cell: ``settle(task, result, wall_s, error)``
-_Settle = Callable[[_Task, Any, float, "str | None"], None]
+
+#: one cell's outcome, to settle: (task, result, wall_s, error)
+_Outcome = tuple[_Task, Any, float, "str | None"]
 
 
 class _InProcessExecutor:
     """``jobs == 1``: each cell runs in the parent, one at a time.
 
-    The executor seam is ``batch_size``, ``run(tasks, drain)`` — which
-    settles what it executes and returns the tasks to dispatch again —
-    and ``close()``.  Nothing supervises an in-process cell, so no
-    timeout applies.  The drain flag is checked before every cell; cells
-    left unrun stay unsettled, journaled for a resume.
+    The executor seam: ``free`` slots to ``dispatch(tasks)`` into,
+    ``busy``, ``wait(drain)`` for outcomes to settle and cells to
+    dispatch again, and ``close()``.  Nothing supervises an in-process
+    cell, so no timeout applies; the drain flag is checked before every
+    cell, and a cell left unrun stays journaled for a resume.
     """
 
-    batch_size = 1
+    def __init__(self) -> None:
+        self._task: _Task | None = None
 
-    def __init__(self, settle: _Settle) -> None:
-        self._settle = settle
+    @property
+    def free(self) -> int:
+        return int(self._task is None)
 
-    def run(self, tasks: list[_Task], drain: _SignalDrain) -> list[_Task]:
-        for task in tasks:
-            if drain.triggered:
-                break
-            t0 = time.perf_counter()
-            try:
-                result, wall = _execute_cell(
-                    task.stage.spec.scenario,
-                    task.cell.params,
-                    task.cell.seed,
-                    artifacts=task.stage.artifacts,
-                )
-                error = None
-            except Exception as exc:  # quarantine, keep the campaign alive
-                result, wall = None, time.perf_counter() - t0
-                error = _quarantine_reason(exc)
-            self._settle(task, result, wall, error)
-        return []
+    @property
+    def busy(self) -> bool:
+        return self._task is not None
+
+    def dispatch(self, tasks: list[_Task]) -> None:
+        (self._task,) = tasks
+
+    def wait(self, drain: _SignalDrain) -> tuple[list[_Outcome], list[_Task]]:
+        task, self._task = self._task, None
+        if drain.triggered:
+            return [], []
+        return [(task, *_execute_cell(*task.args))], []
 
     def close(self) -> None:
         pass
 
 
+@dataclasses.dataclass(eq=False)
+class _Worker:
+    """One pool slot, as the parent sees it."""
+
+    #: the forked process and the parent's end of its duplex pipe; None
+    #: until the slot's first dispatch, and again after a kill
+    proc: Any = None
+    conn: Connection | None = None
+    #: cells sent and not yet replied to, the running one first
+    tasks: collections.deque = dataclasses.field(default_factory=collections.deque)
+    #: ``time.monotonic()`` when the running cell's budget started
+    started: float = 0.0
+
+
 class _PoolExecutor:
-    """``jobs > 1``: cells run on a recyclable ``ProcessPoolExecutor``.
+    """``jobs > 1``: ``jobs`` slots, each forking a worker when dispatched to."""
 
-    The pool (and, with a timeout, the start-time manager) starts with
-    the first batch.  After a batch that left a hung worker or broke the
-    pool, the pool is killed; the next batch starts a fresh one.
-    """
-
-    def __init__(
-        self,
-        settle: _Settle,
-        workers: int,
-        chunk_size: int,
-        cell_timeout_s: float | None,
-    ) -> None:
-        self._settle = settle
-        self.workers = workers
-        self.batch_size = workers * chunk_size
+    def __init__(self, jobs: int, cell_timeout_s: float | None) -> None:
         self.cell_timeout_s = cell_timeout_s
-        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
-        self._manager: Any = None
-        #: submission token -> the worker's ``time.monotonic()`` at start
-        self._start_times: Any = None
-        self._next_token = 0
-        #: (stage key, cell index) -> times the pool broke under it
-        self._retries: dict[tuple[str, int], int] = {}
+        self._workers = [_Worker() for _ in range(jobs)]
+        #: (stage key, cell index) -> workers that died running the cell
+        self._deaths: dict[tuple[str, int], int] = {}
 
-    def run(self, tasks: list[_Task], drain: _SignalDrain) -> list[_Task]:
-        """Execute one batch; return the cells to resubmit."""
-        if self._pool is None:
-            self._pool = self._new_pool()
-        if self.cell_timeout_s is not None and self._manager is None:
-            # workers stamp execution start here; the supervisor's
-            # timeout clock starts at the stamp, not at submission
-            self._manager = multiprocessing.Manager()
-            self._start_times = self._manager.dict()
-        hung, broken, unfinished = self._drain_batch(tasks, drain)
-        if drain.triggered:
-            return []  # unfinished cells stay journaled for resume
-        if hung or broken:
-            # Future.cancel() is a no-op once running: a hung cell would
-            # silently hold its pool slot for the rest of the campaign
-            self._kill_pool(self._pool)
-            self._pool = None
-        return self._requeue(unfinished, broken)
+    @property
+    def free(self) -> int:
+        return sum(_WORKER_DEPTH - len(w.tasks) for w in self._workers)
+
+    @property
+    def busy(self) -> bool:
+        return any(w.tasks for w in self._workers)
+
+    def dispatch(self, tasks: list[_Task]) -> None:
+        """Deal ``tasks`` round-robin: each idle worker gets one first."""
+        todo = iter(tasks)
+        for depth in range(_WORKER_DEPTH):
+            for w in self._workers:
+                if len(w.tasks) == depth and (task := next(todo, None)):
+                    self._send(w, task)
+
+    def wait(self, drain: _SignalDrain) -> tuple[list[_Outcome], list[_Task]]:
+        """Block until a worker replies, dies, or overruns its budget.
+
+        Returns the outcomes to settle and the cells to dispatch again.
+        While draining, a worker that replies with a cell queued behind
+        it has begun that cell: it is killed, and the cell stays in
+        flight in the journal, for the resume.
+        """
+        done: list[_Outcome] = []
+        retry: list[_Task] = []
+        busy = [w for w in self._workers if w.tasks]
+        budget = self.cell_timeout_s
+        timeout = None
+        if budget is not None:  # wake at the earliest end
+            end = min(w.started for w in busy) + budget
+            timeout = max(0.0, end - time.monotonic())
+        handles = [h for w in busy for h in (w.conn, w.proc.sentinel)]
+        ready = connection.wait(handles, timeout)
+        now = time.monotonic()
+        for w in busy:
+            if w.conn in ready:
+                try:
+                    result, wall_s, error = w.conn.recv()
+                except (EOFError, OSError):  # it died before replying
+                    self._lost(w, done, retry)
+                    continue
+                done.append((w.tasks.popleft(), result, wall_s, error))
+                w.started = now
+                if drain.triggered and w.tasks:
+                    self._kill(w)
+            elif w.proc.sentinel in ready:
+                self._lost(w, done, retry)
+            elif budget is not None and now - w.started > budget:
+                error = f"TimeoutError: cell exceeded {budget:.1f} s budget"
+                done.append((w.tasks.popleft(), None, budget, error))
+                retry.extend(w.tasks)
+                self._kill(w)
+        return done, retry
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._kill_pool(self._pool)
-            self._pool = None
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
+        live = [w for w in self._workers if w.proc is not None]
+        for w in live:  # signal every worker first: they die side by side
+            w.proc.kill()
+        for w in live:
+            self._kill(w)
 
-    def _new_pool(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers, initializer=_worker_init
-        )
+    def _send(self, w: _Worker, task: _Task) -> None:
+        if w.proc is None:
+            ctx = multiprocessing.get_context("fork")
+            w.conn, child = ctx.Pipe()
+            ends = [o.conn for o in self._workers if o.conn is not None]
+            w.proc = ctx.Process(target=_worker_main, args=(child, ends))
+            w.proc.start()
+            child.close()
+        if not w.tasks:  # an idle worker starts the cell at once
+            w.started = time.monotonic()
+        w.tasks.append(task)
+        try:
+            w.conn.send(task.args)
+        except OSError:  # the worker died: its sentinel tells ``wait``
+            pass
+
+    def _lost(self, w: _Worker, done: list[_Outcome], retry: list[_Task]) -> None:
+        """A worker died: charge its running cell, hand back its queued one."""
+        running, *queued = w.tasks
+        self._kill(w)
+        rid = (running.stage.key, running.cell.index)
+        deaths = self._deaths[rid] = self._deaths.get(rid, 0) + 1
+        if deaths > _MAX_POOL_RETRIES:
+            error = (
+                f"BrokenProcessPool: {deaths} workers died running this "
+                "cell (does the scenario kill or exit its worker process?)"
+            )
+            done.append((running, None, 0.0, error))
+        else:
+            retry.append(running)
+        retry.extend(queued)
 
     @staticmethod
-    def _kill_pool(pool: concurrent.futures.ProcessPoolExecutor) -> None:
-        """Shut the pool down without waiting for wedged workers.
+    def _kill(w: _Worker) -> None:
+        """SIGKILL (workers ignore SIGTERM) and reap; the caller took its cells."""
+        w.proc.kill()
+        w.proc.join(5.0)
+        w.conn.close()
+        w.proc = w.conn = None
+        w.tasks.clear()
 
-        ``shutdown(wait=True)`` would block until a hung cell returns —
-        exactly the leak this avoids.  Workers ignore SIGTERM, so they
-        are SIGKILLed outright: every settled result has already been
-        fetched, and abandoned cells are quarantined or journaled for
-        resume.
-        """
-        procs = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for proc in procs:
-            try:
-                proc.kill()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        for proc in procs:
-            try:
-                proc.join(timeout=5.0)
-            except Exception:  # pragma: no cover - already gone
-                pass
 
-    def _started(self, token: int) -> float | None:
-        """When the worker stamped this submission's execution start."""
-        if self._start_times is None:
-            return None
-        try:
-            return self._start_times.get(token)
-        except Exception:  # pragma: no cover - dead manager
-            return None
-
-    def _requeue(self, unfinished: list[_Task], broken: bool) -> list[_Task]:
-        """Decide each unexecuted task's fate: retry or quarantine.
-
-        Cells the batch could not execute (pool broke under them, or
-        every worker slot was wedged) go back for the recycled pool —
-        capped per cell, so one that keeps killing its workers is
-        quarantined instead of looping forever.
-        """
-        retry: list[_Task] = []
-        for task in unfinished:
-            rid = (task.stage.key, task.cell.index)
-            if broken:
-                self._retries[rid] = self._retries.get(rid, 0) + 1
-            if self._retries.get(rid, 0) > _MAX_POOL_RETRIES:
-                self._settle(
-                    task,
-                    None,
-                    0.0,
-                    "BrokenProcessPool: worker pool broke "
-                    f"{self._retries[rid]} times with this "
-                    "cell in flight (does the scenario kill or "
-                    "exit its worker process?)",
-                )
-            else:
-                retry.append(task)
-        return retry
-
-    def _drain_batch(
-        self, tasks: list[_Task], drain: _SignalDrain
-    ) -> tuple[list[concurrent.futures.Future], bool, list[_Task]]:
-        """Submit one batch of tasks and settle every future.
-
-        Returns ``(hung, broken, unfinished)``: futures abandoned past
-        their budget with the worker still running; whether the pool
-        itself broke; and tasks this batch could not execute — the pool
-        broke before/under them, or every worker slot was wedged past
-        budget so a queued cell could never start.  A drain signal
-        mid-batch cancels not-yet-started futures (they stay unfinished,
-        for resume) and waits out the running ones.
-        """
-        futmap: dict[concurrent.futures.Future, tuple[_Task, int, float]] = {}
-        unfinished: list[_Task] = []
-        try:
-            for task in tasks:
-                # a fresh token per submission: a resubmitted cell's
-                # start stamp can never be mistaken for its broken first
-                # attempt's
-                self._next_token += 1
-                fut = self._pool.submit(
-                    _execute_cell,
-                    task.stage.spec.scenario,
-                    task.cell.params,
-                    task.cell.seed,
-                    self._start_times,
-                    self._next_token,
-                    task.stage.artifacts,
-                )
-                futmap[fut] = (task, self._next_token, time.perf_counter())
-        except BrokenProcessPool:
-            # the pool died mid-submission: salvage futures that still
-            # settled, hand everything else back for resubmission
-            unfinished.extend(tasks[len(futmap):])
-            self._salvage(futmap, unfinished)
-            return [], True, unfinished
-
-        pending_futs = set(futmap)
-        hung: list[concurrent.futures.Future] = []
-        broken = False
-        drained = False
-        while pending_futs:
-            if drain.triggered and not drained:
-                drained = True
-                for fut in list(pending_futs):
-                    if fut.cancel():  # never started: leave unfinished
-                        pending_futs.discard(fut)
-            done, pending_futs = concurrent.futures.wait(
-                pending_futs,
-                timeout=_POLL_S,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for fut in done:
-                task, _, submitted = futmap[fut]
-                try:
-                    result, wall = fut.result()
-                    error = None
-                except concurrent.futures.CancelledError:
-                    continue
-                except BrokenProcessPool:
-                    broken = True
-                    if drain.triggered:
-                        # the signal (e.g. group-delivered SIGINT) took
-                        # the workers down; the cell never finished —
-                        # leave it unsettled so a resume re-runs it
-                        continue
-                    # the cell may be innocent (a batch-mate killed the
-                    # pool): resubmit on the recycled pool rather than
-                    # quarantining it outright; the retry cap catches
-                    # the actual worker-killer
-                    unfinished.append(task)
-                    continue
-                except Exception as exc:
-                    result, wall = None, time.perf_counter() - submitted
-                    error = _quarantine_reason(exc)
-                self._settle(task, result, wall, error)
-            if self.cell_timeout_s is not None and pending_futs:
-                now = time.monotonic()
-                for fut in list(pending_futs):
-                    task, token, _ = futmap[fut]
-                    begun = self._started(token)
-                    if begun is not None and now - begun > self.cell_timeout_s:
-                        pending_futs.discard(fut)
-                        hung.append(fut)
-                        self._settle(
-                            task,
-                            None,
-                            self.cell_timeout_s,
-                            f"TimeoutError: cell exceeded "
-                            f"{self.cell_timeout_s:.1f} s budget",
-                        )
-                if pending_futs and sum(
-                    1 for f in hung if f.running()
-                ) >= self.workers:
-                    # every worker slot is wedged past budget: a queued
-                    # future can never start, never stamp, and never
-                    # time out — this drain would spin forever (or wait
-                    # out the hung sleeps).  Pull every cell that has
-                    # not stamped an execution start back for the
-                    # recycled pool; cancel() alone is not enough, the
-                    # pool marks call-queue-buffered futures RUNNING
-                    # even though no worker will ever pick them up.
-                    for fut in list(pending_futs):
-                        task, token, _ = futmap[fut]
-                        if self._started(token) is None:
-                            fut.cancel()  # best effort; pool dies anyway
-                            pending_futs.discard(fut)
-                            unfinished.append(task)
-        return [f for f in hung if f.running()], broken, unfinished
-
-    def _salvage(
-        self,
-        futmap: dict[concurrent.futures.Future, tuple[_Task, int, float]],
-        unfinished: list[_Task],
-    ) -> None:
-        """After a pool break, settle what finished; queue the rest.
-
-        A future that completed before the break still holds its result
-        (or its genuine scenario exception, which quarantines as usual);
-        anything cancelled, failed-by-the-break, or still nominally
-        pending is appended to ``unfinished`` for resubmission.
-        """
-        for fut, (task, _, submitted) in futmap.items():
-            if not fut.done():
-                unfinished.append(task)
-                continue
-            try:
-                result, wall = fut.result(timeout=0)
-                error = None
-            except (
-                concurrent.futures.CancelledError,
-                concurrent.futures.TimeoutError,
-                BrokenProcessPool,
-            ):
-                unfinished.append(task)
-                continue
-            except Exception as exc:
-                result, wall = None, time.perf_counter() - submitted
-                error = _quarantine_reason(exc)
-            self._settle(task, result, wall, error)
+_Executor = _InProcessExecutor | _PoolExecutor
 
 
 #: one plan row: (resolution key, spec, needs, external)
@@ -926,33 +818,29 @@ class Runner:
     """Execute campaigns: cached, resumable, in-process or on a pool.
 
     Flat specs and pipelines run on one ready-set scheduler; ``jobs``
-    alone picks the executor it hands batches of cells to.
+    alone picks the executor it dispatches cells to.
 
     Parameters
     ----------
     jobs:
         ``1`` (default) runs every cell in-process, one at a time.
-        ``> 1`` runs cells on a pool of that many worker processes; for
-        pipelines the pool is *pipeline-wide*: cells from every runnable
-        stage share it, so sibling stages of a diamond run side by side.
+        ``> 1`` runs cells on that many forked workers; for pipelines
+        the pool is *pipeline-wide*: cells from every runnable stage
+        share it, so sibling stages of a diamond run side by side.
     cache:
         A :class:`ResultCache` to consult before and fill after each
         cell; ``None`` disables caching.
     cell_timeout_s:
-        Per-cell wall-clock budget (pool only — nothing supervises an
-        in-process cell), measured from the cell's observed execution
-        start, not its submission; overruns quarantine the cell and the
-        wedged worker is killed when the pool recycles.
-    chunk_size:
-        Cells submitted per worker per batch on the pool.  Batches
-        bound how much work is in flight, so a campaign killed mid-run
-        has cached everything completed rather than nothing.
+        Per-cell wall-clock budget in seconds, finite and positive
+        (pool only — nothing supervises an in-process cell), measured
+        from the cell's execution start, not its dispatch; an overrun
+        quarantines the cell and kills its worker.
     checkpoint_dir:
         Directory for :class:`CampaignCheckpoint` journals; ``None``
         disables checkpointing.  With a journal, a killed run restarted
-        with the same spec (and cache) resumes mid-batch: cached cells
-        come back as hits, quarantined cells are restored verbatim, and
-        only genuinely unfinished cells execute.
+        with the same spec (and cache) resumes where it stopped: cached
+        cells come back as hits, quarantined cells are restored verbatim,
+        and only genuinely unfinished cells execute.
     """
 
     def __init__(
@@ -960,21 +848,22 @@ class Runner:
         jobs: int = 1,
         cache: ResultCache | None = None,
         cell_timeout_s: float | None = None,
-        chunk_size: int = 4,
         checkpoint_dir: str | os.PathLike | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        if cell_timeout_s is not None and not 0 < cell_timeout_s < float("inf"):
+            raise ValueError(
+                "cell_timeout_s must be a finite number of seconds > 0, "
+                f"got {cell_timeout_s}"
+            )
         self.jobs = jobs
         self.cache = cache
         self.cell_timeout_s = cell_timeout_s
-        self.chunk_size = chunk_size
         self.checkpoint_dir = checkpoint_dir
         #: optional scheduling-order hook: called with the candidate
         #: list of ``(stage_key, cell_index)`` pairs (plan order) before
-        #: each batch is cut; returns the pairs in the order to
+        #: each dispatch round; returns the pairs in the order to
         #: dispatch.  Exists so tests can force arbitrary legal
         #: interleavings and pin that results never depend on one.
         self.schedule_hook = None
@@ -1004,9 +893,9 @@ class Runner:
         unchanged and whose own cells are cached executes nothing.
 
         A stage opens the moment the artifact digests it needs settle,
-        and every batch draws cells from *every* open stage — with
-        ``jobs > 1`` sibling stages execute side by side on one shared
-        pool.  Either executor produces byte-identical cell keys,
+        and every dispatch round draws cells from *every* open stage —
+        with ``jobs > 1`` sibling stages execute side by side on one
+        shared pool.  Either executor produces byte-identical cell keys,
         fingerprints, and artifacts.
 
         A stage that settles with quarantined cells *cancels* its
@@ -1029,24 +918,22 @@ class Runner:
 
     # -- the scheduler -----------------------------------------------------
 
-    def _executor(self) -> _InProcessExecutor | _PoolExecutor:
+    def _executor(self) -> _Executor:
         if self.jobs == 1:
-            return _InProcessExecutor(self._settle)
-        return _PoolExecutor(
-            self._settle, self.jobs, self.chunk_size, self.cell_timeout_s
-        )
+            return _InProcessExecutor()
+        return _PoolExecutor(self.jobs, self.cell_timeout_s)
 
     def _schedule(
         self, plan: list[_PlanRow], force: bool
     ) -> dict[str, CampaignResult]:
         """Run a plan to completion: the Runner's one scheduling loop.
 
-        Every iteration seals settled stages and opens runnable ones,
-        cuts one batch from the pending cells of every open stage, and
-        hands it to the executor.  Stage completion, cancellation, and
-        requeueing all happen between batches, so the scheduler state is
-        single-threaded and easy to reason about.  Returns each row's
-        campaign in plan order.
+        Each iteration seals settled stages and opens runnable ones,
+        dispatches pending cells of every open stage into free slots,
+        waits for outcomes, refills the slots they freed, and only then
+        settles them: no barrier, and no worker idles while the parent
+        writes cache and journal.  All scheduler state lives in this one
+        thread.  Returns each row's campaign in plan order.
         """
         stages = {
             key: _Stage(key=key, spec=spec, needs=needs)
@@ -1069,17 +956,23 @@ class Runner:
                     self._advance(stages, needed, sets, failed, force)
                     if all(stage.finished for stage in stages.values()):
                         break
-                    if drain.triggered:
-                        raise self._interrupted(stages, drain.signum)
-                    batch = self._next_batch(stages, executor.batch_size)
-                    retry = executor.run(batch, drain)
-                    if drain.triggered:
-                        raise self._interrupted(stages, drain.signum)
-                    for task in retry:  # back to the front of its queue
+                    self._dispatch(stages, executor, drain)
+                    if not executor.busy:
+                        if drain.triggered:
+                            raise self._interrupted(stages, drain.signum)
+                        raise RuntimeError(
+                            "internal error: scheduler stalled with "
+                            "unfinished stages and no dispatchable cells"
+                        )
+                    done, retry = executor.wait(drain)
+                    for task in reversed(retry):  # to the front of its queue
                         task.stage.pending = {
                             task.cell.index: (task.cell, task.key),
                             **task.stage.pending,
                         }
+                    self._dispatch(stages, executor, drain)  # refill first
+                    for outcome in done:
+                        self._settle(*outcome)
         finally:
             executor.close()
         return {key: stage.campaign for key, stage in stages.items()}
@@ -1134,13 +1027,17 @@ class Runner:
                     self._open(stage, force, inputs)
                     progressed = True
 
-    def _next_batch(self, stages: dict[str, _Stage], size: int) -> list[_Task]:
-        """Cut the next batch from the pending cells of every open stage.
+    def _dispatch(
+        self, stages: dict[str, _Stage], executor: _Executor, drain: _SignalDrain
+    ) -> None:
+        """One dispatch round: fill the executor's free slots, unless draining.
 
-        Candidates come in plan order; ``schedule_hook`` may permute the
-        whole candidate list first.  Taken cells leave their stage's
-        queue and enter its journal frontier.
+        Candidates come in plan order, or as ``schedule_hook`` permutes
+        them.  Each stage that gave cells journals its in-flight set once.
         """
+        free = 0 if drain.triggered else executor.free
+        if not free:
+            return
         candidates = (
             (stage.key, index)
             for stage in stages.values()
@@ -1148,26 +1045,24 @@ class Runner:
             for index in stage.pending
         )
         if self.schedule_hook is None:
-            order = list(itertools.islice(candidates, size))
+            order = list(itertools.islice(candidates, free))
         else:
             hooked = self.schedule_hook(list(candidates))
-            order = [tuple(pair) for pair in hooked][:size]
+            order = [tuple(pair) for pair in hooked][:free]
         if not order:
-            raise RuntimeError(
-                "internal error: scheduler stalled with unfinished "
-                "stages and no dispatchable cells"
-            )
-        batch: list[_Task] = []
+            return
+        tasks: list[_Task] = []
         taken: dict[str, list[int]] = {}
         for key, index in order:
             stage = stages[key]
             cell, cell_key = stage.pending.pop(index)
-            batch.append(_Task(stage, cell, cell_key))
+            tasks.append(_Task(stage, cell, cell_key))
             taken.setdefault(key, []).append(index)
         for key, indices in taken.items():
-            if stages[key].ckpt is not None:
-                stages[key].ckpt.begin_batch(sorted(indices))
-        return batch
+            ckpt = stages[key].ckpt
+            if ckpt is not None:
+                ckpt.begin_batch(sorted({*ckpt.frontier, *indices}))
+        executor.dispatch(tasks)
 
     def _open(
         self,

@@ -4,15 +4,17 @@ Covers the :class:`~repro.experiments.checkpoint.CampaignCheckpoint`
 journal format, graceful SIGINT/SIGTERM draining, resume-after-kill
 semantics (including a real SIGKILLed subprocess), the
 execution-start-based per-cell timeout (a queued cell must not burn its
-budget waiting), and the hung-worker pool recycle (one wedged cell must
-not serialize the rest of the campaign).
+budget waiting), and fault isolation on the pool (a wedged or dying
+worker costs only its own cells, and no barrier holds the rest back).
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -50,11 +52,48 @@ def _ck_sleep(params, seed):
 @register_scenario("ck-die")
 def _ck_die(params, seed):
     if params["x"] == int(params.get("die_on", -1)):
-        # give batch-mates time to settle, then take the worker down
-        # hard enough to break the whole pool
+        # let the other cells get going, then take the worker down hard
         time.sleep(0.3)
         os._exit(3)
     return {"x": params["x"]}
+
+
+@register_scenario("ck-trace")
+def _ck_trace(params, seed):
+    # one file per execution (pid, start and end stamps), so tests can
+    # count executions and tell which worker ran what, and when
+    x = params["x"]
+    record = {"x": x, "pid": os.getpid(), "start": time.monotonic()}
+    path = pathlib.Path(params["dir"]) / f"{x}-{os.getpid()}-{time.monotonic_ns()}"
+    path.write_text(json.dumps(record))
+    if x == params.get("die_on"):
+        time.sleep(0.05)
+        os._exit(3)
+    time.sleep(params["sleeps"][x])
+    record["end"] = time.monotonic()
+    path.write_text(json.dumps(record))
+    if x == params.get("unpicklable_on"):
+        return {"x": x, "fn": lambda: x}
+    return {"x": x}
+
+
+def _executions(trace_dir) -> dict[int, list[dict]]:
+    """Cell x -> one record per time it started executing."""
+    runs: dict[int, list[dict]] = collections.defaultdict(list)
+    for path in pathlib.Path(trace_dir).iterdir():
+        record = json.loads(path.read_text())
+        runs[record["x"]].append(record)
+    return runs
+
+
+def _trace_spec(trace_dir, sleeps, **params) -> ExperimentSpec:
+    return ExperimentSpec(
+        name="ck-trace-grid",
+        scenario="ck-trace",
+        params={"dir": str(trace_dir), "sleeps": list(sleeps), **params},
+        axes={"x": tuple(range(len(sleeps)))},
+        seed=0,
+    )
 
 
 @register_scenario("ck-kill-parent")
@@ -281,18 +320,18 @@ class TestGracefulSignals:
         cache = ResultCache(tmp_path / "c")
         spec = self._kill_spec(n=6, parent=True, kill_on=0)
         runner = Runner(
-            jobs=2, chunk_size=1, cache=cache, checkpoint_dir=tmp_path / "ck"
+            jobs=2, cache=cache, checkpoint_dir=tmp_path / "ck"
         )
         with pytest.raises(CampaignInterrupted) as info:
             runner.run(spec)
         exc = info.value
         assert exc.signum == signal.SIGTERM
-        # the in-flight batch drained; later batches never submitted
+        # each worker's running cell drained; nothing more dispatched
         assert 1 <= exc.n_settled <= 2
         assert exc.n_failed == 0
 
         resumed = Runner(
-            jobs=2, chunk_size=1, cache=cache, checkpoint_dir=tmp_path / "ck"
+            jobs=2, cache=cache, checkpoint_dir=tmp_path / "ck"
         ).run(spec)
         assert resumed.n_cached == exc.n_settled
         assert resumed.n_executed == 6 - exc.n_settled
@@ -352,7 +391,6 @@ _CHILD_SCRIPT = textwrap.dedent(
     )
     runner = Runner(
         jobs=2,
-        chunk_size=2,
         cache=ResultCache(sys.argv[1]),
         checkpoint_dir=sys.argv[2],
     )
@@ -417,8 +455,8 @@ class TestSigkillResume:
             start_new_session=True,
         )
         try:
-            # wait for the campaign to actually start, then let a couple
-            # of batches settle before the hard kill
+            # wait for the campaign to actually start, then let a few
+            # cells settle before the hard kill
             assert child.stdout.readline().strip() == "READY"
             time.sleep(1.3)
         finally:
@@ -436,7 +474,7 @@ class TestSigkillResume:
         assert n_settled_before < 8  # the kill landed mid-campaign
 
         resumed = Runner(
-            jobs=2, chunk_size=2, cache=cache, checkpoint_dir=ck_dir
+            jobs=2, cache=cache, checkpoint_dir=ck_dir
         ).run(spec)
         # zero recomputation of settled cells, and only unfinished ran
         assert resumed.n_cached == n_settled_before
@@ -488,7 +526,7 @@ class TestTimeoutFromExecutionStart:
             axes={"sleep_s": (0.7, 0.71, 0.72, 0.73)},
             seed=0,
         )
-        campaign = Runner(jobs=2, chunk_size=2, cell_timeout_s=1.2).run(spec)
+        campaign = Runner(jobs=2, cell_timeout_s=1.2).run(spec)
         assert campaign.n_failed == 0, [
             c.error for c in campaign.cells if not c.ok
         ]
@@ -496,7 +534,8 @@ class TestTimeoutFromExecutionStart:
     def test_single_worker_queue_is_the_sharpest_pin(self):
         # with one worker the second cell waits out the whole first cell
         # before starting; jobs=1 picks the in-process executor, so
-        # drive the pool executor directly to pin its budget clock
+        # drive the pool executor directly to pin its budget clock: a
+        # budget counted from dispatch would expire at 1.21 s
         from repro.experiments.runner import (
             _PoolExecutor,
             _SignalDrain,
@@ -510,23 +549,23 @@ class TestTimeoutFromExecutionStart:
             axes={"sleep_s": (0.6, 0.61)},
             seed=0,
         )
-        runner = Runner(cell_timeout_s=1.0)
         stage = _Stage(key=spec.name, spec=spec, needs=())
-        executor = _PoolExecutor(
-            runner._settle, workers=1, chunk_size=2, cell_timeout_s=1.0
-        )
+        executor = _PoolExecutor(jobs=1, cell_timeout_s=1.0)
+        outcomes = []
         try:
             with _SignalDrain() as drain:
-                executor.run(
-                    [_Task(stage, cell, None) for cell in spec.cells()], drain
+                assert executor.free == 2  # the running cell + one queued
+                executor.dispatch(
+                    [_Task(stage, cell, None) for cell in spec.cells()]
                 )
+                while executor.busy:
+                    done, retry = executor.wait(drain)
+                    assert retry == []
+                    outcomes.extend(done)
         finally:
             executor.close()
-        settled = stage.settled
-        assert len(settled) == 2
-        assert all(r.ok for r in settled.values()), {
-            i: r.error for i, r in settled.items() if not r.ok
-        }
+        assert [task.cell.index for task, *_ in outcomes] == [0, 1]
+        assert [error for *_, error in outcomes] == [None, None]
 
     def test_genuinely_slow_cell_still_quarantined(self):
         spec = ExperimentSpec(
@@ -548,10 +587,9 @@ class TestTimeoutFromExecutionStart:
 
 class TestHungWorkerRecycle:
     def test_hung_cell_does_not_serialize_later_batches(self):
-        # first batch contains a cell that hangs far past its budget;
-        # Future.cancel() can't stop it, so the old code left the worker
-        # wedged in its slot and the final shutdown(wait=True) blocked on
-        # the 30 s sleep.  The pool recycle must terminate it instead.
+        # a cell that hangs far past its budget cannot be cancelled: its
+        # worker must be killed, or it holds its slot and teardown blocks
+        # on the 30 s sleep
         spec = ExperimentSpec(
             name="ck-hang",
             scenario="ck-sleep",
@@ -559,22 +597,20 @@ class TestHungWorkerRecycle:
             seed=0,
         )
         t0 = time.perf_counter()
-        campaign = Runner(jobs=2, chunk_size=1, cell_timeout_s=0.5).run(spec)
+        campaign = Runner(jobs=2, cell_timeout_s=0.5).run(spec)
         wall = time.perf_counter() - t0
         assert campaign.n_failed == 1
         assert "TimeoutError" in campaign.cells[0].error
         assert all(c.ok for c in campaign.cells[1:])
-        # 5 fast cells + pool recycle must come nowhere near the 30 s
-        # sleep the wedged worker was holding
+        # 5 fast cells + one killed worker must come nowhere near the
+        # 30 s sleep the wedged worker was holding
         assert wall < 15.0, f"campaign took {wall:.1f} s - worker leak?"
 
     def test_saturated_batch_of_hung_cells_does_not_deadlock(self):
-        # BOTH workers wedge on the first two cells of a single batch:
-        # the queued cells 2-3 never start, never stamp an execution
-        # start, and under the old code never timed out — the drain spun
-        # forever and the campaign hung despite cell_timeout_s.  The
-        # wedged-slot bailout must pull them back, recycle the pool, and
-        # execute them there.
+        # BOTH workers wedge on the first two cells, with cells 2-3
+        # queued behind them: those never start, so they can never time
+        # out themselves.  The wedged workers' timeouts must hand them
+        # back, and fresh workers must execute them.
         spec = ExperimentSpec(
             name="ck-hang-saturated",
             scenario="ck-sleep",
@@ -582,7 +618,7 @@ class TestHungWorkerRecycle:
             seed=0,
         )
         t0 = time.perf_counter()
-        campaign = Runner(jobs=2, chunk_size=2, cell_timeout_s=0.5).run(spec)
+        campaign = Runner(jobs=2, cell_timeout_s=0.5).run(spec)
         wall = time.perf_counter() - t0
         assert campaign.n_failed == 2
         assert "TimeoutError" in campaign.cells[0].error
@@ -592,11 +628,9 @@ class TestHungWorkerRecycle:
         assert wall < 15.0, f"campaign took {wall:.1f} s - drain deadlock?"
 
     def test_worker_killing_cell_settles_not_keyerror(self, tmp_path):
-        # a cell that exits its worker breaks the pool mid-batch; the
-        # old code abandoned the batch's unsettled cells and run() then
-        # crashed with a bare KeyError building the result tuple.  Now
-        # innocent batch-mates are resubmitted on the recycled pool and
-        # the killer is quarantined after the retry cap.
+        # a cell that exits its worker must not leave a hole in the
+        # result tuple (once a bare KeyError): the cells beside it still
+        # run, and the killer is quarantined after the retry cap
         spec = ExperimentSpec(
             name="ck-die-grid",
             scenario="ck-die",
@@ -606,7 +640,6 @@ class TestHungWorkerRecycle:
         )
         campaign = Runner(
             jobs=2,
-            chunk_size=2,
             cache=ResultCache(tmp_path / "c"),
             checkpoint_dir=tmp_path / "ck",
         ).run(spec)
@@ -642,6 +675,60 @@ class TestHungWorkerRecycle:
         assert again.n_failed == 1
 
 
+class TestFaultsCostOneWorker:
+    def test_worker_killer_does_not_rerun_its_neighbour(self, tmp_path):
+        from repro.experiments.runner import _MAX_POOL_RETRIES
+
+        spec = _trace_spec(tmp_path, [1.0, 0.0], die_on=1)
+        campaign = Runner(jobs=2).run(spec)
+        runs = _executions(tmp_path)
+        neighbour, killer = campaign.cells
+        assert neighbour.ok and len(runs[0]) == 1
+        assert not killer.ok and "BrokenProcessPool" in killer.error
+        assert len(runs[1]) == _MAX_POOL_RETRIES + 1
+
+    def test_no_barrier_behind_a_long_cell(self, tmp_path):
+        campaign = Runner(jobs=2).run(_trace_spec(tmp_path, [1.0] + [0.02] * 12))
+        assert campaign.n_failed == 0
+        runs = _executions(tmp_path)
+        (long,) = runs[0]
+        late = collections.Counter(
+            record["pid"]
+            for x in range(1, 13)
+            for record in runs[x]
+            if record["start"] > long["end"]
+        )
+        # only the cell queued behind the long one waits it out; the
+        # other worker takes every other short cell meanwhile
+        assert all(n <= 1 for n in late.values()), late
+
+    def test_timeout_costs_only_its_own_worker(self, tmp_path):
+        spec = _trace_spec(tmp_path, [30.0] + [0.05] * 11)
+        campaign = Runner(jobs=2, cell_timeout_s=0.5).run(spec)
+        assert "TimeoutError" in campaign.cells[0].error
+        assert all(c.ok for c in campaign.cells[1:])
+        runs = _executions(tmp_path)
+        assert [len(runs[x]) for x in range(1, 12)] == [1] * 11
+        pids = {record["pid"] for recs in runs.values() for record in recs}
+        assert len(pids) <= 2 + 1  # jobs, plus the one replacement
+
+    def test_unpicklable_result_quarantines_only_its_cell(self, tmp_path):
+        spec = _trace_spec(tmp_path, [0.05] * 4, unpicklable_on=0)
+        campaign = Runner(jobs=2).run(spec)
+        bad = campaign.cells[0]
+        assert not bad.ok and "pickle" in bad.error
+        assert all(c.ok for c in campaign.cells[1:])
+        runs = _executions(tmp_path)
+        assert [len(runs[x]) for x in range(4)] == [1] * 4
+        # the worker that could not send cell 0 back ran its next cell
+        (first,) = runs[0]
+        assert any(
+            record["pid"] == first["pid"] and record["start"] > first["end"]
+            for x in (1, 2, 3)
+            for record in runs[x]
+        )
+
+
 class TestWorkerSignals:
     def test_pool_workers_ignore_sigterm(self):
         # the parent owns draining: a group-delivered SIGTERM must leave
@@ -653,31 +740,32 @@ class TestWorkerSignals:
             axes={"x": (0, 1, 2, 3)},
             seed=0,
         )
-        campaign = Runner(jobs=2, chunk_size=1).run(spec)
+        campaign = Runner(jobs=2).run(spec)
         assert [c.result["ignored"] for c in campaign.cells] == [True] * 4
 
     def test_recycling_kills_a_sleeping_worker_at_once(self):
-        from repro.experiments.runner import _PoolExecutor, _SignalDrain
-
-        executor = _PoolExecutor(
-            Runner()._settle, workers=1, chunk_size=1, cell_timeout_s=None
+        from repro.experiments.runner import (
+            _PoolExecutor,
+            _SignalDrain,
+            _Stage,
+            _Task,
         )
+
+        spec = ExperimentSpec(
+            name="ck-sleeper", scenario="ck-sleep", axes={"sleep_s": (30.0,)}
+        )
+        stage = _Stage(key=spec.name, spec=spec, needs=())
+        executor = _PoolExecutor(jobs=1, cell_timeout_s=None)
         # workers fork inside the drain handler, exactly as in a run
         with _SignalDrain():
-            pool = executor._new_pool()
-            pool.submit(time.sleep, 30.0)
+            executor.dispatch(
+                [_Task(stage, cell, None) for cell in spec.cells()]
+            )
             time.sleep(0.3)  # let the worker pick the sleep up
-            procs = list(pool._processes.values())
+            procs = [w.proc for w in executor._workers if w.proc is not None]
             t0 = time.perf_counter()
-            executor._kill_pool(pool)
+            executor.close()
             elapsed = time.perf_counter() - t0
-        assert elapsed < 1.0, f"recycle took {elapsed:.2f} s"
-        # the pool's own manager thread may reap a worker first; wait
-        # for every exit status to land, then check it was the SIGKILL
-        deadline = time.monotonic() + 5.0
-        while (
-            any(proc.exitcode is None for proc in procs)
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        assert [proc.exitcode for proc in procs] == [-signal.SIGKILL] * len(procs)
+        assert elapsed < 1.0, f"close took {elapsed:.2f} s"
+        assert len(procs) == 1
+        assert [proc.exitcode for proc in procs] == [-signal.SIGKILL]

@@ -232,17 +232,15 @@ class TestInterleavingInvariance:
         assert list(res.stages) == list(reference.stages)
 
     def test_sibling_stages_share_batches(self, tmp_path):
-        # with small chunks the scheduler must cut at least one batch
-        # containing cells from both middle stages of the diamond
+        # at least one dispatch round must draw on the cells of both
+        # middle stages of the diamond
         seen_candidates: list[set[str]] = []
 
         def hook(order):
             seen_candidates.append({stage for stage, _ in order})
             return order
 
-        runner = Runner(
-            jobs=2, chunk_size=1, cache=ResultCache(tmp_path)
-        )
+        runner = Runner(jobs=2, cache=ResultCache(tmp_path))
         runner.schedule_hook = hook
         res = runner.run_pipeline(_diamond())
         assert res.n_failed == 0
@@ -336,8 +334,8 @@ _DIAMOND_CHILD = textwrap.dedent(
     @register_scenario("dag-mid", needs_artifacts=True)
     def _mid(params, seed, artifacts):
         print("MID", params["y"], flush=True)
-        # long enough that the parent's post-MID SIGTERM lands inside
-        # this batch even on a slow, loaded box
+        # long enough that the parent's post-MID SIGTERM lands while
+        # this cell runs, even on a slow, loaded box
         time.sleep(2.0)
         total = sum(
             a.result["value"] for aset in artifacts.values() for a in aset
@@ -382,13 +380,11 @@ _DIAMOND_CHILD = textwrap.dedent(
             ),
         ),
     )
-    # chunk_size=1 keeps each batch at two cells: the pool's eager call
-    # queue makes submitted futures uncancellable, so a SIGTERM drains
-    # the whole in-flight batch — small batches pin the drain inside
-    # the diamond's waist
+    # a SIGTERM waits out each worker's running cell and kills a worker
+    # holding a queued one, so at most two of the four middle cells
+    # settle: the drain lands inside the diamond's waist
     runner = Runner(
-        jobs=2, chunk_size=1, cache=ResultCache(sys.argv[1]),
-        checkpoint_dir=sys.argv[2],
+        jobs=2, cache=ResultCache(sys.argv[1]), checkpoint_dir=sys.argv[2],
     )
     print("READY", flush=True)
     try:

@@ -340,7 +340,7 @@ class TestRunnerParallel:
     def test_parallel_matches_serial(self):
         spec = _echo_spec()
         serial = Runner(jobs=1).run(spec)
-        parallel = Runner(jobs=2, chunk_size=1).run(spec)
+        parallel = Runner(jobs=2).run(spec)
         assert parallel.results() == serial.results()
         assert parallel.n_executed == 4
 
@@ -377,8 +377,9 @@ class TestRunnerParallel:
     def test_bad_runner_args(self):
         with pytest.raises(ValueError):
             Runner(jobs=0)
-        with pytest.raises(ValueError):
-            Runner(chunk_size=0)
+        for budget in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="cell_timeout_s"):
+                Runner(jobs=2, cell_timeout_s=budget)
 
 
 # -- registry ----------------------------------------------------------------
@@ -528,6 +529,18 @@ class TestCliRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: [Errno 2] No such file")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-1"])
+    def test_bad_timeout_is_refused(self, tmp_path, capsys, budget):
+        from repro.cli import main
+
+        spec = self._write_spec(tmp_path)
+        argv = ["run", str(spec), "--no-cache", "--jobs", "2", "--timeout", budget]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cell_timeout_s must be")
         assert captured.err.count("\n") == 1
 
     def test_spec_naming_an_unregistered_scenario_is_refused(
