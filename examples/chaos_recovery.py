@@ -22,7 +22,9 @@ Everything is seeded: rerunning prints identical numbers.
 Run:  python examples/chaos_recovery.py
 """
 
-from repro.faults import BackoffPolicy, FaultInjector, FaultKind, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.recovery import BackoffPolicy
+from repro.faults.spec import FaultKind, FaultSpec
 from repro.experiments import ChaosConfig, chaos_sweep, run_chaos
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 from repro.net.topology import esnet_like

@@ -22,7 +22,7 @@ from repro.core.rate_advisor import RateAdvisor
 from repro.core.sessions import group_sessions
 from repro.net.topology import esnet_like
 from repro.vc.oscars import OscarsIDC, ReservationRejected, ReservationRequest
-from repro.workload import load
+from repro.workload.datasets import load
 
 
 def main() -> None:

@@ -21,7 +21,7 @@ from repro.vc.circuits import BatchSignalling
 from repro.vc.idcp import DomainSegment, IdcpChain
 from repro.vc.oscars import OscarsIDC
 from repro.vc.policy import AlphaRedirector, SessionHoldPolicy
-from repro.workload import load
+from repro.workload.datasets import load
 
 
 def interdomain_demo() -> None:

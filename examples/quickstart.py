@@ -17,7 +17,7 @@ from repro.core.sessions import group_sessions, session_gap_report
 from repro.core.stats import six_number_summary
 from repro.core.throughput import transfer_throughput_bps
 from repro.core.vc_suitability import suitability_table
-from repro.workload import load
+from repro.workload.datasets import load
 
 
 def main() -> None:

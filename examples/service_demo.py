@@ -28,7 +28,8 @@ import json
 import os
 import tempfile
 
-from repro.service import DaemonConfig, ServiceClient, TransferDaemon
+from repro.service.api import ServiceClient
+from repro.service.daemon import DaemonConfig, TransferDaemon
 
 
 async def demo() -> None:

@@ -22,7 +22,7 @@ from repro.core.sessions import group_sessions
 from repro.core.throughput import throughput_summary
 from repro.gridftp.anonymize import pseudonymize_remote_hosts
 from repro.gridftp.usagestats import simulate_collection
-from repro.workload import load
+from repro.workload.datasets import load
 
 
 def main() -> None:

@@ -18,12 +18,14 @@ loads only what it needs (an analysis verb never loads the simulator).
 
 Quick start::
 
-    from repro.workload import load
-    from repro.core import group_sessions, suitability_table
+    from repro.workload.datasets import load
+    from repro.core.sessions import group_sessions
+    from repro.core.vc_suitability import suitability_table
 
     log = load("SLAC-BNL", seed=7)
     sessions = group_sessions(log, g=60.0)
     print(len(sessions), "sessions")
+    table_iv = suitability_table(log)  # (g, setup delay) -> result
 """
 
 __version__ = "1.0.0"

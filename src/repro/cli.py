@@ -389,7 +389,11 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _parse_age(text: str) -> float:
-    """``'45'``/``'45s'``/``'30m'``/``'12h'``/``'7d'``/``'2w'`` -> seconds."""
+    """``'45'``/``'45s'``/``'30m'``/``'12h'``/``'7d'``/``'2w'`` -> seconds.
+
+    Only the text is checked here: :class:`ResultCache` refuses a NaN,
+    infinite or negative age.
+    """
     units = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
     text = text.strip().lower()
     factor = units.get(text[-1:], None)
@@ -397,7 +401,7 @@ def _parse_age(text: str) -> float:
     try:
         value = float(number)
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"invalid age {text!r}; use e.g. 45s, 30m, 12h, 7d, 2w"
         ) from None
     return value * (factor if factor is not None else 1.0)
@@ -459,13 +463,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print("cache gc refuses to run unfiltered: pass --older-than "
                   "and/or --spec")
             return 2
+        older = None if args.older_than is None else _parse_age(args.older_than)
         keys = None
         if args.spec is not None:
             # the dry-run planner yields every cell key a spec (or
             # pipeline, digests included) owns, without executing
             plans = Runner(cache=cache).dry_run(load_spec(args.spec))
             keys = {k for plan in plans for k in plan.keys}
-        older = None if args.older_than is None else _parse_age(args.older_than)
         removed = cache.gc(older_than_s=older, keys=keys)
         if older is not None:
             # tmp files carry no cell key, so a spec-only gc must not

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import time
@@ -133,6 +134,15 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.bad
+
+
+def _require_age(older_than_s: float) -> None:
+    """Refuse an age that is not finite and >= 0: a NaN or negative one
+    selects every file, in-flight temp files included."""
+    if not 0 <= older_than_s < math.inf:
+        raise ValueError(
+            f"older_than_s must be a finite age >= 0 s, got {older_than_s!r}"
+        )
 
 
 class ResultCache:
@@ -380,6 +390,8 @@ class ResultCache:
                 "gc needs a filter: older_than_s and/or keys "
                 "(refusing to wipe the whole cache)"
             )
+        if older_than_s is not None:
+            _require_age(older_than_s)
         now = time.time() if now is None else now
         keyset = None if keys is None else set(keys)
         removed: list[Path] = []
@@ -399,6 +411,7 @@ class ResultCache:
 
     def prune_tmp(self, older_than_s: float = 0.0, now: float | None = None) -> list[Path]:
         """Remove orphaned temp files older than ``older_than_s`` seconds."""
+        _require_age(older_than_s)
         now = time.time() if now is None else now
         removed: list[Path] = []
         for path in self.tmp_files():

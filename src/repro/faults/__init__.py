@@ -14,26 +14,3 @@ endpoints), and *recovered* at the layer that really owns the remedy
 (reservation retry in the controllers, fallback-to-IP in the transfer
 policy, restart markers in the GridFTP reliability layer).
 """
-
-from .injector import FaultInjector, storm_injector
-from .recovery import BackoffPolicy, RecoveryStats, reserve_with_retry
-from .spec import (
-    PER_REQUEST_KINDS,
-    TIME_DRIVEN_KINDS,
-    FaultKind,
-    FaultSpec,
-    InjectedFault,
-)
-
-__all__ = [
-    "FaultInjector",
-    "storm_injector",
-    "BackoffPolicy",
-    "RecoveryStats",
-    "reserve_with_retry",
-    "FaultKind",
-    "FaultSpec",
-    "InjectedFault",
-    "PER_REQUEST_KINDS",
-    "TIME_DRIVEN_KINDS",
-]

@@ -7,28 +7,13 @@ per file transferred.  This package defines that record
 feeds (:mod:`~repro.gridftp.anonymize`), and a simulated GridFTP
 server/client pair (:mod:`~repro.gridftp.server`,
 :mod:`~repro.gridftp.client`) used by the mechanistic experiments.
+The GridFTP features of Section II and the Globus services around it:
+
+* :mod:`~repro.gridftp.control` — the control channel and third-party
+  transfers
+* :mod:`~repro.gridftp.striping` — extended-block mode over striped servers
+* :mod:`~repro.gridftp.reliability` — restart markers and fault recovery
+* :mod:`~repro.gridftp.transfer_service` — the Globus-Online-style managed
+  transfer service
+* :mod:`~repro.gridftp.usagestats` — usage-stats UDP packets to a collector
 """
-
-from .control import GridFtpServerSim, ThirdPartyClient
-from .records import ANONYMIZED_HOST, TransferLog, TransferRecord, TransferType
-from .reliability import FaultModel, ReliableTransferService, RestartPolicy
-from .striping import StripeReassembler, block_plan, stripe_byte_counts
-from .usagestats import UsageStatsCollector, UsageStatsSender, simulate_collection
-
-__all__ = [
-    "GridFtpServerSim",
-    "ThirdPartyClient",
-    "FaultModel",
-    "ReliableTransferService",
-    "RestartPolicy",
-    "StripeReassembler",
-    "block_plan",
-    "stripe_byte_counts",
-    "ANONYMIZED_HOST",
-    "TransferLog",
-    "TransferRecord",
-    "TransferType",
-    "UsageStatsCollector",
-    "UsageStatsSender",
-    "simulate_collection",
-]

@@ -11,23 +11,6 @@ package stands in for that backbone at flow-level fidelity:
 * :mod:`~repro.net.snmp` — 30 s per-interface byte counters
 * :mod:`~repro.net.crosstraffic` — background general-purpose flows
 * :mod:`~repro.net.tstat` — per-connection loss reporting (tstat-style)
+* :mod:`~repro.net.netflow` — router-exported NetFlow-style flow records
+* :mod:`~repro.net.queueing` — packet-level queueing and α-burst jitter
 """
-
-from .allocator import MaxMinAllocator
-from .flows import FlowSpec, max_min_fair
-from .snmp import SnmpCollector, SnmpCounter
-from .tcp import TcpPathModel
-from .topology import SITES, Link, Topology, esnet_like
-
-__all__ = [
-    "FlowSpec",
-    "MaxMinAllocator",
-    "max_min_fair",
-    "SnmpCollector",
-    "SnmpCounter",
-    "TcpPathModel",
-    "SITES",
-    "Link",
-    "Topology",
-    "esnet_like",
-]

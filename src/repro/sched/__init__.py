@@ -3,8 +3,8 @@
 The paper's economics hinge on *who* gets a circuit and *when*.  This
 package gathers every such decision — admit/shed, queue order, the
 VC → IP degradation ladder, circuit rate advice, reservation-window
-sizing, fallback-vs-wait — behind one :class:`TransferScheduler`
-interface, so the daemon, the chaos campaigns, the managed service, and
+sizing, fallback-vs-wait — behind one :class:`~repro.sched.base.TransferScheduler`
+interface (:mod:`~repro.sched.base`), so the daemon, the chaos campaigns, the managed service, and
 the load-test sim twin all ask the *same object* and alternatives can
 be compared on identical workloads:
 
@@ -19,36 +19,8 @@ be compared on identical workloads:
   et al.-style batch scheduling over the known request set (earliest
   deadline first, then longest-processing-time for makespan).
 
-:func:`make_scheduler` is the single factory every entry point (CLI
+:func:`~repro.sched.base.make_scheduler` is the single factory every entry point (CLI
 ``--scheduler``, spec ``scheduler`` params, the sim) resolves names
 through; unknown names raise with the valid choices listed.
+:mod:`~repro.sched.compare` replays one workload through every policy.
 """
-
-from .base import (
-    SCHEDULER_NAMES,
-    SchedulerConfig,
-    TransferScheduler,
-    make_scheduler,
-)
-from .fcfs import FcfsScheduler
-from .globalsched import GlobalScheduler
-from .predictive import (
-    FixedRatePredictor,
-    OnlineThroughputPredictor,
-    PredictiveScheduler,
-    prediction_error_cost_curve,
-)
-
-__all__ = [
-    "SCHEDULER_NAMES",
-    "SchedulerConfig",
-    "TransferScheduler",
-    "make_scheduler",
-    "FcfsScheduler",
-    "PredictiveScheduler",
-    "GlobalScheduler",
-    "OnlineThroughputPredictor",
-    "FixedRatePredictor",
-    "prediction_error_cost_curve",
-]
-

@@ -24,56 +24,3 @@ stack misbehaves underneath it.  The pieces:
   ops, latency SLOs and daemon-side contracts, and the deterministic
   twin, the core's discrete-event driver.
 """
-
-from .admission import AdmissionController, AdmissionDecision
-from .api import AsyncServiceClient, ServiceClient, decode_line, encode_line
-from .budget import DeadlineBudget, PathChoice, TransferPlan, plan_path
-from .core import InvalidSubmission, ServiceCore, ServiceRequest
-from .daemon import (
-    EXIT_DRAINED,
-    DaemonConfig,
-    InjectedCrash,
-    TransferDaemon,
-    config_from_params,
-    run_daemon,
-)
-from .health import HealthMonitor, ServiceMetrics
-from .loadtest import (
-    LatencyRecorder,
-    LoadTestReport,
-    RequestMix,
-    run_loadtest,
-    run_loadtest_sim,
-)
-from .supervisor import LoopStatus, Supervisor
-
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ServiceClient",
-    "AsyncServiceClient",
-    "LatencyRecorder",
-    "LoadTestReport",
-    "RequestMix",
-    "run_loadtest",
-    "run_loadtest_sim",
-    "encode_line",
-    "decode_line",
-    "DeadlineBudget",
-    "PathChoice",
-    "TransferPlan",
-    "plan_path",
-    "ServiceCore",
-    "ServiceRequest",
-    "InvalidSubmission",
-    "DaemonConfig",
-    "config_from_params",
-    "TransferDaemon",
-    "InjectedCrash",
-    "run_daemon",
-    "EXIT_DRAINED",
-    "HealthMonitor",
-    "ServiceMetrics",
-    "Supervisor",
-    "LoopStatus",
-]

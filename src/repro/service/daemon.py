@@ -37,6 +37,7 @@ import asyncio
 import dataclasses
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -146,20 +147,26 @@ class DaemonConfig:
     def __post_init__(self) -> None:
         if not self.socket_path:
             raise ValueError("socket_path is required")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        if self.vc_rate_bps <= 0 or self.ip_rate_bps <= 0:
-            raise ValueError("rates must be positive")
-        if self.vc_safety_factor < 1.0:
-            raise ValueError("vc_safety_factor must be >= 1")
-        if self.drain_grace_s < 0:
-            raise ValueError("drain_grace_s must be non-negative")
-        if self.status_interval_s <= 0:
-            raise ValueError("status_interval_s must be positive")
-        if self.max_crash_requeues < 0:
-            raise ValueError("max_crash_requeues must be non-negative")
+        # the live daemon and the twin read one config: a NaN would pass
+        # every rule below, and a fault knob out of range was refused by
+        # the daemon's FaultSpec (or read as "off") but ridden by the twin
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        rules = (
+            ("positive", lambda v: v > 0, (
+                "time_scale", "vc_rate_bps", "ip_rate_bps", "batch_window_s",
+                "flap_duration_s", "status_interval_s")),
+            ("non-negative", lambda v: v >= 0, (
+                "flaps_per_hour", "setup_extra_delay_s", "drain_grace_s",
+                "max_crash_requeues")),
+            ("in [0, 1]", lambda v: 0 <= v <= 1, ("reject_prob", "setup_timeout_prob")),
+            (">= 1", lambda v: v >= 1, ("workers", "vc_safety_factor")),
+        )
+        for rule, holds, names in rules:
+            for name in names:
+                if not holds(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.default_deadline_s is not None and self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
         # requests ride esnet_like(), whose transfer endpoints are SITES

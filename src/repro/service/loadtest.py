@@ -855,7 +855,7 @@ def run_loadtest_sim(
     Replays the same seeded arrival schedule and request mix as
     :func:`run_loadtest` through the daemon's own request lifecycle — a
     :class:`~repro.service.core.ServiceCore` over a real
-    :class:`~repro.sched.TransferScheduler`, so admission, dispatch
+    :class:`~repro.sched.base.TransferScheduler`, so admission, dispatch
     order, the degradation ladder and settlement are the code the
     daemon runs — driven by an event heap on a hand-cranked virtual
     clock, with service times from the batch-signalling cadence plus

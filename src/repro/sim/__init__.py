@@ -5,31 +5,6 @@
   transfer logs + SNMP counters)
 * :mod:`~repro.sim.probe` — pluggable engine instrumentation counters
 * :mod:`~repro.sim.replay` — IP-routed vs dynamic-VC service comparison
+* :mod:`~repro.sim.scenarios` — prebuilt experiments mirroring the paper's
+  measurement setups (Sections VII-C and VII-D)
 """
-
-from .engine import EventLoop
-from .probe import SimProbe
-from .scenarios import (
-    anl_nersc_mechanistic,
-    default_dtns,
-    nersc_ornl_snmp_experiment,
-    vc_replay_scenario,
-)
-from .experiment import FluidSimulator, SimResult
-from .replay import CircuitPlan, ServiceComparison, compare_ip_vs_vc, plan_circuits, replay_jobs
-
-__all__ = [
-    "EventLoop",
-    "SimProbe",
-    "anl_nersc_mechanistic",
-    "default_dtns",
-    "nersc_ornl_snmp_experiment",
-    "vc_replay_scenario",
-    "FluidSimulator",
-    "SimResult",
-    "CircuitPlan",
-    "ServiceComparison",
-    "compare_ip_vs_vc",
-    "plan_circuits",
-    "replay_jobs",
-]

@@ -38,7 +38,6 @@ from .experiment import FluidSimulator, default_dtns
 from .probe import SimProbe
 
 __all__ = [
-    "default_dtns",
     "SnmpExperiment",
     "nersc_ornl_snmp_experiment",
     "MechanisticAnl",

@@ -9,47 +9,3 @@
 * :mod:`~repro.vc.lambdastation` — application-signalled redirection
 * :mod:`~repro.vc.provisioner` — the batch automatic-signalling daemon
 """
-
-from .circuits import (
-    BatchSignalling,
-    CircuitState,
-    HardwareSignalling,
-    SetupDelayModel,
-    VirtualCircuit,
-)
-from .hntes import HntesController
-from .lambdastation import LambdaStation, Treatment, TransferIntent
-from .oscars import OscarsIDC, ReservationRejected, ReservationRequest
-from .policy import (
-    AlphaRedirector,
-    FallbackDecision,
-    FallbackMode,
-    FallbackPolicy,
-    SessionHoldPolicy,
-)
-from .provisioner import AutoProvisioner
-from .scheduler import AdmissionError, BandwidthScheduler, Reservation
-
-__all__ = [
-    "BatchSignalling",
-    "CircuitState",
-    "HardwareSignalling",
-    "SetupDelayModel",
-    "VirtualCircuit",
-    "HntesController",
-    "LambdaStation",
-    "Treatment",
-    "TransferIntent",
-    "OscarsIDC",
-    "ReservationRejected",
-    "ReservationRequest",
-    "AlphaRedirector",
-    "AutoProvisioner",
-    "FallbackDecision",
-    "FallbackMode",
-    "FallbackPolicy",
-    "SessionHoldPolicy",
-    "AdmissionError",
-    "BandwidthScheduler",
-    "Reservation",
-]

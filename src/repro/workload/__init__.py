@@ -3,24 +3,5 @@
 * :mod:`~repro.workload.distributions` — heavy-tailed sampling primitives
 * :mod:`~repro.workload.synth` — calibrated per-dataset generators
 * :mod:`~repro.workload.datasets` — the named registry with provenance
+* :mod:`~repro.workload.diurnal` — diurnal/weekly arrival-rate modulation
 """
-
-from .datasets import DATASETS, DatasetSpec, load
-from .synth import (
-    AnlTestSet,
-    ncar_nics,
-    nersc_anl_tests,
-    nersc_ornl_32gb,
-    slac_bnl,
-)
-
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "load",
-    "AnlTestSet",
-    "ncar_nics",
-    "nersc_anl_tests",
-    "nersc_ornl_32gb",
-    "slac_bnl",
-]

@@ -800,6 +800,20 @@ class TestCacheMaintenance:
         removed = cache.gc(older_than_s=3600, keys=keys)
         assert [p.stem for p in removed] == [keys[0]]
 
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -1.0])
+    def test_gc_and_prune_tmp_refuse_a_bad_age(self, tmp_path, age):
+        # a NaN or negative age selects every file; neither call may run
+        cache = ResultCache(tmp_path)
+        keys = _fill_cache(cache, 2)
+        inflight = cache.path_for(keys[0]).parent / f"{keys[0]}.1.tmp"
+        inflight.write_text("{")
+        with pytest.raises(ValueError, match="older_than_s must be a finite age"):
+            cache.gc(older_than_s=age)
+        with pytest.raises(ValueError, match="older_than_s must be a finite age"):
+            cache.prune_tmp(older_than_s=age)
+        assert len(cache) == 2
+        assert inflight.exists()
+
 
 # -- the CLI `cache` subcommand ---------------------------------------------
 
@@ -924,12 +938,41 @@ class TestCliCache:
         assert cache.tmp_files() == []
         assert len(cache) == 1
 
-    def test_bad_age_is_a_clean_error(self, tmp_path):
+    def test_bad_age_is_a_clean_error(self, tmp_path, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="invalid age"):
-            main(["cache", "--cache-dir", str(tmp_path), "gc",
-                  "--older-than", "fortnight"])
+        rc = main(["cache", "--cache-dir", str(tmp_path), "gc",
+                   "--older-than", "fortnight"])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: invalid age 'fortnight'; use e.g. 45s, 30m, 12h, 7d, 2w"
+        ]
+
+    @pytest.mark.parametrize("verb", ["gc", "prune-tmp"])
+    @pytest.mark.parametrize(
+        "age, seconds", [("nan", "nan"), ("inf", "inf"), ("-1d", "-86400.0")],
+        ids=["nan", "inf", "-1d"],
+    )
+    def test_non_finite_or_negative_age_deletes_nothing(self, tmp_path, capsys,
+                                                        age, seconds, verb):
+        # left unchecked, NaN and -1d match every file past the unfiltered
+        # gc guard, the in-flight tmp file a campaign is writing included;
+        # the CLI parses the text and ResultCache refuses the value
+        from repro.cli import main
+
+        cache_dir, cache, keys = self._seed_cache(tmp_path, n=3)
+        inflight = cache.path_for(keys[0]).parent / f"{keys[0]}.777.tmp"
+        inflight.write_text("{")
+        rc = main(["cache", "--cache-dir", str(cache_dir), verb,
+                   f"--older-than={age}"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: older_than_s must be a finite age >= 0 s, got {seconds}"
+        ]
+        assert len(cache) == 3
+        assert inflight.exists()
 
     def test_run_interrupted_exits_resumable(self, tmp_path, capsys):
         import signal as _signal

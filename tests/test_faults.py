@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.faults import (
-    BackoffPolicy,
-    FaultInjector,
-    FaultKind,
-    FaultSpec,
-    RecoveryStats,
-    reserve_with_retry,
-)
+from repro.faults.injector import FaultInjector
+from repro.faults.recovery import BackoffPolicy, RecoveryStats, reserve_with_retry
+from repro.faults.spec import FaultKind, FaultSpec
 from repro.gridftp.reliability import CircuitOutageTracker
 from repro.net.topology import esnet_like
 from repro.vc.circuits import CircuitState, VirtualCircuit
@@ -350,8 +345,7 @@ class TestFallbackPolicy:
 
 class TestInjectorArm:
     def test_endpoint_outage_downs_incident_links(self):
-        from repro.sim.experiment import FluidSimulator
-        from repro.sim.scenarios import default_dtns
+        from repro.sim.experiment import FluidSimulator, default_dtns
 
         topo = esnet_like()
         sim = FluidSimulator(topo, default_dtns(topo))

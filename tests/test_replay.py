@@ -4,8 +4,9 @@ import pytest
 
 from repro.gridftp.client import TransferJob
 from repro.net.topology import esnet_like
+from repro.sim.experiment import default_dtns
 from repro.sim.replay import compare_ip_vs_vc, plan_circuits, replay_jobs
-from repro.sim.scenarios import default_dtns, vc_replay_scenario
+from repro.sim.scenarios import vc_replay_scenario
 from repro.vc.circuits import HardwareSignalling
 from repro.vc.oscars import OscarsIDC
 

@@ -9,9 +9,9 @@ from repro.core.throughput import categorized_throughput
 from repro.net.crosstraffic import CrossTrafficConfig, generate_cross_traffic
 from repro.net.snmp import SnmpCollector
 from repro.net.topology import esnet_like
+from repro.sim.experiment import default_dtns
 from repro.sim.scenarios import (
     anl_nersc_mechanistic,
-    default_dtns,
     nersc_ornl_snmp_experiment,
     vc_replay_scenario,
 )

@@ -18,9 +18,10 @@ import math
 
 import pytest
 
-from repro.sched import make_scheduler
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultKind, FaultSpec
+from repro.sched.base import make_scheduler
 from repro.service.admission import AdmissionController
-from repro.faults import FaultInjector, FaultKind, FaultSpec
 from repro.service.api import (
     MAX_LINE_BYTES,
     ServiceClient,
@@ -34,6 +35,7 @@ from repro.service.daemon import (
     EXIT_DRAINED,
     DaemonConfig,
     TransferDaemon,
+    config_from_params,
 )
 from repro.service.health import HealthMonitor, ServiceMetrics
 from repro.service.supervisor import Supervisor
@@ -493,6 +495,57 @@ class TestDaemonConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             DaemonConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("time_scale", math.nan),
+            ("time_scale", math.inf),
+            ("vc_rate_bps", math.nan),
+            ("ip_rate_bps", math.inf),
+            ("reject_prob", math.nan),
+            ("reject_prob", 2.0),
+            ("setup_timeout_prob", -1.0),
+            ("setup_extra_delay_s", -1.0),
+            ("flaps_per_hour", math.nan),
+            ("flaps_per_hour", -5.0),
+            ("flap_duration_s", -1.0),
+            ("flap_duration_s", 0.0),
+            ("batch_window_s", 0.0),
+            ("default_deadline_s", math.nan),
+            ("vc_safety_factor", math.nan),
+            ("drain_grace_s", math.nan),
+            ("marker_interval_bytes", math.inf),
+        ],
+    )
+    def test_refuses_what_the_two_drivers_read_differently(self, field, value):
+        # left to the drivers, each is refused by the live daemon's
+        # FaultSpec, read as "off", or ridden by the twin as given
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DaemonConfig(socket_path="/tmp/x", **{field: value})
+        if field in ("time_scale", "reject_prob", "flaps_per_hour"):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                config_from_params({field: value}, seed=0)
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["serve", "--socket", "/tmp/never.sock", "--time-scale", "nan"],
+             "error: time_scale must be finite, got nan"),
+            # left to the twin, 18 of its 20 accepted requests ride
+            # ip-fallback here, while the live daemon refuses the config
+            (["loadtest", "--mode", "sim", "--n", "30", "--reject-prob", "2"],
+             "error: reject_prob must be in [0, 1], got 2.0"),
+        ],
+        ids=["serve", "loadtest-sim"],
+    )
+    def test_cli_refuses_a_bad_config_in_one_line(self, capsys, argv, message):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [message]
 
     @pytest.mark.parametrize(
         "endpoints",
