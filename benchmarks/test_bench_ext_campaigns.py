@@ -12,13 +12,10 @@ flap duration) exercised three ways:
 
 import os
 
-from repro.experiments import (
-    ChaosConfig,
-    ExperimentSpec,
-    ResultCache,
-    Runner,
-    chaos_params_from_config,
-)
+from repro.experiments.cache import ResultCache
+from repro.experiments.campaigns import ChaosConfig, chaos_params_from_config
+from repro.experiments.runner import Runner
+from repro.experiments.spec import ExperimentSpec
 
 AXES = {
     "rejection_prob": [0.0, 0.3],

@@ -9,7 +9,7 @@ the retry/fallback/migration counters — all deterministic under the
 pinned seed.
 """
 
-from repro.experiments import ChaosConfig, chaos_sweep
+from repro.experiments.campaigns import ChaosConfig, chaos_sweep
 
 FLAP_RATES = [0.0, 10.0, 30.0, 60.0]  # onsets per circuit-hour
 

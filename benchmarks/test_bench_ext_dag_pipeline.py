@@ -13,15 +13,9 @@ execute zero cells.
 import json
 import os
 
-from repro.experiments import (
-    ExperimentSpec,
-    PipelineSpec,
-    ResultCache,
-    Runner,
-    StageSpec,
-    canonical_json,
-)
-from repro.experiments.runner import plan_dag_summary
+from repro.experiments.cache import ResultCache, canonical_json
+from repro.experiments.runner import Runner, plan_dag_summary
+from repro.experiments.spec import ExperimentSpec, PipelineSpec, StageSpec
 
 
 def _diamond() -> PipelineSpec:

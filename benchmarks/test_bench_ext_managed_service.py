@@ -13,7 +13,8 @@ task's ride window — and the sweep itself is an
 shared campaign Runner, like every other experiment family.
 """
 
-from repro.experiments import ExperimentSpec, Runner
+from repro.experiments.runner import Runner
+from repro.experiments.spec import ExperimentSpec
 
 FLAP_RATES = [0.0, 20.0, 60.0]
 

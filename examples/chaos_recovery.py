@@ -25,7 +25,7 @@ Run:  python examples/chaos_recovery.py
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import BackoffPolicy
 from repro.faults.spec import FaultKind, FaultSpec
-from repro.experiments import ChaosConfig, chaos_sweep, run_chaos
+from repro.experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 from repro.vc.oscars import OscarsIDC, ReservationRequest
 from repro.net.topology import esnet_like
 

@@ -32,14 +32,10 @@ Run:  python examples/spec_campaign.py
 import pathlib
 import tempfile
 
-from repro.experiments import (
-    ExperimentSpec,
-    ResultCache,
-    Runner,
-    load_spec,
-    register_scenario,
-    scenario_names,
-)
+from repro.experiments.cache import ResultCache
+from repro.experiments.registry import register_scenario, scenario_names
+from repro.experiments.runner import Runner
+from repro.experiments.spec import ExperimentSpec, load_spec
 
 HERE = pathlib.Path(__file__).parent
 

@@ -178,14 +178,10 @@ EXIT_RESUMABLE = 75
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .experiments import (
-        CampaignInterrupted,
-        ExperimentSpec,
-        ResultCache,
-        Runner,
-        load_spec,
-    )
+    from .experiments.cache import ResultCache
     from .experiments.checkpoint import CHECKPOINT_SUBDIR
+    from .experiments.runner import CampaignInterrupted, Runner
+    from .experiments.spec import ExperimentSpec, load_spec
 
     spec = load_spec(args.spec)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -416,8 +412,10 @@ def _fmt_bytes(n: int) -> str:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from .experiments import ResultCache, Runner, load_spec
+    from .experiments.cache import ResultCache
     from .experiments.checkpoint import CHECKPOINT_SUBDIR
+    from .experiments.runner import Runner
+    from .experiments.spec import load_spec
 
     cache = ResultCache(args.cache_dir)
 

@@ -19,100 +19,15 @@ whose stages ``need`` earlier stages or external spec files, resolved as
 first-class :class:`~repro.experiments.artifacts.Artifact` reads from
 the cache (:meth:`Runner.run_pipeline`, :meth:`Runner.dry_run`).
 
-The campaign families the repo grew before this framework — chaos,
-profiling, mechanistic, SNMP, managed-service, synth, and the
-cross-spec Pareto analyses — are registered as scenarios
-(:mod:`repro.experiments.registry`) and their report plumbing lives in
-:mod:`repro.experiments.campaigns`.
+* :mod:`~repro.experiments.spec` — specs, pipelines, :func:`load_spec`;
+* :mod:`~repro.experiments.runner` — the Runner, its worker pool and
+  campaign results;
+* :mod:`~repro.experiments.cache` — the result cache, cell keys and the
+  non-finite artifact codec;
+* :mod:`~repro.experiments.artifacts` — artifacts and artifact sets;
+* :mod:`~repro.experiments.checkpoint` — the crash-safe journal;
+* :mod:`~repro.experiments.registry` — the scenario registry, the
+  built-in scenarios and the cross-grid Pareto reader;
+* :mod:`~repro.experiments.campaigns` — the simulator-driven campaign
+  families (chaos, profiling, managed-service chaos) and their reports.
 """
-
-from .artifacts import Artifact, ArtifactSet, keys_digest
-from .cache import (
-    CacheStats,
-    ResultCache,
-    VerifyReport,
-    canonical_json,
-    cell_key,
-)
-from .checkpoint import CampaignCheckpoint, spec_fingerprint
-from .campaigns import (
-    ChaosConfig,
-    ChaosReport,
-    ManagedChaosConfig,
-    ManagedChaosReport,
-    ProfileReport,
-    chaos_config_from_params,
-    chaos_params_from_config,
-    chaos_sweep,
-    cross_spec_pareto,
-    decode_nonfinite,
-    encode_nonfinite,
-    managed_campaign_from_workload,
-    pareto_front_points,
-    profile_campaign,
-    report_from_dict,
-    report_to_dict,
-    run_chaos,
-    run_managed_chaos,
-)
-from .registry import (
-    get_scenario,
-    register_scenario,
-    scenario_names,
-    scenario_needs_artifacts,
-)
-from .runner import (
-    CampaignInterrupted,
-    CampaignResult,
-    CellResult,
-    PipelineResult,
-    Runner,
-    StagePlan,
-)
-from .spec import Cell, ExperimentSpec, PipelineSpec, StageSpec, load_spec
-
-__all__ = [
-    "ExperimentSpec",
-    "StageSpec",
-    "PipelineSpec",
-    "load_spec",
-    "Cell",
-    "Runner",
-    "CampaignResult",
-    "CellResult",
-    "PipelineResult",
-    "StagePlan",
-    "CampaignInterrupted",
-    "CampaignCheckpoint",
-    "spec_fingerprint",
-    "ResultCache",
-    "CacheStats",
-    "VerifyReport",
-    "cell_key",
-    "canonical_json",
-    "Artifact",
-    "ArtifactSet",
-    "keys_digest",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
-    "scenario_needs_artifacts",
-    "ChaosConfig",
-    "ChaosReport",
-    "run_chaos",
-    "chaos_sweep",
-    "chaos_params_from_config",
-    "chaos_config_from_params",
-    "report_to_dict",
-    "report_from_dict",
-    "encode_nonfinite",
-    "decode_nonfinite",
-    "ManagedChaosConfig",
-    "ManagedChaosReport",
-    "run_managed_chaos",
-    "ProfileReport",
-    "profile_campaign",
-    "pareto_front_points",
-    "managed_campaign_from_workload",
-    "cross_spec_pareto",
-]

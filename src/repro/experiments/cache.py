@@ -22,6 +22,14 @@ write and the rename leaves an orphaned ``<key>.<pid>.tmp`` file; those
 are invisible to :meth:`ResultCache.__len__`/:meth:`ResultCache.get`
 and are reaped by :meth:`ResultCache.prune_tmp` (surfaced as
 ``repro-gridftp cache prune-tmp``).
+
+Results that carry non-finite floats (a chaos report's ``inf`` wall)
+pass through the artifact codec defined here, :func:`encode_nonfinite`
+/ :func:`decode_nonfinite`, beside the cache version whose format it
+writes: the ``managed_service``, ``sched_compare`` and
+``sched_cost_curve`` cells encode with it and the ``pareto_front``
+reader (:func:`~repro.experiments.registry.pareto_front_points`)
+decodes with it, and none of them imports the simulator.
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from typing import Any
 __all__ = [
     "canonical_json",
     "cell_key",
+    "encode_nonfinite",
+    "decode_nonfinite",
     "CacheStats",
     "VerifyReport",
     "ResultCache",
@@ -50,10 +60,63 @@ __all__ = [
 #: not bare ``"NaN"``/``"Infinity"`` strings)
 _CACHE_VERSION = 2
 
+#: wrapper key for floats RFC 8259 cannot carry; the artifact cache
+#: rejects raw NaN/Infinity, and chaos reports legitimately contain
+#: ``math.inf`` (a job that never completed has an infinite wall).
+#: A tagged one-key object — not a bare string like ``"NaN"`` — so a
+#: field that *legitimately* holds such a string survives the round
+#: trip unchanged.
+_NONFINITE_KEY = "__nonfinite__"
+_NONFINITE_SENTINELS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
 #: two-level shard directories are two lowercase hex chars
 _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 #: artifact stems are full sha256 hex digests
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
+
+
+def encode_nonfinite(obj: Any) -> Any:
+    """Recursively wrap non-finite floats as ``{"__nonfinite__": tag}``.
+
+    Keeps campaign results strict-JSON-cacheable while staying lossless
+    for every other value — including strings such as ``"NaN"`` —
+    :func:`decode_nonfinite` restores the exact float values.  Raises
+    ``ValueError`` if the input already uses the reserved wrapper key
+    (no real report does; the keys come from dataclass field names).
+    """
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return {_NONFINITE_KEY: "nan"}
+        if math.isinf(obj):
+            return {_NONFINITE_KEY: "inf" if obj > 0 else "-inf"}
+        return obj
+    if isinstance(obj, dict):
+        if _NONFINITE_KEY in obj:
+            raise ValueError(
+                f"cannot encode a mapping that already uses the reserved "
+                f"{_NONFINITE_KEY!r} key"
+            )
+        return {k: encode_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(encode_nonfinite(v) for v in obj)
+    if isinstance(obj, list):
+        return [encode_nonfinite(v) for v in obj]
+    return obj
+
+
+def decode_nonfinite(obj: Any) -> Any:
+    """Inverse of :func:`encode_nonfinite`."""
+    if isinstance(obj, dict):
+        tag = obj.get(_NONFINITE_KEY)
+        if set(obj) == {_NONFINITE_KEY} and isinstance(tag, str):
+            if tag in _NONFINITE_SENTINELS:
+                return _NONFINITE_SENTINELS[tag]
+        return {k: decode_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(decode_nonfinite(v) for v in obj)
+    if isinstance(obj, list):
+        return [decode_nonfinite(v) for v in obj]
+    return obj
 
 
 def canonical_json(obj: Any) -> str:

@@ -18,25 +18,26 @@ runner, one seeding rule, and one artifact cache:
   simulator uses (extension Ext-L);
 * :class:`ProfileReport` / :func:`profile_campaign` — the instrumented
   allocator campaign behind ``repro-gridftp profile``;
-* :func:`pareto_front_points` / :func:`cross_spec_pareto` — the
-  cross-spec analysis layer: an availability-vs-goodput Pareto front
-  computed over *other* campaigns' cached artifacts (chaos grids,
-  managed-service grids) resolved through the pipeline machinery, and
-  :func:`managed_campaign_from_workload`, which sizes a managed-service
+* :func:`managed_campaign_from_workload`, which sizes a managed-service
   campaign from upstream synthesized workloads (measurement -> model ->
   decision).
 
 Reports serialize losslessly to JSON (:func:`report_to_dict` /
 :func:`report_from_dict`), which is what lets chaos cells cross process
 boundaries under ``--jobs N`` and live in the artifact cache without
-changing a single reported bit.
+changing a single reported bit.  Non-finite floats go through the
+artifact codec, :func:`~repro.experiments.cache.encode_nonfinite` /
+:func:`~repro.experiments.cache.decode_nonfinite`, and the
+availability-vs-goodput Pareto reader over cached grids is
+:func:`~repro.experiments.registry.pareto_front_points`: both live
+outside this module because pool cells that never run the simulator
+call them, and importing this module loads the simulator.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
@@ -54,8 +55,10 @@ from ..sim.experiment import FluidSimulator, default_dtns
 from ..sim.probe import SimProbe
 from ..vc.oscars import OscarsIDC, ReservationRejected, ReservationRequest
 from ..vc.policy import FallbackMode, FallbackPolicy
+from .cache import decode_nonfinite, encode_nonfinite
+from .registry import MANAGED_RATE_BPS
 from .runner import Runner
-from .spec import ExperimentSpec, PipelineSpec, StageSpec
+from .spec import ExperimentSpec
 
 if TYPE_CHECKING:
     from ..sched.base import TransferScheduler
@@ -69,18 +72,23 @@ __all__ = [
     "chaos_config_from_params",
     "report_to_dict",
     "report_from_dict",
-    "encode_nonfinite",
-    "decode_nonfinite",
     "ManagedChaosConfig",
     "ManagedChaosReport",
     "run_managed_chaos",
     "managed_config_from_params",
     "ProfileReport",
     "profile_campaign",
-    "pareto_front_points",
     "managed_campaign_from_workload",
-    "cross_spec_pareto",
 ]
+
+
+def _require_finite(config: Any) -> None:
+    """Refuse a NaN or infinite float field: a NaN fault knob passes every
+    range rule downstream, and a NaN flap duration never ends the fault
+    injector's draw loop."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # -- chaos: fault-injection campaigns over the full VC + transfer stack ------
@@ -120,6 +128,7 @@ class ChaosConfig:
     restart: RestartPolicy = RestartPolicy(marker_interval_bytes=64e6, reconnect_s=5.0)
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_jobs < 1:
             raise ValueError("need at least one job")
         if self.job_bytes <= 0 or self.vc_rate_bps <= 0:
@@ -433,59 +442,6 @@ def chaos_config_from_params(params: Mapping[str, Any]) -> ChaosConfig:
 
 _TUPLE_FIELDS = ("modes", "flaps_per_job", "wall_clean_s", "wall_chaos_s")
 
-#: wrapper key for floats RFC 8259 cannot carry; the artifact cache
-#: rejects raw NaN/Infinity, and chaos reports legitimately contain
-#: ``math.inf`` (a job that never completed has an infinite wall).
-#: A tagged one-key object — not a bare string like ``"NaN"`` — so a
-#: field that *legitimately* holds such a string survives the round
-#: trip unchanged.
-_NONFINITE_KEY = "__nonfinite__"
-_NONFINITE_SENTINELS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
-
-
-def encode_nonfinite(obj: Any) -> Any:
-    """Recursively wrap non-finite floats as ``{"__nonfinite__": tag}``.
-
-    Keeps campaign results strict-JSON-cacheable while staying lossless
-    for every other value — including strings such as ``"NaN"`` —
-    :func:`decode_nonfinite` restores the exact float values.  Raises
-    ``ValueError`` if the input already uses the reserved wrapper key
-    (no real report does; the keys come from dataclass field names).
-    """
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return {_NONFINITE_KEY: "nan"}
-        if math.isinf(obj):
-            return {_NONFINITE_KEY: "inf" if obj > 0 else "-inf"}
-        return obj
-    if isinstance(obj, dict):
-        if _NONFINITE_KEY in obj:
-            raise ValueError(
-                f"cannot encode a mapping that already uses the reserved "
-                f"{_NONFINITE_KEY!r} key"
-            )
-        return {k: encode_nonfinite(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(encode_nonfinite(v) for v in obj)
-    if isinstance(obj, list):
-        return [encode_nonfinite(v) for v in obj]
-    return obj
-
-
-def decode_nonfinite(obj: Any) -> Any:
-    """Inverse of :func:`encode_nonfinite`."""
-    if isinstance(obj, dict):
-        tag = obj.get(_NONFINITE_KEY)
-        if set(obj) == {_NONFINITE_KEY} and isinstance(tag, str):
-            if tag in _NONFINITE_SENTINELS:
-                return _NONFINITE_SENTINELS[tag]
-        return {k: decode_nonfinite(v) for k, v in obj.items()}
-    if isinstance(obj, tuple):
-        return tuple(decode_nonfinite(v) for v in obj)
-    if isinstance(obj, list):
-        return [decode_nonfinite(v) for v in obj]
-    return obj
-
 
 def report_to_dict(report: ChaosReport) -> dict[str, Any]:
     """Lossless JSON-safe encoding of a :class:`ChaosReport`.
@@ -550,8 +506,10 @@ def chaos_sweep(
         "setup_timeout_prob": [float(t) for t in timeouts],
         "flaps_per_hour": [float(r) for r in flap_rates_per_hour],
     }
-    for axis in axes:
+    for axis, values in axes.items():
         params.pop(axis, None)
+        for value in values:  # refused here, not as a quarantined cell
+            storm_injector(seed, **{axis: value})
     spec = ExperimentSpec(
         name="chaos-sweep",
         scenario="chaos",
@@ -582,7 +540,7 @@ class ManagedChaosConfig:
     n_tasks: int = 15
     files_per_task: int = 10
     file_bytes: float = 32e9
-    rate_bps: float = 1.6e9
+    rate_bps: float = MANAGED_RATE_BPS
     concurrency: int = 3
     submit_spacing_s: float = 240.0
     flaps_per_hour: float = 0.0
@@ -593,6 +551,7 @@ class ManagedChaosConfig:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.n_tasks < 1 or self.files_per_task < 1:
             raise ValueError("need at least one task and one file")
         if self.file_bytes <= 0 or self.rate_bps <= 0:
@@ -799,107 +758,7 @@ def profile_campaign(
     )
 
 
-# -- cross-spec analysis: Pareto fronts over cached campaign grids -----------
-
-
-def _availability_goodput(artifact: Any) -> tuple[float, float] | None:
-    """Extract an (availability, goodput_bps) point from one upstream cell.
-
-    Understands the three grid families that expose the trade-off:
-    ``chaos`` reports (availability + chaos goodput), ``managed_service``
-    reports (task success rate + rate deflated by inflation), and
-    ``managed_from_workload`` aggregates (which report the pair
-    directly).  Anything else — a synth workload, a profile run —
-    yields no point and is skipped.
-    """
-    result = decode_nonfinite(artifact.result)
-    if not isinstance(result, Mapping):
-        return None
-    if "availability" in result and "goodput_chaos_bps" in result:
-        availability = float(result["availability"])
-        goodput = float(result["goodput_chaos_bps"])
-    elif "availability" in result and "goodput_bps" in result:
-        availability = float(result["availability"])
-        goodput = float(result["goodput_bps"])
-    elif "n_succeeded" in result and "inflation" in result:
-        n_tasks = int(result.get("n_tasks", 0))
-        if n_tasks < 1:
-            return None
-        availability = float(result["n_succeeded"]) / n_tasks
-        # params only carry overrides; an omitted rate means the
-        # ManagedChaosConfig default, not a zero-rate endpoint pair
-        rate = float(
-            artifact.params.get("rate_bps", ManagedChaosConfig.rate_bps)
-        )
-        inflation = float(result["inflation"])
-        goodput = (
-            rate / inflation
-            if math.isfinite(inflation) and inflation > 0
-            else 0.0
-        )
-    else:
-        return None
-    if not math.isfinite(availability):
-        return None
-    if not math.isfinite(goodput):
-        goodput = 0.0
-    return availability, goodput
-
-
-def pareto_front_points(artifacts: Mapping[str, Any]) -> dict[str, Any]:
-    """Availability-vs-goodput Pareto front over upstream artifact sets.
-
-    ``artifacts`` maps dependency names to
-    :class:`~repro.experiments.artifacts.ArtifactSet` objects — exactly
-    what the Runner hands the ``pareto_front`` analysis scenario.  Every
-    upstream cell that exposes the trade-off contributes one point
-    (tagged with its source, cell index, and coords); the front is the
-    non-dominated subset maximizing both axes, sorted by availability.
-    The points are *read* from the upstream sets, never recomputed.
-    """
-    points: list[dict[str, Any]] = []
-    for dep in sorted(artifacts):
-        for artifact in artifacts[dep]:
-            pair = _availability_goodput(artifact)
-            if pair is None:
-                continue
-            availability, goodput = pair
-            points.append(
-                {
-                    "source": dep,
-                    "scenario": artifact.scenario,
-                    "index": artifact.index,
-                    "coords": dict(artifact.coords),
-                    "availability": availability,
-                    "goodput_bps": goodput,
-                }
-            )
-    if not points:
-        raise ValueError(
-            "no upstream cell exposes an availability/goodput trade-off; "
-            f"needs resolved: {sorted(artifacts)} — point them at chaos "
-            "or managed-service grids"
-        )
-    front = [
-        p
-        for p in points
-        if not any(
-            (q["availability"] >= p["availability"])
-            and (q["goodput_bps"] >= p["goodput_bps"])
-            and (
-                q["availability"] > p["availability"]
-                or q["goodput_bps"] > p["goodput_bps"]
-            )
-            for q in points
-        )
-    ]
-    front.sort(key=lambda p: (p["availability"], p["goodput_bps"]))
-    return {
-        "n_points": len(points),
-        "n_front": len(front),
-        "front": front,
-        "points": points,
-    }
+# -- measurement -> model -> decision: managed campaigns from workloads -----
 
 
 def managed_campaign_from_workload(
@@ -985,34 +844,3 @@ def managed_campaign_from_workload(
             "sources": sources,
         }
     )
-
-
-def cross_spec_pareto(
-    spec_paths: Sequence[str | os.PathLike],
-    name: str = "cross-spec-pareto",
-    seed: int = 0,
-    runner: Runner | None = None,
-) -> dict[str, Any]:
-    """The availability-vs-goodput front across *other* specs' grids.
-
-    Builds a one-stage pipeline whose ``pareto_front`` stage ``needs``
-    the given external spec files (chaos grids, managed-service grids)
-    and runs it through ``runner``.  With a shared cache, grids those
-    specs already computed resolve as pure cache reads — the campaign
-    the paper-style comparison wants ("which operating points dominate
-    across the chaos and managed-service studies?") without recomputing
-    either study.
-    """
-    paths = [os.fspath(p) for p in spec_paths]
-    if not paths:
-        raise ValueError("cross_spec_pareto needs at least one spec path")
-    stage = StageSpec(
-        name="pareto",
-        spec=ExperimentSpec(
-            name=f"{name}/pareto", scenario="pareto_front", seed=seed
-        ),
-        needs=tuple(paths),
-    )
-    pipeline = PipelineSpec(name=name, stages=(stage,), seed=seed)
-    result = (runner or Runner()).run_pipeline(pipeline)
-    return result.stage("pareto").results()[0]

@@ -27,26 +27,37 @@ chaos stack, the allocator profiler, the two mechanistic paper setups,
 the managed-service (Globus-Online-style) chaos campaign, synthetic
 workload generation, and the cross-grid analyses (``pareto_front``,
 ``managed_from_workload``) — so all of them ride the same Runner,
-cache, and seeding machinery.  Their bodies import lazily, which keeps
-this module free of circular dependencies on the simulation layers.  It
-is not cheap to import: importing it first runs
-``repro/experiments/__init__``, which loads
-:mod:`~repro.experiments.campaigns`, the fluid simulator and networkx.
+cache, and seeding machinery.  Their bodies import lazily, so a campaign
+parent and its forked pool load only the layers their cells run: the
+``pareto_front`` reader (:func:`pareto_front_points`) is defined here
+and the artifact codec in :mod:`~repro.experiments.cache`, never in
+:mod:`~repro.experiments.campaigns`, which loads the fluid simulator and
+networkx.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from typing import Any
 
 import numpy as np
+
+from .cache import decode_nonfinite, encode_nonfinite
 
 __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
     "scenario_needs_artifacts",
+    "pareto_front_points",
+    "MANAGED_RATE_BPS",
 ]
+
+#: the ``managed_service`` scenario's endpoint-pair rate when its params
+#: name none (:class:`~repro.experiments.campaigns.ManagedChaosConfig`'s
+#: default, which the Pareto reader needs to price such a cell)
+MANAGED_RATE_BPS = 1.6e9
 
 ScenarioFn = Callable[..., Any]
 
@@ -186,11 +197,7 @@ def _scenario_snmp(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
 @register_scenario("managed_service")
 def _scenario_managed(params: Mapping[str, Any], seed: int) -> dict[str, Any]:
     """Globus-Online-style managed transfers under injected circuit chaos."""
-    from .campaigns import (
-        encode_nonfinite,
-        managed_config_from_params,
-        run_managed_chaos,
-    )
+    from .campaigns import managed_config_from_params, run_managed_chaos
 
     kwargs = dict(params)
     scheduler = kwargs.pop("scheduler", None)
@@ -234,9 +241,105 @@ def _scenario_pareto_front(
     cross-spec analysis ROADMAP asked for: the upstream grids are
     *read* from the artifact cache, never recomputed here.
     """
-    from .campaigns import pareto_front_points
-
     return pareto_front_points(artifacts)
+
+
+def _availability_goodput(artifact: Any) -> tuple[float, float] | None:
+    """Extract an (availability, goodput_bps) point from one upstream cell.
+
+    Understands the three grid families that expose the trade-off:
+    ``chaos`` reports (availability + chaos goodput), ``managed_service``
+    reports (task success rate + rate deflated by inflation), and
+    ``managed_from_workload`` aggregates (which report the pair
+    directly).  Anything else — a synth workload, a profile run —
+    yields no point and is skipped.
+    """
+    result = decode_nonfinite(artifact.result)
+    if not isinstance(result, Mapping):
+        return None
+    if "availability" in result and "goodput_chaos_bps" in result:
+        availability = float(result["availability"])
+        goodput = float(result["goodput_chaos_bps"])
+    elif "availability" in result and "goodput_bps" in result:
+        availability = float(result["availability"])
+        goodput = float(result["goodput_bps"])
+    elif "n_succeeded" in result and "inflation" in result:
+        n_tasks = int(result.get("n_tasks", 0))
+        if n_tasks < 1:
+            return None
+        availability = float(result["n_succeeded"]) / n_tasks
+        # params only carry overrides; an omitted rate means the
+        # ManagedChaosConfig default, not a zero-rate endpoint pair
+        rate = float(artifact.params.get("rate_bps", MANAGED_RATE_BPS))
+        inflation = float(result["inflation"])
+        goodput = (
+            rate / inflation
+            if math.isfinite(inflation) and inflation > 0
+            else 0.0
+        )
+    else:
+        return None
+    if not math.isfinite(availability):
+        return None
+    if not math.isfinite(goodput):
+        goodput = 0.0
+    return availability, goodput
+
+
+def pareto_front_points(artifacts: Mapping[str, Any]) -> dict[str, Any]:
+    """Availability-vs-goodput Pareto front over upstream artifact sets.
+
+    ``artifacts`` maps dependency names to
+    :class:`~repro.experiments.artifacts.ArtifactSet` objects — exactly
+    what the Runner hands the ``pareto_front`` analysis scenario.  Every
+    upstream cell that exposes the trade-off contributes one point
+    (tagged with its source, cell index, and coords); the front is the
+    non-dominated subset maximizing both axes, sorted by availability.
+    The points are *read* from the upstream sets, never recomputed.
+    """
+    points: list[dict[str, Any]] = []
+    for dep in sorted(artifacts):
+        for artifact in artifacts[dep]:
+            pair = _availability_goodput(artifact)
+            if pair is None:
+                continue
+            availability, goodput = pair
+            points.append(
+                {
+                    "source": dep,
+                    "scenario": artifact.scenario,
+                    "index": artifact.index,
+                    "coords": dict(artifact.coords),
+                    "availability": availability,
+                    "goodput_bps": goodput,
+                }
+            )
+    if not points:
+        raise ValueError(
+            "no upstream cell exposes an availability/goodput trade-off; "
+            f"needs resolved: {sorted(artifacts)} — point them at chaos "
+            "or managed-service grids"
+        )
+    front = [
+        p
+        for p in points
+        if not any(
+            (q["availability"] >= p["availability"])
+            and (q["goodput_bps"] >= p["goodput_bps"])
+            and (
+                q["availability"] > p["availability"]
+                or q["goodput_bps"] > p["goodput_bps"]
+            )
+            for q in points
+        )
+    ]
+    front.sort(key=lambda p: (p["availability"], p["goodput_bps"]))
+    return {
+        "n_points": len(points),
+        "n_front": len(front),
+        "front": front,
+        "points": points,
+    }
 
 
 @register_scenario("managed_from_workload", needs_artifacts=True)
@@ -306,7 +409,6 @@ def _scenario_sched_compare(
     ``pareto_front`` analysis scenario consumes.
     """
     from ..sched.compare import run_sched_comparison
-    from .campaigns import encode_nonfinite
 
     return encode_nonfinite(run_sched_comparison(dict(params), seed))
 
@@ -323,7 +425,6 @@ def _scenario_sched_cost_curve(
     deadline expiry — the DESIGN.md §16 methodology.
     """
     from ..sched.predictive import prediction_error_cost_curve
-    from .campaigns import encode_nonfinite
 
     kwargs = dict(params)
     biases = kwargs.pop("biases", None)

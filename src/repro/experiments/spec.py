@@ -84,6 +84,13 @@ _SEED_MODES = ("per-cell", "shared")
 _SPEC_SUFFIXES = (".toml", ".json")
 
 
+def _require_seed(seed: Any) -> None:
+    """A spec seed is a non-negative int: ``int()`` would run ``1.5`` and
+    ``true`` with the cells of ``1`` under another fingerprint."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Cell:
     """One grid point of an expanded spec."""
@@ -115,6 +122,7 @@ class ExperimentSpec:
             raise ValueError("spec needs a name")
         if not self.scenario:
             raise ValueError("spec needs a scenario")
+        _require_seed(self.seed)
         if self.seed_mode not in _SEED_MODES:
             raise ValueError(
                 f"seed_mode must be one of {_SEED_MODES}, got {self.seed_mode!r}"
@@ -262,6 +270,7 @@ class PipelineSpec:
             raise ValueError("pipeline needs a name")
         if not self.stages:
             raise ValueError("pipeline needs at least one stage")
+        _require_seed(self.seed)
         object.__setattr__(self, "stages", tuple(self.stages))
         names = [s.name for s in self.stages]
         dup = {n for n in names if names.count(n) > 1}
@@ -337,7 +346,7 @@ class PipelineSpec:
         if unknown:
             raise ValueError(f"unknown pipeline keys: {sorted(unknown)}")
         name = data.get("name", "")
-        seed = int(data.get("seed", 0))
+        seed = data.get("seed", 0)
         raw_stages = data.get("stages")
         if not isinstance(raw_stages, Sequence) or isinstance(
             raw_stages, (str, bytes)
@@ -365,7 +374,7 @@ class PipelineSpec:
                 scenario=raw.get("scenario", ""),
                 params=dict(raw.get("params", {})),
                 axes=dict(raw.get("axes", {})),
-                seed=int(raw.get("seed", seed)),
+                seed=raw.get("seed", seed),
                 seed_mode=raw.get("seed_mode", "per-cell"),
             )
             stages.append(

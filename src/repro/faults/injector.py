@@ -20,6 +20,7 @@ same faults, which is what makes chaos experiments assertable in tests.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -202,8 +203,17 @@ def storm_injector(
     IDC rejection, setup timeout, circuit flap, endpoint outage (at
     ``endpoint``) — so the child generator each spec draws from, its
     index in the injector's ``SeedSequence`` spawn, depends only on
-    which knobs are on.
+    which knobs are on.  A knob outside ``[0, inf)`` is refused, never
+    read as off.
     """
+    for name, value in (
+        ("rejection_prob", rejection_prob),
+        ("setup_timeout_prob", setup_timeout_prob),
+        ("flaps_per_hour", flaps_per_hour),
+        ("endpoint_outages_per_hour", endpoint_outages_per_hour),
+    ):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be in [0, inf), got {value!r}")
     specs: list[FaultSpec] = []
     if rejection_prob > 0:
         specs.append(FaultSpec(FaultKind.IDC_REJECTION, probability=rejection_prob))

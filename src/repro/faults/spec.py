@@ -83,6 +83,11 @@ class FaultSpec:
     window: tuple[float, float] = (0.0, math.inf)
 
     def __post_init__(self) -> None:
+        # a NaN passes every range rule below, and the injector's Poisson
+        # draw loop never ends on a NaN rate or duration
+        for name in ("probability", "rate_per_hour", "duration_s", "extra_delay_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind in PER_REQUEST_KINDS:
             if not 0.0 <= self.probability <= 1.0:
                 raise ValueError("probability must be in [0, 1]")

@@ -48,12 +48,13 @@ import os
 import tempfile
 import time
 from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..core.rng import ensure_rng
 from ..core.streaming import QuantileSketch
+from ..sched.base import TransferScheduler, make_scheduler
 from ..vc.circuits import BatchSignalling
 from ..workload.diurnal import DiurnalProfile, sample_arrivals
 from .admission import SHED_REASONS
@@ -62,9 +63,6 @@ from .budget import PathChoice, TransferPlan
 from .core import InvalidSubmission, ServiceCore, ServiceRequest
 from .daemon import EXIT_DRAINED, TransferDaemon, config_from_params
 from .health import SETTLED_STATES, ServiceMetrics
-
-if TYPE_CHECKING:  # the sched package imports this module; stay lazy
-    from ..sched.base import TransferScheduler
 
 __all__ = [
     "FIG6_HOURLY",
@@ -872,8 +870,6 @@ def run_loadtest_sim(
     otherwise ``params["scheduler"]`` names the policy.  The twin has
     no work loops to crash, so it refuses ``n_crashes``.
     """
-    from ..sched.base import make_scheduler
-
     if int(params.get("n_crashes", 0)):
         raise ValueError("the twin has no loops to crash: n_crashes "
                          "needs the live driver")

@@ -10,24 +10,24 @@ functions directly, and reports survive the JSON round-trip losslessly.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
-from repro.experiments import (
+from repro.experiments.cache import ResultCache
+from repro.experiments.campaigns import (
     ChaosConfig,
-    ExperimentSpec,
     ManagedChaosConfig,
-    ResultCache,
-    Runner,
     chaos_config_from_params,
     chaos_params_from_config,
     chaos_sweep,
-    get_scenario,
     report_from_dict,
     report_to_dict,
     run_chaos,
     run_managed_chaos,
 )
+from repro.experiments.registry import get_scenario
+from repro.experiments.runner import Runner
 from repro.faults.recovery import BackoffPolicy
 from repro.gridftp.reliability import RestartPolicy
 from repro.vc.policy import FallbackPolicy
@@ -69,6 +69,29 @@ class TestChaosConfigParams:
         report = run_chaos(config, seed=0)
         wire = json.loads(json.dumps(report_to_dict(report)))
         assert report_from_dict(wire) == report
+
+
+class TestNonFiniteConfigsRefused:
+    """Construction only: at the commit before these refusals a NaN flap
+    duration reached the injector's draw loop, which never ended."""
+
+    @pytest.mark.parametrize(
+        "field",
+        ["flap_duration_s", "flaps_per_hour", "endpoint_outage_s",
+         "rejection_prob", "setup_extra_delay_s", "job_bytes"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_chaos_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ChaosConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field", ["flap_duration_s", "flaps_per_hour", "file_bytes", "rate_bps"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_managed_chaos_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            ManagedChaosConfig(**{"n_tasks": 2, "file_bytes": 1e9, field: value})
 
 
 class TestChaosSweepPort:

@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.experiments import ChaosConfig, chaos_sweep, run_chaos
+from repro.experiments.campaigns import ChaosConfig, chaos_sweep, run_chaos
 from repro.gridftp.client import TransferJob
 from repro.gridftp.reliability import RestartPolicy
 from repro.net.topology import esnet_like
@@ -344,8 +344,15 @@ class TestChaosCli:
         [
             (["chaos", "--jobs", "0"], "need at least one job"),
             (["chaos", "--sweep", "x,1"], "could not convert string to float: 'x'"),
+            (["chaos", "--reject-prob", "nan"], "rejection_prob must be finite, got nan"),
+            (["chaos", "--flaps-per-hour", "nan"], "flaps_per_hour must be finite, got nan"),
+            (["chaos", "--flaps-per-hour", "inf"], "flaps_per_hour must be finite, got inf"),
+            (["chaos", "--flaps-per-hour", "-5"],
+             "flaps_per_hour must be in [0, inf), got -5.0"),
+            (["chaos", "--sweep", "0,-5"], "flaps_per_hour must be in [0, inf), got -5.0"),
         ],
-        ids=["zero-jobs", "non-numeric-sweep"],
+        ids=["zero-jobs", "non-numeric-sweep", "nan-reject-prob", "nan-flap-rate",
+             "infinite-flap-rate", "negative-flap-rate", "negative-sweep-rate"],
     )
     def test_bad_values_refused_before_simulating(self, capsys, argv, message):
         from repro.cli import main

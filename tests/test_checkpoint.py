@@ -23,16 +23,11 @@ import time
 
 import pytest
 
-from repro.experiments import (
-    CampaignCheckpoint,
-    CampaignInterrupted,
-    ExperimentSpec,
-    ResultCache,
-    Runner,
-    canonical_json,
-    register_scenario,
-    spec_fingerprint,
-)
+from repro.experiments.cache import ResultCache, canonical_json
+from repro.experiments.checkpoint import CampaignCheckpoint, spec_fingerprint
+from repro.experiments.registry import register_scenario
+from repro.experiments.runner import CampaignInterrupted, Runner
+from repro.experiments.spec import ExperimentSpec
 
 # -- scenarios for these tests (registry is process-global; fork-started
 # -- workers inherit them) ----------------------------------------------------
@@ -376,7 +371,10 @@ class TestGracefulSignals:
 _CHILD_SCRIPT = textwrap.dedent(
     """
     import sys, time
-    from repro.experiments import ExperimentSpec, ResultCache, Runner, register_scenario
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.registry import register_scenario
+    from repro.experiments.runner import Runner
+    from repro.experiments.spec import ExperimentSpec
 
     @register_scenario("ck-subproc")
     def _s(params, seed):

@@ -24,17 +24,11 @@ import time
 
 import pytest
 
-from repro.experiments import (
-    ExperimentSpec,
-    PipelineSpec,
-    ResultCache,
-    Runner,
-    StageSpec,
-    canonical_json,
-    keys_digest,
-    register_scenario,
-)
-from repro.experiments.runner import plan_dag_summary
+from repro.experiments.artifacts import keys_digest
+from repro.experiments.cache import ResultCache, canonical_json
+from repro.experiments.registry import register_scenario
+from repro.experiments.runner import Runner, plan_dag_summary
+from repro.experiments.spec import ExperimentSpec, PipelineSpec, StageSpec
 
 # -- cheap scenarios ---------------------------------------------------------
 
@@ -322,10 +316,10 @@ class TestDagCancellation:
 _DIAMOND_CHILD = textwrap.dedent(
     """
     import sys, time
-    from repro.experiments import (
-        ExperimentSpec, PipelineSpec, ResultCache, Runner, StageSpec,
-        CampaignInterrupted, register_scenario,
-    )
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.registry import register_scenario
+    from repro.experiments.runner import CampaignInterrupted, Runner
+    from repro.experiments.spec import ExperimentSpec, PipelineSpec, StageSpec
 
     @register_scenario("dag-src")
     def _src(params, seed):

@@ -16,18 +16,10 @@ import time
 import pytest
 
 from repro.core.rng import derive_seed
-from repro.experiments import (
-    CampaignResult,
-    ExperimentSpec,
-    ResultCache,
-    Runner,
-    canonical_json,
-    cell_key,
-    get_scenario,
-    load_spec,
-    register_scenario,
-    scenario_names,
-)
+from repro.experiments.cache import ResultCache, canonical_json, cell_key
+from repro.experiments.registry import get_scenario, register_scenario, scenario_names
+from repro.experiments.runner import CampaignResult, Runner
+from repro.experiments.spec import ExperimentSpec, load_spec
 
 # -- cheap scenarios registered for these tests ------------------------------
 # (the registry is process-global; fork-started workers inherit them)
@@ -445,6 +437,27 @@ def test_cli_profile_refuses_oracle_against_itself(capsys):
     )
 
 
+#: one spec per place a seed is read, ``@`` standing for the seed
+_SEED_SPECS = {
+    "flat": {
+        "toml": 'name = "s"\nscenario = "t-echo"\nseed = @\n[axes]\nx = [1, 2]\n',
+        "json": '{"name": "s", "scenario": "t-echo", "seed": @, "axes": {"x": [1, 2]}}',
+    },
+    "pipeline": {
+        "toml": 'name = "p"\nseed = @\n[[stages]]\nname = "a"\nscenario = "t-echo"\n'
+                "[stages.axes]\nx = [1, 2]\n",
+        "json": '{"name": "p", "seed": @, "stages": '
+                '[{"name": "a", "scenario": "t-echo", "axes": {"x": [1, 2]}}]}',
+    },
+    "stage": {
+        "toml": 'name = "p"\n[[stages]]\nname = "a"\nscenario = "t-echo"\nseed = @\n'
+                "[stages.axes]\nx = [1, 2]\n",
+        "json": '{"name": "p", "stages": '
+                '[{"name": "a", "scenario": "t-echo", "seed": @, "axes": {"x": [1, 2]}}]}',
+    },
+}
+
+
 class TestCliRun:
     def _write_spec(self, tmp_path):
         path = tmp_path / "campaign.toml"
@@ -543,6 +556,28 @@ class TestCliRun:
         assert captured.err.startswith("error: cell_timeout_s must be")
         assert captured.err.count("\n") == 1
 
+    # seed = 1.5 and seed = true used to run the cells of seed = 1 under
+    # another fingerprint, seed = 1e30 ran, and seed = nan failed in the
+    # fingerprint's JSON encoding
+    @pytest.mark.parametrize("where", sorted(_SEED_SPECS))
+    @pytest.mark.parametrize(
+        "fmt, seed",
+        [("toml", s) for s in ("1.5", "true", "-1", "1e30", "nan")]
+        + [("json", s) for s in ("1.5", "true", "-1", "1e30", "NaN")],
+    )
+    def test_a_seed_that_is_no_integer_is_refused(
+        self, tmp_path, capsys, where, fmt, seed
+    ):
+        from repro.cli import main
+
+        path = tmp_path / f"spec.{fmt}"
+        path.write_text(_SEED_SPECS[where][fmt].replace("@", seed))
+        assert main(["run", str(path), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be a non-negative integer, got ")
+        assert captured.err.count("\n") == 1
+
     def test_spec_naming_an_unregistered_scenario_is_refused(
         self, tmp_path, capsys
     ):
@@ -618,7 +653,7 @@ class TestNonFiniteRejection:
         assert len(cache) == 0
 
     def test_nonfinite_reports_round_trip_via_sentinels(self):
-        from repro.experiments import decode_nonfinite, encode_nonfinite
+        from repro.experiments.cache import decode_nonfinite, encode_nonfinite
 
         original = {
             "inflation": math.inf,
@@ -637,7 +672,7 @@ class TestNonFiniteRejection:
     def test_sentinel_lookalike_strings_round_trip_unchanged(self):
         # a field that *legitimately* holds "NaN"/"Infinity" as a string
         # (a tag, a message) must come back as that string, not a float
-        from repro.experiments import decode_nonfinite, encode_nonfinite
+        from repro.experiments.cache import decode_nonfinite, encode_nonfinite
 
         original = {
             "tag": "NaN",
@@ -652,7 +687,7 @@ class TestNonFiniteRejection:
         assert decoded["wall"] == math.inf
 
     def test_encode_rejects_reserved_wrapper_key(self):
-        from repro.experiments import encode_nonfinite
+        from repro.experiments.cache import encode_nonfinite
 
         with pytest.raises(ValueError, match="reserved"):
             encode_nonfinite({"__nonfinite__": 1.0})
@@ -686,7 +721,7 @@ class TestCacheMaintenance:
         assert len(cache.tmp_files()) == 2
 
     def test_checkpoints_subdir_is_not_an_artifact(self, tmp_path):
-        from repro.experiments import CampaignCheckpoint
+        from repro.experiments.checkpoint import CampaignCheckpoint
         from repro.experiments.checkpoint import CHECKPOINT_SUBDIR
 
         cache = ResultCache(tmp_path)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, storm_injector
 from repro.faults.recovery import BackoffPolicy, RecoveryStats, reserve_with_retry
 from repro.faults.spec import FaultKind, FaultSpec
 from repro.gridftp.reliability import CircuitOutageTracker
@@ -37,6 +37,17 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec(FaultKind.LINK_OUTAGE, rate_per_hour=1.0, duration_s=0.0)
 
+    # construction only: a NaN rate or duration that reached the
+    # injector's draw loop would never end it
+    @pytest.mark.parametrize("kind", [FaultKind.IDC_REJECTION, FaultKind.CIRCUIT_FLAP])
+    @pytest.mark.parametrize(
+        "field", ["probability", "rate_per_hour", "duration_s", "extra_delay_s"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_intensity_is_refused(self, kind, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FaultSpec(kind, **{field: value})
+
     def test_window_bounds_liveness(self):
         spec = FaultSpec(
             FaultKind.IDC_REJECTION, probability=0.5, window=(100.0, 200.0)
@@ -55,6 +66,22 @@ class TestFaultSpec:
         assert anywhere.matches("anything")
         assert scoped.matches("NERSC")
         assert not scoped.matches("ORNL")
+
+
+class TestStormInjector:
+    @pytest.mark.parametrize(
+        "knob",
+        ["rejection_prob", "setup_timeout_prob", "flaps_per_hour",
+         "endpoint_outages_per_hour"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, -5.0, math.inf])
+    def test_knob_outside_zero_to_inf_is_refused(self, knob, value):
+        # never read as "off" the way a knob at zero is
+        with pytest.raises(ValueError, match=rf"^{knob} must be in \[0, inf\)"):
+            storm_injector(0, **{knob: value})
+
+    def test_every_knob_at_zero_is_no_injector(self):
+        assert storm_injector(0) is None
 
 
 class TestFaultInjector:

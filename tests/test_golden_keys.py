@@ -12,12 +12,10 @@ revert the change, or bump the cache version and say so loudly in the
 changelog — never "fix the test" quietly.
 """
 
-from repro.experiments import (
-    ExperimentSpec,
-    cell_key,
-    keys_digest,
-    spec_fingerprint,
-)
+from repro.experiments.artifacts import keys_digest
+from repro.experiments.cache import cell_key
+from repro.experiments.checkpoint import spec_fingerprint
+from repro.experiments.spec import ExperimentSpec
 
 #: a representative flat cell identity, pinned at cache version 2
 GOLDEN_FLAT_KEY = (

@@ -2,10 +2,11 @@
 where a topology is built, and no repro layer it does not run.
 
 ``import repro`` loads no subpackage, a subpackage's ``__init__`` is its
-docstring (``repro.experiments`` aside), and a heavy optional dependency
-is imported inside the function that uses it, so a CLI verb, a daemon
-boot or a campaign parent pays only for the layers it runs (DESIGN.md
-§10).
+docstring, and a heavy optional dependency is imported inside the
+function that uses it, so a CLI verb, a daemon boot or a campaign parent
+pays only for the layers it runs (DESIGN.md §10).  A campaign's pool
+cells import no repro module outside a pinned set: a worker forks from
+the parent and pays for each module it loads on its own.
 scipy serves one ``kstest`` in :func:`repro.core.distfit.fit_lognormal`
 and three ``scipy.stats.norm`` helpers in
 :mod:`repro.workload.distributions`; networkx backs
@@ -34,7 +35,8 @@ FORBIDDEN = {
     "repro.workload": {"scipy", "networkx"},
     "repro.gridftp": {"scipy", "networkx"},
     "repro.service.daemon": {"scipy"},
-    "repro.experiments.runner": {"scipy"},
+    "repro.experiments.runner": {"scipy", "networkx"},
+    "repro.experiments.cache": {"scipy", "networkx"},
     "repro.sim.experiment": {"scipy"},
 }
 
@@ -56,15 +58,21 @@ UNUSED_LAYERS = {
         set(),
     ),
     "repro.sim.experiment": (("repro.sim.scenarios", "repro.sim.replay"), set()),
+    **{entry: (("repro.sim", "repro.net", "repro.faults", "repro.vc",
+                "repro.experiments.campaigns"), set())
+       for entry in ("repro.experiments.runner", "repro.experiments.cache")},
 }
 
-#: the one subpackage whose ``__init__`` imports its layer.  The parent of
-#: a campaign imports ``repro.experiments``, so its pool workers fork with
-#: ``campaigns`` (and the simulator behind it) loaded; with this init cut
-#: too, the ``pareto_front`` stage imported the simulator in a freshly
-#: forked worker on every cold ``sweep_campaign`` pass (65-82 ms per
-#: child) and cold cells/s fell in 4 of 4 rounds (median 374 -> 278).
-EAGER_INITS = {"experiments"}
+#: what perfbench's ``sweep_campaign`` parent imports before its pool forks
+SWEEP_PARENT = ("repro.experiments.runner", "repro.experiments.cache",
+                "repro.experiments.spec", "repro.experiments.registry",
+                "repro.service.loadtest")
+#: the repro modules that parent's cells import on their own: the three
+#: policies ``make_scheduler`` registers on first use.  A cell that
+#: reached ``campaigns`` for a helper loaded the simulator in every
+#: forked worker (65-82 ms each), and cold cells/s fell from 374 to 278
+SWEEP_CELL_IMPORTS = ["repro.sched.fcfs", "repro.sched.globalsched",
+                      "repro.sched.predictive"]
 
 #: the fixed sample: ``default_rng(SEED).lognormal(MU, SIGMA, N)``
 SEED, MU, SIGMA, N = 20120101, 20.0, 1.5, 400
@@ -96,11 +104,33 @@ for module in pkgutil.iter_modules(layer.__path__, layer.__name__ + "."):
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: a small sched_compare-shaped pipeline, run in-process: the lazy imports
+#: of its cells are what each forked worker of a pool would pay for
+_SWEEP_SCRIPT = f"""
+import json, sys, tempfile
+import {", ".join(SWEEP_PARENT)}
+from repro.experiments.cache import ResultCache
+from repro.experiments.runner import Runner
+from repro.experiments.spec import PipelineSpec
+before = set(sys.modules)
+spec = PipelineSpec.from_dict({{"name": "pool", "seed": 3, "stages": [
+    {{"name": "grid", "scenario": "service_loadtest",
+     "params": {{"mode": "sim", "n_requests": 20, "workers": 2}},
+     "axes": {{"scheduler": ["fcfs", "predictive", "global"], "rate_per_s": [0.5]}}}},
+    {{"name": "latency", "scenario": "latency_sweep", "needs": ["grid"]}},
+    {{"name": "front", "scenario": "pareto_front", "needs": ["grid"]}}]}})
+with tempfile.TemporaryDirectory() as root:
+    result = Runner(jobs=1, cache=ResultCache(root)).run_pipeline(spec)
+assert result.n_failed == 0 and result.n_executed == 5, result
+print(json.dumps(sorted(m for m in set(sys.modules) - before if m.startswith("repro"))))
+"""
+
 _SCRIPTS = {
     **{name: f"import {name}, json, sys; print(json.dumps(sorted(sys.modules)))"
        for name in {"repro", *FORBIDDEN, *UNUSED_LAYERS} - LAYERS},
     **{name: _LAYER_SCRIPT.format(name=name) for name in LAYERS},
     "fit_lognormal": _FIT_SCRIPT,
+    "sweep_cells": _SWEEP_SCRIPT,
 }
 
 
@@ -135,8 +165,7 @@ def test_entry_point_skips_heavy_imports(fresh, entry):
 @pytest.mark.parametrize(
     "package",
     sorted(p for p in os.listdir(os.path.join(SRC, "repro"))
-           if os.path.isfile(os.path.join(SRC, "repro", p, "__init__.py"))
-           and p not in EAGER_INITS),
+           if os.path.isfile(os.path.join(SRC, "repro", p, "__init__.py"))),
 )
 def test_subpackage_init_is_its_docstring(package):
     # one import path per name: import the defining submodule
@@ -150,6 +179,11 @@ def test_subpackage_init_is_its_docstring(package):
 def test_entry_point_loads_only_the_layers_it_runs(fresh, entry):
     prefixes, allowed = UNUSED_LAYERS[entry]
     assert [m for m in fresh[entry] if m.startswith(prefixes) and m not in allowed] == []
+
+
+def test_sweep_cells_import_only_the_scheduler_policies(fresh):
+    # what a forked worker would load on top of the parent's modules
+    assert fresh["sweep_cells"] == SWEEP_CELL_IMPORTS
 
 
 def test_fit_lognormal_loads_scipy_on_first_call(fresh):

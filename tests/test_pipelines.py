@@ -21,22 +21,12 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.experiments import (
-    Artifact,
-    ArtifactSet,
-    ExperimentSpec,
-    PipelineSpec,
-    ResultCache,
-    Runner,
-    StageSpec,
-    canonical_json,
-    cell_key,
-    keys_digest,
-    load_spec,
-    register_scenario,
-    scenario_needs_artifacts,
-    spec_fingerprint,
-)
+from repro.experiments.artifacts import Artifact, ArtifactSet, keys_digest
+from repro.experiments.cache import ResultCache, canonical_json, cell_key
+from repro.experiments.checkpoint import spec_fingerprint
+from repro.experiments.registry import register_scenario, scenario_needs_artifacts
+from repro.experiments.runner import Runner
+from repro.experiments.spec import ExperimentSpec, PipelineSpec, StageSpec, load_spec
 
 # -- cheap scenarios registered for these tests ------------------------------
 
@@ -667,10 +657,10 @@ class TestPipelineCli:
 _PIPELINE_CHILD = textwrap.dedent(
     """
     import sys, time
-    from repro.experiments import (
-        ExperimentSpec, PipelineSpec, ResultCache, Runner, StageSpec,
-        CampaignInterrupted, register_scenario,
-    )
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.registry import register_scenario
+    from repro.experiments.runner import CampaignInterrupted, Runner
+    from repro.experiments.spec import ExperimentSpec, PipelineSpec, StageSpec
 
     @register_scenario("pp-val")
     def _val(params, seed):
