@@ -589,12 +589,13 @@ def test_perf_startup_imports(entry, budget_s):
     """A fresh interpreter's import of a CLI verb's or the daemon's entry
     point, best of five, with scipy never loaded.
 
-    On a 2-vCPU Xeon the best of five reads ~0.27-0.39 s for
-    ``repro.cli`` and ~0.51-0.79 s for ``repro.service.daemon`` (numpy
-    and, for the daemon, networkx are most of it); with the eager
-    ``import repro`` and the module-level ``from scipy import stats`` of
-    ``core.distfit`` both read ~1.4-2.1 s, ~1.0 s of it scipy.  A heavy
-    import at module level on an entry point's path fails here.
+    On a 2-vCPU Xeon the best of five reads ~0.17-0.18 s for
+    ``repro.cli`` and ~0.18-0.19 s for ``repro.service.daemon`` (numpy
+    is most of both); the daemon read ~0.29-0.30 s while the topology
+    routed through networkx, and with the eager ``import repro`` and
+    the module-level ``from scipy import stats`` of ``core.distfit``
+    both read ~1.4-2.1 s, ~1.0 s of it scipy.  A heavy import at module
+    level on an entry point's path fails here.
     """
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

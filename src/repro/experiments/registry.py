@@ -31,8 +31,7 @@ cache, and seeding machinery.  Their bodies import lazily, so a campaign
 parent and its forked pool load only the layers their cells run: the
 ``pareto_front`` reader (:func:`pareto_front_points`) is defined here
 and the artifact codec in :mod:`~repro.experiments.cache`, never in
-:mod:`~repro.experiments.campaigns`, which loads the fluid simulator and
-networkx.
+:mod:`~repro.experiments.campaigns`, which loads the fluid simulator.
 """
 
 from __future__ import annotations

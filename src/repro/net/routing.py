@@ -40,7 +40,7 @@ def validate_explicit_route(topology: Topology, nodes: list[str]) -> list[str]:
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"route revisits a node: {nodes}")
     for u, v in zip(nodes[:-1], nodes[1:]):
-        if not topology.graph.has_edge(u, v):
+        if not topology.has_link(u, v):
             raise ValueError(f"no link {u!r} -- {v!r} in topology")
     return nodes
 

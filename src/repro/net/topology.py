@@ -2,9 +2,11 @@
 
 The paper's four paths ride the ESnet backbone.  We model a topology of
 the same character — DOE lab sites hanging off a continental backbone of
-10 Gbps links — on a :class:`networkx.Graph`.  Node ids are strings
-("NERSC", "rt-chic"); a parallel integer registry maps node names to the
-host ids stored in :class:`~repro.gridftp.records.TransferLog` columns.
+10 Gbps links — as an insertion-ordered adjacency map.  Node ids are
+strings ("NERSC", "rt-chic"); a parallel integer registry maps node names
+to the host ids stored in :class:`~repro.gridftp.records.TransferLog`
+columns.  Routes are minimum-delay paths (Dijkstra) and, for circuits,
+Yen's k shortest loop-free paths (Yen, 1971).
 
 Provider-edge placement follows the paper's note that ESnet locates its
 PE routers *inside* the NERSC/ORNL campuses, so site access links are part
@@ -14,9 +16,10 @@ of the provider network and carry SNMP counters like any backbone link.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
-
-import networkx as nx
+import math
+from collections.abc import Container
 
 __all__ = ["Link", "Topology", "esnet_like", "internet2_like", "SITES", "I2_SITES"]
 
@@ -46,15 +49,16 @@ _Route = tuple[tuple[str, ...], tuple[tuple[str, str], ...], tuple[float, ...]]
 class Topology:
     """Mutable site/router graph with capacity and delay annotations.
 
-    The graph changes only through :meth:`add_site`, :meth:`add_router`
-    and :meth:`add_link`; nothing else may mutate ``graph``.  Routes are
+    The graph is an insertion-ordered adjacency map, node -> neighbour ->
+    ``(capacity_bps, delay_s)``, and changes only through
+    :meth:`add_site`, :meth:`add_router` and :meth:`add_link`.  Routes are
     memoized per graph state, keyed by their query: :meth:`path` per
     ``(src, dst)`` and :meth:`candidate_routes` per ``(src, dst, k)``.
     Every ``add_*`` empties the memo.
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self._adj: dict[str, dict[str, tuple[float, float]]] = {}
         self._host_ids: dict[str, int] = {}
         self._ip_routes: dict[tuple[str, str], tuple[str, ...]] = {}
         self._candidates: dict[tuple[str, str, int], tuple[_Route, ...]] = {}
@@ -69,7 +73,7 @@ class Topology:
         """Add a lab site (a DTN endpoint); returns its integer host id."""
         if name in self._host_ids:
             raise ValueError(f"duplicate site {name!r}")
-        self.graph.add_node(name, kind="site")
+        self._adj.setdefault(name, {})
         self._changed()
         host_id = len(self._host_ids)
         self._host_ids[name] = host_id
@@ -77,24 +81,34 @@ class Topology:
 
     def add_router(self, name: str) -> None:
         """Add a backbone router (not addressable as a transfer endpoint)."""
-        if name in self.graph:
+        if name in self._adj:
             raise ValueError(f"duplicate node {name!r}")
-        self.graph.add_node(name, kind="router")
+        self._adj[name] = {}
         self._changed()
 
     def add_link(
         self, u: str, v: str, capacity_bps: float = 10e9, delay_s: float = 0.005
     ) -> Link:
-        """Connect two existing nodes with an undirected link."""
+        """Connect two existing nodes with an undirected link.
+
+        Linking a connected pair again replaces its capacity and delay.
+        """
         for n in (u, v):
-            if n not in self.graph:
+            if n not in self._adj:
                 raise KeyError(f"unknown node {n!r}")
-        if capacity_bps <= 0 or delay_s < 0:
-            raise ValueError("capacity must be positive and delay non-negative")
-        link = Link(u, v, capacity_bps, delay_s)
-        self.graph.add_edge(u, v, capacity_bps=capacity_bps, delay_s=delay_s)
+        if u == v:
+            raise ValueError(f"a link needs two distinct nodes, got {u!r} twice")
+        if not 0 < capacity_bps < math.inf:
+            raise ValueError(
+                f"capacity_bps must be positive and finite, got {capacity_bps!r}"
+            )
+        if not 0 <= delay_s < math.inf:
+            raise ValueError(
+                f"delay_s must be non-negative and finite, got {delay_s!r}"
+            )
+        self._adj[u][v] = self._adj[v][u] = (capacity_bps, delay_s)
         self._changed()
-        return link
+        return Link(u, v, capacity_bps, delay_s)
 
     # -- queries ---------------------------------------------------------------
 
@@ -114,24 +128,40 @@ class Topology:
         return tuple(self._host_ids)
 
     def links(self) -> list[Link]:
-        """Every link in the topology."""
-        return [
-            Link(u, v, d["capacity_bps"], d["delay_s"])
-            for u, v, d in self.graph.edges(data=True)
-        ]
+        """Every link once, oriented from the node added first, in node
+        order and then in each node's link order."""
+        seen = set()
+        found = []
+        for u, nbrs in self._adj.items():
+            found.extend(Link(u, v, *nbrs[v]) for v in nbrs if v not in seen)
+            seen.add(u)
+        return found
+
+    def has_link(self, u: str, v: str) -> bool:
+        """Whether a link joins ``u`` and ``v``."""
+        return v in self._adj.get(u, ())
 
     def path(self, src: str, dst: str) -> list[str]:
-        """Minimum-propagation-delay path (the IP-routed default route)."""
+        """Minimum-propagation-delay path (the IP-routed default route).
+
+        Equal-delay routes tie by insertion order: Dijkstra settles nodes
+        by delay, equal delays in the order they were reached at it,
+        scans each node's links in the order they were added, and a node
+        keeps the first neighbour that reached it at its final delay.
+        Raises ``KeyError`` for an unknown node and ``ValueError`` when
+        no route joins the two.
+        """
         route = self._ip_routes.get((src, dst))
         if route is None:
-            route = tuple(nx.shortest_path(self.graph, src, dst, weight="delay_s"))
-            self._ip_routes[src, dst] = route
+            route = self._ip_routes[src, dst] = self._shortest(src, dst)
         return list(route)
 
     def candidate_routes(self, src: str, dst: str, k: int) -> tuple[_Route, ...]:
         """Up to ``k`` loop-free routes in increasing propagation delay.
 
-        Each route carries its link keys and capacities, so callers
+        Yen's algorithm over :meth:`path`'s Dijkstra, so the first route
+        is the IP route; equal-delay routes come in the order it finds
+        them.  Each route carries its link keys and capacities, so callers
         weighing alternatives never touch the graph.
         """
         if k < 1:
@@ -139,13 +169,73 @@ class Topology:
         routes = self._candidates.get((src, dst, k))
         if routes is None:
             found = []
-            gen = nx.shortest_simple_paths(self.graph, src, dst, weight="delay_s")
-            for nodes in itertools.islice(gen, k):
+            for nodes in self._k_shortest(src, dst, k):
                 keys = tuple(self.path_links(nodes))
                 caps = tuple(self.link_capacity(key) for key in keys)
-                found.append((tuple(nodes), keys, caps))
+                found.append((nodes, keys, caps))
             routes = self._candidates[src, dst, k] = tuple(found)
         return routes
+
+    def _shortest(self, src: str, dst: str) -> tuple[str, ...]:
+        for n in (src, dst):
+            if n not in self._adj:
+                raise KeyError(f"unknown node {n!r}")
+        nodes = self._dijkstra(src, dst)
+        if nodes is None:
+            raise ValueError(f"no route from {src!r} to {dst!r}")
+        return nodes
+
+    def _dijkstra(
+        self, src: str, dst: str, avoid: tuple[str, ...] = (), skip: Container[str] = ()
+    ) -> tuple[str, ...] | None:
+        """Minimum-delay path that enters no node of ``avoid`` and leaves
+        ``src`` towards no node of ``skip``; None when there is none."""
+        best = {src: 0.0}
+        via: dict[str, str | None] = {src: None}
+        settled = set(avoid)
+        order = itertools.count()
+        heap = [(0.0, next(order), src)]
+        while heap:
+            delay, _, u = heapq.heappop(heap)
+            if u in settled:
+                continue
+            if u == dst:
+                nodes = []
+                while u is not None:
+                    nodes.append(u)
+                    u = via[u]
+                return tuple(reversed(nodes))
+            settled.add(u)
+            for v, (_, d) in self._adj[u].items():
+                if v in settled or (u == src and v in skip):
+                    continue
+                if v not in best or delay + d < best[v]:
+                    best[v] = delay + d
+                    via[v] = u
+                    heapq.heappush(heap, (best[v], next(order), v))
+        return None
+
+    def _k_shortest(self, src: str, dst: str, k: int) -> list[tuple[str, ...]]:
+        """Yen's k shortest loop-free paths: each next path is the
+        cheapest detour off a prefix of the last one found."""
+        paths = [self._shortest(src, dst)]
+        queued = set(paths)
+        detours: list[tuple[float, int, tuple[str, ...]]] = []
+        order = itertools.count()
+        while len(paths) < k:
+            last = paths[-1]
+            for i in range(len(last) - 1):
+                used = {p[i + 1] for p in paths if p[: i + 1] == last[: i + 1]}
+                spur = self._dijkstra(last[i], dst, avoid=last[:i], skip=used)
+                nodes = last[:i] + spur if spur else None
+                if nodes and nodes not in queued:
+                    queued.add(nodes)
+                    rtt = self.path_rtt_s(nodes)
+                    heapq.heappush(detours, (rtt, next(order), nodes))
+            if not detours:
+                break
+            paths.append(heapq.heappop(detours)[2])
+        return paths
 
     def path_links(self, nodes: list[str]) -> list[tuple[str, str]]:
         """Canonical link keys along a node path."""
@@ -157,18 +247,16 @@ class Topology:
         """Round-trip propagation delay along a node path."""
         total = 0.0
         for u, v in zip(nodes[:-1], nodes[1:]):
-            total += self.graph.edges[u, v]["delay_s"]
+            total += self._adj[u][v][1]
         return 2.0 * total
 
     def path_bottleneck_bps(self, nodes: list[str]) -> float:
         """Minimum link capacity along a node path."""
-        return min(
-            self.graph.edges[u, v]["capacity_bps"]
-            for u, v in zip(nodes[:-1], nodes[1:])
-        )
+        return min(self._adj[u][v][0] for u, v in zip(nodes[:-1], nodes[1:]))
 
     def link_capacity(self, key: tuple[str, str]) -> float:
-        return float(self.graph.edges[key]["capacity_bps"])
+        u, v = key
+        return float(self._adj[u][v][0])
 
     def rtt_between(self, src: str, dst: str) -> float:
         """RTT of the default (IP-routed) path between two sites."""

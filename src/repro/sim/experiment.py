@@ -412,9 +412,8 @@ class FluidSimulator:
                     f"explicit path {explicit_path} does not run from "
                     f"{job.src} to {job.dst}"
                 )
-            graph = self.topology.graph
             for u, v in zip(explicit_path, explicit_path[1:]):
-                if not graph.has_edge(u, v):
+                if not self.topology.has_link(u, v):
                     raise ValueError(f"explicit path hop {u}-{v} is not a link")
         if vc is not None:
             self._watch_circuit(vc)

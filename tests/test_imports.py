@@ -1,5 +1,5 @@
-"""What each entry point loads at import: no scipy anywhere, networkx only
-where a topology is built, and no repro layer it does not run.
+"""What each entry point loads at import: no scipy anywhere, no networkx
+at all, and no repro layer it does not run.
 
 ``import repro`` loads no subpackage, a subpackage's ``__init__`` is its
 docstring, and a heavy optional dependency is imported inside the
@@ -9,10 +9,12 @@ cells import no repro module outside a pinned set: a worker forks from
 the parent and pays for each module it loads on its own.
 scipy serves one ``kstest`` in :func:`repro.core.distfit.fit_lognormal`
 and three ``scipy.stats.norm`` helpers in
-:mod:`repro.workload.distributions`; networkx backs
-:class:`repro.net.topology.Topology`.  Each entry point, and every module
-of the ``core``, ``workload`` and ``gridftp`` layers, is imported in a
-fresh interpreter, since this process has long since loaded both.
+:mod:`repro.workload.distributions`.  networkx is the tests' route
+oracle only: :class:`repro.net.topology.Topology` routes on its own
+adjacency map, so no module of the package imports it.  Each entry
+point, every module of the ``core``, ``workload`` and ``gridftp``
+layers, and every module of the package, is imported in a fresh
+interpreter, since this process has long since loaded both.
 """
 
 import ast
@@ -34,10 +36,10 @@ FORBIDDEN = {
     "repro.core": {"scipy", "networkx"},
     "repro.workload": {"scipy", "networkx"},
     "repro.gridftp": {"scipy", "networkx"},
-    "repro.service.daemon": {"scipy"},
+    "repro.service.daemon": {"scipy", "networkx"},
     "repro.experiments.runner": {"scipy", "networkx"},
     "repro.experiments.cache": {"scipy", "networkx"},
-    "repro.sim.experiment": {"scipy"},
+    "repro.sim.experiment": {"scipy", "networkx"},
 }
 
 #: the entries above that stand for every module of their layer: a layer's
@@ -104,6 +106,16 @@ for module in pkgutil.iter_modules(layer.__path__, layer.__name__ + "."):
 print(json.dumps(sorted(sys.modules)))
 """
 
+#: every module of the package, subpackages found by walking them
+_EVERY_MODULE_SCRIPT = """
+import importlib, json, pkgutil, sys
+import repro
+names = [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+for name in names:
+    importlib.import_module(name)
+print(json.dumps({"imported": names, "loaded": sorted(sys.modules)}))
+"""
+
 #: a small sched_compare-shaped pipeline, run in-process: the lazy imports
 #: of its cells are what each forked worker of a pool would pay for
 _SWEEP_SCRIPT = f"""
@@ -131,6 +143,7 @@ _SCRIPTS = {
     **{name: _LAYER_SCRIPT.format(name=name) for name in LAYERS},
     "fit_lognormal": _FIT_SCRIPT,
     "sweep_cells": _SWEEP_SCRIPT,
+    "every_module": _EVERY_MODULE_SCRIPT,
 }
 
 
@@ -160,6 +173,12 @@ def test_import_repro_loads_no_subpackage(fresh):
 @pytest.mark.parametrize("entry", sorted(FORBIDDEN))
 def test_entry_point_skips_heavy_imports(fresh, entry):
     assert FORBIDDEN[entry] & set(fresh[entry]) == set()
+
+
+def test_no_module_of_the_package_loads_networkx(fresh):
+    got = fresh["every_module"]
+    assert "repro.net.topology" in got["imported"] and "repro.cli" in got["imported"]
+    assert [m for m in got["loaded"] if m.split(".")[0] == "networkx"] == []
 
 
 @pytest.mark.parametrize(

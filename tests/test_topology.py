@@ -1,10 +1,11 @@
 """Unit tests for the topology and routing modules."""
 
 import itertools
+import math
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.net.routing import (
@@ -13,7 +14,7 @@ from repro.net.routing import (
     least_congested_path,
     validate_explicit_route,
 )
-from repro.net.topology import SITES, Topology, esnet_like, internet2_like
+from repro.net.topology import SITES, Link, Topology, esnet_like, internet2_like
 
 
 class TestTopologyConstruction:
@@ -48,6 +49,53 @@ class TestTopologyConstruction:
         t.add_site("B")
         with pytest.raises(ValueError):
             t.add_link("A", "B", capacity_bps=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("capacity_bps", math.nan), ("capacity_bps", math.inf),
+        ("capacity_bps", -1e9), ("delay_s", math.nan), ("delay_s", math.inf),
+        ("delay_s", -0.001),
+    ])
+    def test_bad_link_value_names_its_field(self, field, value):
+        # NaN passed the old `<= 0` test and then failed every comparison
+        t = Topology()
+        t.add_site("A")
+        t.add_site("B")
+        with pytest.raises(ValueError, match=field):
+            t.add_link("A", "B", **{field: value})
+        assert t.links() == [] and not t.has_link("A", "B")
+
+    def test_self_link_rejected(self):
+        t = Topology()
+        t.add_site("A")
+        with pytest.raises(ValueError, match="two distinct nodes"):
+            t.add_link("A", "A")
+        assert t.links() == []
+
+    def test_relink_replaces_capacity_and_delay(self):
+        t = Topology()
+        for name in "ABC":
+            t.add_site(name)
+        t.add_link("A", "B", delay_s=0.001)
+        t.add_link("B", "C", delay_s=0.001)
+        t.add_link("A", "C", delay_s=0.010)
+        assert t.path("A", "C") == ["A", "B", "C"]
+        assert t.add_link("C", "A", capacity_bps=1e9, delay_s=0.001) == Link(
+            "C", "A", 1e9, 0.001
+        )
+        assert t.path("A", "C") == ["A", "C"]  # the memo was emptied
+        # the link keeps its place and orientation
+        assert t.links() == [
+            Link("A", "B", 10e9, 0.001),
+            Link("A", "C", 1e9, 0.001),
+            Link("B", "C", 10e9, 0.001),
+        ]
+        assert t.link_capacity(("A", "C")) == 1e9
+
+    def test_has_link(self):
+        t = esnet_like()
+        assert t.has_link("NERSC", "rt-sunn") and t.has_link("rt-sunn", "NERSC")
+        assert not t.has_link("NERSC", "ORNL")
+        assert not t.has_link("NERSC", "FNAL") and not t.has_link("FNAL", "NERSC")
 
     def test_unknown_host_id(self):
         with pytest.raises(KeyError):
@@ -160,13 +208,71 @@ class TestRouting:
             least_congested_path(esnet_like(), "ANL", "ANL", {})
 
 
+class TestRouteRefusals:
+    def test_unknown_endpoint_is_named(self):
+        t = esnet_like()
+        for src, dst in (("NERSC", "FNAL"), ("FNAL", "NERSC")):
+            with pytest.raises(KeyError, match="FNAL"):
+                t.path(src, dst)
+            with pytest.raises(KeyError, match="FNAL"):
+                t.candidate_routes(src, dst, 3)
+
+    def test_missing_route_names_both_ends(self):
+        t = esnet_like()
+        t.add_site("FNAL")  # no link yet
+        with pytest.raises(ValueError, match="'NERSC' to 'FNAL'"):
+            t.path("NERSC", "FNAL")
+        with pytest.raises(ValueError, match="'FNAL' to 'NERSC'"):
+            t.candidate_routes("FNAL", "NERSC", 3)
+        t.add_link("FNAL", "rt-chic", delay_s=0.001)
+        assert t.path("NERSC", "FNAL")[-2:] == ["rt-chic", "FNAL"]
+
+    def test_route_to_itself_is_one_node(self):
+        t = esnet_like()
+        assert t.path("ANL", "ANL") == ["ANL"]
+        assert t.candidate_routes("ANL", "ANL", 3) == ((("ANL",), (), ()),)
+
+
+class TestTieRule:
+    """Two routes of equal delay, A-B-D and A-C-D: the tie rule that
+    ``Topology.path`` states (networkx promises no order here)."""
+
+    @pytest.mark.parametrize("links, first", [
+        ([("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")], "B"),
+        ([("A", "C"), ("A", "B"), ("C", "D"), ("B", "D")], "C"),
+        # D is first reached from B, which A's links reach first
+        ([("A", "B"), ("A", "C"), ("C", "D"), ("B", "D")], "B"),
+    ])
+    def test_equal_delay_routes_tie_by_insertion_order(self, links, first):
+        t = Topology()
+        for name in "ABCD":
+            t.add_router(name)
+        for u, v in links:
+            t.add_link(u, v, delay_s=0.004)
+        second = "C" if first == "B" else "B"
+        assert t.path("A", "D") == ["A", first, "D"]
+        assert [list(nodes) for nodes, _, _ in t.candidate_routes("A", "D", 3)] == [
+            ["A", first, "D"], ["A", second, "D"],
+        ]
+
+
 # ---------------------------------------------------------------------------
 # the route memo against per-call enumeration
 
 
+def nx_graph(topology):
+    """The route oracle's copy of a topology: an ``nx.Graph`` of its links."""
+    graph = nx.Graph()
+    for link in topology.links():
+        graph.add_edge(
+            link.u, link.v, capacity_bps=link.capacity_bps, delay_s=link.delay_s
+        )
+    return graph
+
+
 def reference_k_shortest_paths(topology, src, dst, k):
     """Enumerate with networkx on every call, as routing did before the memo."""
-    gen = nx.shortest_simple_paths(topology.graph, src, dst, weight="delay_s")
+    gen = nx.shortest_simple_paths(nx_graph(topology), src, dst, weight="delay_s")
     return list(itertools.islice(gen, k))
 
 
@@ -204,6 +310,73 @@ def routing_query(draw):
     return topology, src, dst, k, committed
 
 
+@st.composite
+def random_graph(draw):
+    """A connected graph of up to 12 nodes, built twice by the same calls:
+    as a ``Topology`` and as an ``nx.Graph``.  Nodes and links are added
+    in drawn orders, links in either orientation, some twice (the second
+    call replaces capacity and delay); delays are continuous."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    tree = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    extra = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+        extra.append((names[i], names[j + (j >= i)]))
+    links = draw(st.permutations(tree + extra))
+    delays = st.floats(min_value=1e-4, max_value=0.02)
+    capacities = st.floats(min_value=1e6, max_value=1e11)
+    topology, graph = Topology(), nx.Graph()
+    for name in names:
+        topology.add_router(name)
+        graph.add_node(name)
+    for u, v in links:
+        cap, delay = draw(capacities), draw(delays)
+        topology.add_link(u, v, capacity_bps=cap, delay_s=delay)
+        graph.add_edge(u, v, capacity_bps=cap, delay_s=delay)
+    src, dst = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    return topology, graph, src, dst, draw(st.integers(min_value=1, max_value=6))
+
+
+class TestRoutesMatchNetworkx:
+    @given(random_graph())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graph_routes_match_networkx(self, case):
+        topology, graph, src, dst, k = case
+        want = list(itertools.islice(
+            nx.shortest_simple_paths(graph, src, dst, weight="delay_s"), k + 1
+        ))
+        # routes of (near-)equal delay may come in either order
+        delays = [nx.path_weight(graph, p, "delay_s") for p in want]
+        assume(all(b > a * (1 + 1e-9) for a, b in zip(delays, delays[1:])))
+        assert topology.path(src, dst) == nx.shortest_path(
+            graph, src, dst, weight="delay_s"
+        )
+        assert [list(n) for n, _, _ in topology.candidate_routes(src, dst, k)] == (
+            want[:k]
+        )
+        assert [(lk.u, lk.v, lk.capacity_bps, lk.delay_s) for lk in topology.links()] == [
+            (u, v, d["capacity_bps"], d["delay_s"]) for u, v, d in graph.edges(data=True)
+        ]
+
+    @pytest.mark.parametrize("domain", ["esnet", "internet2"])
+    def test_every_node_pair_matches_networkx(self, domain):
+        topology = (esnet_like if domain == "esnet" else internet2_like)()
+        graph = nx_graph(topology)
+        for src, dst in itertools.permutations(graph, 2):
+            want = list(itertools.islice(
+                nx.shortest_simple_paths(graph, src, dst, weight="delay_s"), 8
+            ))
+            assert topology.path(src, dst) == want[0]
+            for k in range(1, 9):
+                got = [list(n) for n, _, _ in topology.candidate_routes(src, dst, k)]
+                assert got == want[:k]
+            for nodes in want:
+                assert topology.path_rtt_s(nodes) == 2.0 * nx.path_weight(
+                    graph, nodes, "delay_s"
+                )
+
+
 class TestRouteMemo:
     @pytest.mark.parametrize("domain", sorted(_DOMAINS))
     def test_every_site_pair_matches_per_call_enumeration(self, domain):
@@ -225,7 +398,7 @@ class TestRouteMemo:
                         topology, src, dst, committed, k
                     )
             assert topology.path(src, dst) == nx.shortest_path(
-                topology.graph, src, dst, weight="delay_s"
+                nx_graph(topology), src, dst, weight="delay_s"
             )
 
     @given(routing_query())
@@ -258,13 +431,13 @@ class TestRouteMemo:
             )
 
         enumerations = []
-        simple_paths = nx.shortest_simple_paths
+        k_shortest = Topology._k_shortest
 
-        def counted(*args, **kwargs):
-            enumerations.append(args[1:3])
-            return simple_paths(*args, **kwargs)
+        def counted(self, src, dst, k):
+            enumerations.append((src, dst))
+            return k_shortest(self, src, dst, k)
 
-        monkeypatch.setattr(nx, "shortest_simple_paths", counted)
+        monkeypatch.setattr(Topology, "_k_shortest", counted)
         topology = esnet_like()
         before = answers(topology)
         answers(topology)
